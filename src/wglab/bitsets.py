@@ -8,9 +8,12 @@ doubling on the binary expansion of s.
 
 from __future__ import annotations
 
+import numpy as np
+
 __all__ = [
     "bits_from",
     "bit_positions",
+    "window_flags",
     "cyclic_add",
     "cyclic_power",
     "cyclic_power_stepwise",
@@ -33,6 +36,15 @@ def bit_positions(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def window_flags(mask: int, lo: int, hi: int) -> np.ndarray:
+    """Bits lo..hi of a nonnegative bitmask as a bool array of length
+    hi - lo + 1, by one byte unpacking instead of one shift per bit."""
+    width = hi - lo + 1
+    window = (mask >> lo) & ((1 << width) - 1)
+    raw = np.frombuffer(window.to_bytes((width + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=width, bitorder="little").view(bool)
 
 
 def _iter_bits(mask: int):

@@ -19,6 +19,7 @@ from .core_arith import (
     compute_Rk,
     compute_W,
     iroot,
+    sieve_primes,
 )
 from .local_structure import (
     DecompositionFailure,
@@ -496,15 +497,16 @@ def cmd_report(args, cfg) -> int:
     factor = merged_setting(args, cfg, "grid_factor")
     for N in n_list:
         Y = iroot(W.value * N + W.value, k)
-        subset = gen_subset(spec, max(Y, 100))
-        means = mean_g(W, k, N, subset)
+        primes = sieve_primes(max(Y, 100))  # covers every b < W as well
+        subset = gen_subset(spec, max(Y, 100), primes=primes)
+        means = mean_g(W, k, N, subset, primes=primes)
         body = means.to_json_dict()
         body["W_over_log_N"] = _regime(W.value, N)
         (out / f"means_N{N}.json").write_text(_json_report(body), encoding="utf-8")
         bs = table.unit_sorted if b_setting == "all" else [int(x) for x in b_setting.split(",")]
         rows = []
         for b in bs:
-            nu = build_nu(W, b, k, N)
+            nu = build_nu(W, b, k, N, primes=primes)
             rows.append(pseudorandom_gauge(nu, factor * (1 << (N - 1).bit_length())).to_json_row())
         (out / f"gauge_N{N}.jsonl").write_text("".join(rows), encoding="utf-8")
     print(f"report written to {out}")

@@ -367,7 +367,9 @@ def waring_pair_check(
     contains a violating subset of size m0.  Only the exhaustive strategy
     may return the verdict "pair"; sampled and structured scans cap out at
     "no-violation-found".  Any "not-pair" verdict carries a witness that is
-    re-verified through the slow stepwise sumset path.
+    re-verified through the slow stepwise sumset path.  With threads != 1
+    a large exhaustive scan runs in a pool of min(threads, cpu_count,
+    chunks) workers (every core when threads < 1).
     """
     if strategy not in ("exhaustive", "sampled", "structured"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -404,13 +406,14 @@ def waring_pair_check(
         if threads != 1 and total >= _PARALLEL_MIN:
             import multiprocessing
 
-            workers = threads if threads > 1 else (multiprocessing.cpu_count() or 1)
+            cores = multiprocessing.cpu_count() or 1
+            workers = min(threads, cores) if threads > 1 else cores
             step = (total + workers - 1) // workers
             chunks = [
                 (qv, k, s, units, m0, lo, min(lo + step, total), target)
                 for lo in range(0, total, step)
             ]
-            with multiprocessing.Pool(workers) as pool:
+            with multiprocessing.Pool(min(workers, len(chunks))) as pool:
                 results = pool.map(_exhaustive_chunk, chunks)
             hits = [r for r, _ in results if r is not None]
             if hits:

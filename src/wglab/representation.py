@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bitsets import bits_from, line_power
+from .bitsets import bits_from, line_power, window_flags
 from .core_arith import compute_Rk
 from .majorant import PrimeSubset, WeightedSequence
 
@@ -123,11 +123,7 @@ def count_representations(
         if not powers:
             return np.zeros(hi + 1, dtype=np.int64)
         reach = line_power(bits_from(powers), s, hi)
-        out = np.zeros(hi + 1, dtype=np.int64)
-        for n in range(hi + 1):
-            if (reach >> n) & 1:
-                out[n] = 1
-        return out
+        return window_flags(reach, 0, hi).astype(np.int64)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -164,10 +160,9 @@ class CoverageReport:
         lo, hi = self.window
         rows = ["n,admissible,represented"]
         g = self.modulus
-        for n in range(lo, hi + 1):
+        for n, rep in zip(range(lo, hi + 1), window_flags(reach, lo, hi).tolist()):
             adm = 1 if (not self.filtered or (n - self.s) % g == 0) else 0
-            rep = 1 if (reach >> n) & 1 else 0
-            rows.append(f"{n},{adm},{rep}")
+            rows.append(f"{n},{adm},{int(rep)}")
         return rows
 
 
@@ -190,17 +185,9 @@ def coverage_probe(
     powers = _prime_powers(subset, k, hi)
     reach = line_power(bits_from(powers), s, hi) if powers else 0
     modulus = compute_Rk(k).value
-    exceptions = []
-    admissible = 0
-    represented = 0
-    for n in range(lo, hi + 1):
-        if use_filter and (n - s) % modulus != 0:
-            continue
-        admissible += 1
-        if (reach >> n) & 1:
-            represented += 1
-        else:
-            exceptions.append(n)
+    flags = window_flags(reach, lo, hi)
+    ns = np.arange(lo, hi + 1, dtype=np.int64)
+    adm = (ns - s) % modulus == 0 if use_filter else np.ones(ns.size, dtype=bool)
     report = CoverageReport(
         k=k,
         s=s,
@@ -208,9 +195,9 @@ def coverage_probe(
         window=(lo, hi),
         modulus=modulus,
         filtered=use_filter,
-        admissible_count=admissible,
-        represented_count=represented,
-        exceptions=exceptions,
+        admissible_count=int(adm.sum()),
+        represented_count=int((adm & flags).sum()),
+        exceptions=ns[adm & ~flags].tolist(),
     )
     return report, reach
 

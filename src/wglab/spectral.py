@@ -37,15 +37,29 @@ __all__ = [
     "major_arc_residual",
     "pseudorandom_gauge",
     "restriction_norm",
+    "SPECTRAL_GRID_CAP",
 ]
 
 TWO_PI = 2.0 * math.pi
 _ARC_SCAN_CAP = 10**6
+SPECTRAL_GRID_CAP = 1 << 27  # the default grid at N = 2^24
 
 
 def default_grid(N: int, factor: int = 8) -> int:
     """factor times the next power of two at or above N."""
     return factor * (1 << (N - 1).bit_length())
+
+
+def _zero_padded(values: np.ndarray, M: int) -> np.ndarray:
+    """values at positions 1..N of a zero array of length M.
+
+    Grids above SPECTRAL_GRID_CAP are refused before anything is allocated.
+    """
+    if M > SPECTRAL_GRID_CAP:
+        raise LimitExceededError(f"grid M = {M} exceeds the spectral cap {SPECTRAL_GRID_CAP}")
+    arr = np.zeros(M)
+    arr[1 : len(values) + 1] = values
+    return arr
 
 
 @dataclass
@@ -93,15 +107,14 @@ def dft_spectrum(seq: WeightedSequence, M: int | None = None) -> Spectrum:
     """Exact grid samples of the transform via a zero-padded FFT.
 
     Requires M >= 2N so arcs of interest are resolved and downstream
-    quadrature is stable.
+    quadrature is stable, and M <= SPECTRAL_GRID_CAP.
     """
     N = seq.N
     if M is None:
         M = default_grid(N)
     if M < 2 * N:
         raise ValueError(f"grid M = {M} must be >= 2N = {2 * N}")
-    arr = np.zeros(M)
-    arr[1 : N + 1] = seq.values
+    arr = _zero_padded(seq.values, M)
     values = np.conj(np.fft.fft(arr))  # conj flips to the e(+n alpha) convention
     source = {"kind": seq.kind, "W": seq.W, "b": seq.b, "k": seq.k, "N": N}
     return Spectrum(M=M, values=values, source=source)
@@ -382,6 +395,11 @@ def pseudorandom_gauge(
 ) -> GaugeReport:
     """Grid maximum of |transform(nu) - transform(interval)| / N.
 
+    By linearity this is one real FFT: nu - 1 at n = 1..N, zero-padded to
+    M <= SPECTRAL_GRID_CAP, through np.fft.rfft.  Real input has
+    |X(j)| = |X(M - j)|, so the maximum is taken over bins 0..M/2 and the
+    argmax is canonical: argmax_j <= M/2 and argmax_alpha lies in [0, 1/2].
+
     The argmax frequency is classified into major/minor arcs using the
     first exponent in sigma_chain that yields a nondegenerate P < Q; the
     exponent actually used is recorded in the report.
@@ -391,9 +409,9 @@ def pseudorandom_gauge(
         M = default_grid(N)
     if M < 2 * N:
         raise ValueError(f"grid M = {M} must be >= 2N = {2 * N}")
-    spec = dft_spectrum(nu, M)
-    ones = dft_spectrum(WeightedSequence.indicator(N), M)
-    diff = np.abs(spec.values - ones.values)
+    arr = _zero_padded(nu.values, M)
+    arr[1 : N + 1] -= 1.0
+    diff = np.abs(np.fft.rfft(arr))
     j = int(diff.argmax())
     D = float(diff[j]) / N
     arc = None
@@ -452,6 +470,11 @@ def restriction_norm(
 ) -> RestrictionReport:
     """Riemann-grid L^exponent norm of the spectrum, and K = norm/N^(1-1/q).
 
+    One real FFT of length M <= SPECTRAL_GRID_CAP through np.fft.rfft.
+    Real input has |X(j)| = |X(M - j)|, so the full-grid sum counts bin 0
+    once, bin M/2 once when M is even, and every other (interior) bin of
+    the half spectrum twice.
+
     Exponents below 2 are rejected; exponent exactly 2 is kept as a
     reference mode where the constant is pinned to 1 for the interval by
     the energy identity.
@@ -463,10 +486,11 @@ def restriction_norm(
         M = max(default_grid(N), 4 * N)
     if M < 4 * N:
         raise ValueError(f"grid M = {M} must be >= 4N = {4 * N}")
-    arr = np.zeros(M)
-    arr[1 : N + 1] = seq.values
-    hat = np.abs(np.fft.fft(arr))
-    norm = float((np.sum(hat**exponent) / M) ** (1.0 / exponent))
+    mag = np.abs(np.fft.rfft(_zero_padded(seq.values, M))) ** exponent
+    total = mag[0] + 2.0 * mag[1 : (M + 1) // 2].sum()
+    if M % 2 == 0:
+        total += mag[M // 2]
+    norm = float((total / M) ** (1.0 / exponent))
     constant = norm / N ** (1.0 - 1.0 / exponent)
     return RestrictionReport(
         norm=norm,

@@ -207,6 +207,44 @@ class TestWaringPairCheck:
             )
 
 
+    def test_pool_clamped_to_cores_and_chunks(self, monkeypatch):
+        import multiprocessing
+
+        import wglab.local_structure as ls
+
+        sizes = []
+
+        class RecordingPool:
+            """Runs the chunks in this process and records the worker count."""
+
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                return [fn(c) for c in chunks]
+
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        monkeypatch.setattr(multiprocessing, "cpu_count", lambda: 3)
+        monkeypatch.setattr(ls, "_PARALLEL_MIN", 1)
+        for q, k, s, total in ((45, 2, 8, 15), (13, 2, 2, 15), (5, 2, 2, 1)):
+            serial = waring_pair_check(fm(q), k, s, "exhaustive", threads=1)
+            pooled = waring_pair_check(fm(q), k, s, "exhaustive", threads=10**6)
+            assert sizes.pop() == min(3, total)
+            assert (pooled.verdict, pooled.witness, pooled.trials) == (
+                serial.verdict,
+                serial.witness,
+                serial.trials,
+            )
+        waring_pair_check(fm(45), 2, 8, "exhaustive", threads=2)
+        assert sizes == [2]
+
+
 class TestLocalDecompose:
     def setup_method(self):
         self.W = compute_W(2, 2)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from wglab.bitsets import bits_from, line_power
 from wglab.core_arith import compute_W
 from wglab.local_structure import LocalDecomposition, local_decompose
 from wglab.majorant import SubsetSpec, WeightedSequence, build_f, gen_subset, mean_g
@@ -115,6 +116,31 @@ class TestCoverage:
         rows = report.csv_rows(reach)
         assert rows[0] == "n,admissible,represented"
         assert len(rows) == 32
+
+
+class TestBitmaskReadout:
+    def test_matches_per_bit_readout(self):
+        """Reports, CSV rows and bitset counts equal the old one-shift-per-bit
+        readout of the same reach bitmask."""
+        sub = all_primes(100)
+        k, s, hi = 2, 3, 3000
+        powers = [int(p) ** k for p in sub.primes() if int(p) ** k <= hi]
+        reach = line_power(bits_from(powers), s, hi)
+        assert count_representations(sub, k, s, hi, method="bitset").tolist() == [
+            (reach >> n) & 1 for n in range(hi + 1)
+        ]
+        for window, use_filter in (((1000, 3000), True), ((5, 1237), False), ((0, 0), False)):
+            lo, top = window
+            report, got = coverage_probe(sub, k, s, window, use_filter=use_filter)
+            assert got == reach & ((1 << (top + 1)) - 1)
+            adm = [n for n in range(lo, top + 1) if not use_filter or (n - s) % 24 == 0]
+            assert report.admissible_count == len(adm)
+            assert report.represented_count == sum((reach >> n) & 1 for n in adm)
+            assert report.exceptions == [n for n in adm if not (reach >> n) & 1]
+            assert all(type(n) is int for n in report.exceptions)
+            assert report.csv_rows(got) == ["n,admissible,represented"] + [
+                f"{n},{int(n in adm)},{(got >> n) & 1}" for n in range(lo, top + 1)
+            ]
 
 
 def indicator_convolution(N, s, n):

@@ -2,13 +2,17 @@ import cmath
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wglab.core_arith import FactoredModulus, compute_W, rational_approx
+from wglab.core_arith import FactoredModulus, LimitExceededError, compute_W, rational_approx
 from wglab.majorant import SubsetSpec, WeightedSequence, build_f, build_nu, gen_subset
 from wglab.spectral import (
+    SPECTRAL_GRID_CAP,
     ArcParams,
     arc_decompose,
     dft_spectrum,
@@ -336,3 +340,67 @@ class TestRestriction:
         row = json.loads(rep.to_json_row())
         assert row["value"] == pytest.approx(rep.constant)
         assert row["sigma"] is None
+
+
+class TestHalfGridKernels:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        N=st.integers(1, 300),
+        extra=st.integers(0, 1200),
+        seed=st.integers(0, 2**32 - 1),
+        density=st.floats(0.0, 1.0),
+        exponent=st.sampled_from([2.0, 3.0, 6.5]),
+    )
+    def test_match_full_complex_fft(self, N, extra, seed, density, exponent):
+        rng = np.random.default_rng(seed)
+        vals = 10 * rng.random(N) * (rng.random(N) < density)
+        seq = WeightedSequence(values=vals, kind="custom", W=0, b=0, k=0)
+        for M in (2 * N + extra, 2 * N + extra + 1):
+            arr = np.zeros(M)
+            arr[1 : N + 1] = vals
+            ones = np.zeros(M)
+            ones[1 : N + 1] = 1.0
+            full = np.abs(np.fft.fft(arr) - np.fft.fft(ones))
+            rep = pseudorandom_gauge(seq, M)
+            assert rep.D == pytest.approx(full.max() / N, rel=1e-12)
+            assert rep.argmax_j <= M // 2 and rep.argmax_alpha <= 0.5
+            assert full[rep.argmax_j] == pytest.approx(full.max(), rel=1e-12)
+
+            Mr = M + 2 * N  # restriction_norm needs M >= 4N
+            arr = np.zeros(Mr)
+            arr[1 : N + 1] = vals
+            norm = (np.sum(np.abs(np.fft.fft(arr)) ** exponent) / Mr) ** (1 / exponent)
+            assert restriction_norm(seq, exponent, Mr).norm == pytest.approx(norm, rel=1e-12)
+
+    def test_one_rfft_of_length_M_per_call(self, monkeypatch):
+        calls = []
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            real = getattr(np.fft, name)
+
+            def counted(a, *args, _name=name, _real=real, **kwargs):
+                calls.append((_name, len(a)))
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        nu = build_nu(compute_W(2, 2), 1, 2, 1000)
+        pseudorandom_gauge(nu, 8000)
+        assert calls == [("rfft", 8000)]
+        calls.clear()
+        restriction_norm(nu, 6.5, 4001)
+        assert calls == [("rfft", 4001)]
+
+    def test_grid_cap_refuses_before_allocating(self):
+        seq = WeightedSequence.indicator(64)
+        M = SPECTRAL_GRID_CAP + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(LimitExceededError):
+                dft_spectrum(seq, M)
+            with pytest.raises(LimitExceededError):
+                pseudorandom_gauge(seq, M)
+            with pytest.raises(LimitExceededError):
+                restriction_norm(seq, 6.5, M)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
