@@ -2,8 +2,9 @@
 
 Sets of residues (cyclic, mod q) or of nonnegative integers (half-line,
 clipped at a bound) are stored as bitmasks; sumset addition is a shift-or
-over the set bits of the sparser operand, and s-fold sumsets use repeated
-doubling on the binary expansion of s.
+over the set bits of the sparser operand.  Cyclic s-fold sumsets use
+repeated doubling on the binary expansion of s; half-line ones add the
+sparse base set s - 1 times, because a doubled half-line operand is dense.
 """
 
 from __future__ import annotations
@@ -106,15 +107,14 @@ def line_add(X: int, Y: int, hi: int) -> int:
 
 
 def line_power(B: int, s: int, hi: int) -> int:
-    """s-fold integer sumset clipped to [0, hi], by repeated doubling."""
+    """s-fold integer sumset clipped to [0, hi], by s - 1 additions of B.
+
+    Each addition shifts the running sumset once per element of B, so the
+    cost is about s |B| hi / 64 word operations, linear in hi.
+    """
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    result = None
-    cur = B
-    while s:
-        if s & 1:
-            result = cur if result is None else line_add(result, cur, hi)
-        s >>= 1
-        if s:
-            cur = line_add(cur, cur, hi)
+    result = B
+    for _ in range(s - 1):
+        result = line_add(result, B, hi)
     return result

@@ -11,7 +11,9 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 from .core_arith import (
     FactoredModulus,
@@ -45,6 +47,7 @@ from .representation import (
 from .spectral import (
     ArcParams,
     arc_decompose,
+    default_grid,
     dft_spectrum,
     pseudorandom_gauge,
     restriction_norm,
@@ -55,7 +58,7 @@ CONFIG_KEYS = {
     "w": int,
     "s": int,
     "n": int,
-    "b": str,
+    "b": int,
     "subset": str,
     "sigma": float,
     "sigma0": float,
@@ -74,24 +77,42 @@ CONFIG_KEYS = {
 DEFAULTS = {
     "k": 2,
     "w": 3,
+    "b": 1,
     "sigma": 4.0,
     "sigma0": 2.0,
     "grid_factor": 8,
     "seed": 0,
     "threads": 1,
     "epsilon": 0.1,
+    "exponent": 6.5,
     "budget": 1 << 25,
     "trials": 100_000,
     "subset": "all",
+    "n_list": "4096",
+    "b_list": "all",
 }
+
+# the smallest value each checked setting accepts; q, modulus, lo and hi
+# come from flags only
+MINIMA = {"k": 1, "w": 2, "s": 1, "n": 1, "q": 2, "modulus": 2, "lo": 0, "hi": 1}
 
 
 class ConfigError(Exception):
     pass
 
 
-class CheckFailed(Exception):
-    pass
+class Planned(Exception):
+    """A --dry-run stopping after validation; the message is the plan line."""
+
+
+class Outcome(NamedTuple):
+    """What a command hands back to main: the JSON report body (printed and
+    written to --json), a failed check's message (exit 1) and a value
+    printed after the report."""
+
+    body: dict | None = None
+    failure: str | None = None
+    echo: object = None
 
 
 def load_config(path: str) -> dict:
@@ -120,22 +141,25 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def merged_setting(args, cfg: dict, key: str, default=None):
-    """Flag value if given, else config file value, else default."""
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
-        return val
-    if key in cfg:
-        return cfg[key]
-    if default is not None:
-        return default
-    return DEFAULTS.get(key)
+def _checked(key: str, value):
+    minimum = MINIMA.get(key)
+    if minimum is not None and (value is None or value < minimum):
+        raise ConfigError(f"{key} must be >= {minimum}, got {value}")
+    return value
 
 
-def emit_json(text: str, path: str | None) -> None:
-    sys.stdout.write(text)
-    if path:
-        Path(path).write_text(text, encoding="utf-8")
+def setting(args, cfg: dict, key: str):
+    """Flag value if given, else config file value, else the default;
+    checked against MINIMA."""
+    value = getattr(args, key, None)
+    if value is None:
+        value = cfg.get(key, DEFAULTS.get(key))
+    return _checked(key, value)
+
+
+def _plan(args, line: str) -> None:
+    if args.dry_run:
+        raise Planned(line)
 
 
 def write_csv(path: str, rows: list[str]) -> None:
@@ -146,65 +170,57 @@ def _json_report(d: dict) -> str:
     return json.dumps(d, sort_keys=True, indent=2) + "\n"
 
 
-def _positive(name: str, value: int, minimum: int = 1) -> int:
-    if value is None or value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
 def _regime(W: int, N: int) -> float:
     return W / math.log(N) if N > 1 else float("inf")
 
 
-def cmd_local(args, cfg) -> int:
-    k = _positive("k", merged_setting(args, cfg, "k"))
+def _window(get) -> tuple[int, int]:
+    hi, lo = get("hi"), get("lo")
+    if lo > hi:
+        raise ConfigError(f"window [{lo}, {hi}] is empty")
+    return lo, hi
+
+
+def _subset_for(get, limit: int):
+    return gen_subset(parse_subset_spec(get("subset")), max(limit, 100))
+
+
+def _rk_body(k: int) -> dict:
+    r = compute_Rk(k)
+    return {"k": k, "Rk": r.value, "factors": [list(f) for f in r.factors]}
+
+
+def _sigma_body(W: FactoredModulus, k: int) -> dict:
+    table = power_residues(W, k)
+    return {
+        "W": W.value,
+        "k": k,
+        "phi": W.euler_phi,
+        "unit_count": len(table.unit_residues),
+        "sigma": {str(b): sigma_b(W, k, b) for b in table.unit_sorted},
+    }
+
+
+def cmd_local(args, get) -> Outcome:
+    k = get("k")
     if args.local_op == "rk":
-        if args.dry_run:
-            print(f"plan: congruence modulus at k={k}")
-            return 0
-        r = compute_Rk(k)
-        emit_json(
-            _json_report({"k": k, "Rk": r.value, "factors": [list(f) for f in r.factors]}),
-            args.json,
-        )
-        print(r.value)
-        return 0
-    w = _positive("w", merged_setting(args, cfg, "w"), 2)
+        _plan(args, f"plan: congruence modulus at k={k}")
+        body = _rk_body(k)
+        return Outcome(body, echo=body["Rk"])
+    w = get("w")
     W = compute_W(w, k)
     if args.local_op == "w":
-        if args.dry_run:
-            print(f"plan: progression modulus at w={w}, k={k}")
-            return 0
-        emit_json(
-            _json_report({"w": w, "k": k, "W": W.value, "factors": [list(f) for f in W.factors]}),
-            args.json,
-        )
-        print(W.value)
-        return 0
+        _plan(args, f"plan: progression modulus at w={w}, k={k}")
+        body = {"w": w, "k": k, "W": W.value, "factors": [list(f) for f in W.factors]}
+        return Outcome(body, echo=W.value)
     if args.local_op == "sigma":
-        if args.dry_run:
-            print(f"plan: root multiplicities mod W={W.value}")
-            return 0
-        table = power_residues(W, k)
+        _plan(args, f"plan: root multiplicities mod W={W.value}")
         if args.b is not None:
-            print(sigma_b(W, k, args.b))
-            return 0
-        sigmas = {b: sigma_b(W, k, b) for b in table.unit_sorted}
-        body = {
-            "w": w,
-            "k": k,
-            "W": W.value,
-            "phi": W.euler_phi,
-            "unit_count": len(sigmas),
-            "sigma": {str(b): v for b, v in sigmas.items()},
-        }
-        emit_json(_json_report(body), args.json)
-        return 0
+            return Outcome(echo=sigma_b(W, k, args.b))
+        return Outcome({**_sigma_body(W, k), "w": w})
     if args.local_op == "residues":
-        m = _positive("modulus", args.modulus, 2)
-        if args.dry_run:
-            print(f"plan: k-th power residues mod {m}")
-            return 0
+        m = get("modulus")
+        _plan(args, f"plan: k-th power residues mod {m}")
         table = power_residues(FactoredModulus.from_value(m), k)
         body = {
             "modulus": m,
@@ -213,134 +229,80 @@ def cmd_local(args, cfg) -> int:
             "unit_count": len(table.unit_residues),
             "units": table.unit_sorted if len(table.unit_residues) <= 512 else None,
         }
-        emit_json(_json_report(body), args.json)
-        return 0
-    if args.local_op == "decompose":
-        s = _positive("s", merged_setting(args, cfg, "s"))
-        n = args.n if args.n is not None else s % W.value
-        if args.f_const is None or not 0 <= args.f_const < 1:
-            raise ConfigError(f"f-const must lie in [0, 1), got {args.f_const}")
-        if args.dry_run:
-            print(f"plan: decompose {n} mod {W.value} into {s} weighted parts")
-            return 0
-        table = power_residues(W, k)
-        f = {b: args.f_const for b in table.unit_residues}
-        result = local_decompose(W, k, s, n, f)
-        if isinstance(result, DecompositionFailure):
-            emit_json(
-                _json_report(
-                    {"target": result.target, "W": W.value, "s": s, "optimum": result.optimum}
-                ),
-                args.json,
-            )
-            raise CheckFailed(f"no decomposition beats s/2 = {s / 2} (optimum {result.optimum})")
-        emit_json(
-            _json_report(
-                {
-                    "target": result.target,
-                    "W": W.value,
-                    "s": s,
-                    "parts": result.parts,
-                    "total": result.total,
-                }
-            ),
-            args.json,
+        return Outcome(body)
+    # decompose, the last of the parser's choices
+    s = get("s")
+    n = args.n if args.n is not None else s % W.value
+    if not 0 <= args.f_const < 1:
+        raise ConfigError(f"f-const must lie in [0, 1), got {args.f_const}")
+    _plan(args, f"plan: decompose {n} mod {W.value} into {s} weighted parts")
+    f = {b: args.f_const for b in power_residues(W, k).unit_residues}
+    result = local_decompose(W, k, s, n, f)
+    body = {"target": result.target, "W": W.value, "s": s}
+    if isinstance(result, DecompositionFailure):
+        return Outcome(
+            {**body, "optimum": result.optimum},
+            f"no decomposition beats s/2 = {s / 2} (optimum {result.optimum})",
         )
-        return 0
-    raise ConfigError(f"unknown local operation {args.local_op!r}")
+    return Outcome({**body, "parts": result.parts, "total": result.total})
 
 
-def cmd_waring_pair(args, cfg) -> int:
-    k = _positive("k", merged_setting(args, cfg, "k"))
-    s = _positive("s", merged_setting(args, cfg, "s"))
-    q = _positive("q", args.q, 2)
-    trials = merged_setting(args, cfg, "trials")
-    seed = merged_setting(args, cfg, "seed")
-    budget = merged_setting(args, cfg, "budget")
-    threads = merged_setting(args, cfg, "threads")
-    if args.dry_run:
-        print(f"plan: {args.strategy} covering scan at q={q}, k={k}, s={s}")
-        return 0
+def cmd_waring_pair(args, get) -> Outcome:
+    k, s, q = get("k"), get("s"), get("q")
+    _plan(args, f"plan: {args.strategy} covering scan at q={q}, k={k}, s={s}")
     report = waring_pair_check(
         FactoredModulus.from_value(q),
         k,
         s,
         args.strategy,
-        trials=trials,
-        seed=seed,
-        budget=budget,
-        threads=threads,
+        trials=get("trials"),
+        seed=get("seed"),
+        budget=get("budget"),
+        threads=get("threads"),
     )
-    emit_json(report.to_json(), args.json)
+    failure = None
     if report.verdict == "not-pair":
-        raise CheckFailed(f"majority subset {report.witness} misses {report.uncovered}")
-    return 0
+        failure = f"majority subset {report.witness} misses {report.uncovered}"
+    return Outcome(json.loads(report.to_json()), failure)
 
 
-def _subset_for(args, cfg, limit: int):
-    spec = parse_subset_spec(merged_setting(args, cfg, "subset"))
-    return gen_subset(spec, max(limit, 100))
-
-
-def cmd_majorant(args, cfg) -> int:
-    k = _positive("k", merged_setting(args, cfg, "k"))
-    w = _positive("w", merged_setting(args, cfg, "w"), 2)
-    N = _positive("n", merged_setting(args, cfg, "n"))
-    epsilon = merged_setting(args, cfg, "epsilon")
+def cmd_majorant(args, get) -> Outcome:
+    k, w, N = get("k"), get("w"), get("n")
     W = compute_W(w, k)
-    if args.dry_run:
-        print(f"plan: majorant means at W={W.value}, k={k}, N={N}")
-        return 0
-    Y = iroot(W.value * N + W.value, k)
-    subset = _subset_for(args, cfg, Y)
-    report = mean_g(W, k, N, subset, epsilon=epsilon)
-    body = report.to_json_dict()
+    _plan(args, f"plan: majorant means at W={W.value}, k={k}, N={N}")
+    subset = _subset_for(get, iroot(W.value * N + W.value, k))
+    body = mean_g(W, k, N, subset, epsilon=get("epsilon")).to_json_dict()
     body["subset_density"] = subset.density
     body["W_over_log_N"] = _regime(W.value, N)
-    emit_json(_json_report(body), args.json)
     if args.save_seq:
-        b_val = int(merged_setting(args, cfg, "b", "1"))
-        seq = build_f(W, b_val, k, N, subset)
-        seq.to_binary(args.save_seq)
-    return 0
+        build_f(W, get("b"), k, N, subset).to_binary(args.save_seq)
+    return Outcome(body)
 
 
-def cmd_spectrum(args, cfg) -> int:
-    k = _positive("k", merged_setting(args, cfg, "k"))
-    w = _positive("w", merged_setting(args, cfg, "w"), 2)
-    N = _positive("n", merged_setting(args, cfg, "n"))
-    b = int(merged_setting(args, cfg, "b", "1"))
-    factor = merged_setting(args, cfg, "grid_factor")
+def cmd_spectrum(args, get) -> Outcome:
+    k, w, N, b, factor = get("k"), get("w"), get("n"), get("b"), get("grid_factor")
     W = compute_W(w, k)
-    if args.dry_run:
-        print(f"plan: spectrum gauge at W={W.value}, b={b}, N={N}, grid x{factor}")
-        return 0
+    _plan(args, f"plan: spectrum gauge at W={W.value}, b={b}, N={N}, grid x{factor}")
     nu = build_nu(W, b, k, N)
-    M = factor * (1 << (N - 1).bit_length())
+    M = default_grid(N, factor)
     report = pseudorandom_gauge(nu, M)
     body = json.loads(report.to_json_row())
     body["argmax_alpha"] = report.argmax_alpha
     body["arc"] = None if report.arc is None else report.arc.classification
     body["W_over_log_N"] = _regime(W.value, N)
-    emit_json(_json_report(body), args.json)
     if args.csv:
         dft_spectrum(nu, M).to_csv(args.csv)
+    failure = None
     if args.assert_gauge_below is not None and report.D >= args.assert_gauge_below:
-        raise CheckFailed(f"gauge {report.D:.6f} not below {args.assert_gauge_below}")
-    return 0
+        failure = f"gauge {report.D:.6f} not below {args.assert_gauge_below}"
+    return Outcome(body, failure)
 
 
-def cmd_arcs(args, cfg) -> int:
-    k = _positive("k", merged_setting(args, cfg, "k"))
-    w = _positive("w", merged_setting(args, cfg, "w"), 2)
-    N = _positive("n", merged_setting(args, cfg, "n"))
-    sigma = merged_setting(args, cfg, "sigma")
-    sigma0 = merged_setting(args, cfg, "sigma0")
+def cmd_arcs(args, get) -> Outcome:
+    k, w, N, sigma, sigma0 = get("k"), get("w"), get("n"), get("sigma"), get("sigma0")
     W = compute_W(w, k)
     alpha = args.alpha
-    if args.dry_run:
-        print(f"plan: classify alpha={alpha} with W={W.value}, N={N}, sigma={sigma}")
-        return 0
+    _plan(args, f"plan: classify alpha={alpha} with W={W.value}, N={N}, sigma={sigma}")
     try:
         params = ArcParams.for_sequence(W.value, N, k, sigma=sigma, sigma0=sigma0)
     except ValueError as exc:
@@ -356,91 +318,64 @@ def cmd_arcs(args, cfg) -> int:
         "sigma": sigma,
         "sigma0": sigma0,
     }
-    emit_json(_json_report(body), args.json)
-    return 0
+    return Outcome(body)
 
 
-def cmd_restrict(args, cfg) -> int:
-    k = _positive("k", merged_setting(args, cfg, "k"))
-    w = _positive("w", merged_setting(args, cfg, "w"), 2)
-    N = _positive("n", merged_setting(args, cfg, "n"))
-    b = int(merged_setting(args, cfg, "b", "1"))
-    exponent = merged_setting(args, cfg, "exponent", 6.5)
+def cmd_restrict(args, get) -> Outcome:
+    k, w, N, b, exponent = get("k"), get("w"), get("n"), get("b"), get("exponent")
     W = compute_W(w, k)
-    if args.dry_run:
-        print(f"plan: restriction constant at W={W.value}, b={b}, N={N}, exponent={exponent}")
-        return 0
+    _plan(args, f"plan: restriction constant at W={W.value}, b={b}, N={N}, exponent={exponent}")
     if args.spike:
         seq = WeightedSequence.spike(N)
     else:
-        Y = iroot(W.value * N + b, k)
-        subset = _subset_for(args, cfg, Y)
+        subset = _subset_for(get, iroot(W.value * N + b, k))
         seq = build_f(W, b, k, N, subset)
     report = restriction_norm(seq, exponent)
     body = json.loads(report.to_json_row())
     body["exponent"] = exponent
     body["norm"] = report.norm
-    emit_json(_json_report(body), args.json)
-    return 0
+    return Outcome(body)
 
 
-def cmd_count(args, cfg) -> int:
-    k = _positive("k", merged_setting(args, cfg, "k"))
-    s = _positive("s", merged_setting(args, cfg, "s"))
-    hi = _positive("hi", args.hi)
-    lo = args.lo or 0
-    if args.dry_run:
-        print(f"plan: {args.method} representation counts for n in [{lo}, {hi}]")
-        return 0
-    subset = _subset_for(args, cfg, iroot(hi, k))
+def cmd_count(args, get) -> Outcome:
+    k, s = get("k"), get("s")
+    lo, hi = _window(get)
+    _plan(args, f"plan: {args.method} representation counts for n in [{lo}, {hi}]")
+    subset = _subset_for(get, iroot(hi, k))
     counts = count_representations(subset, k, s, hi, method=args.method)
     rows = ["n,count"] + [f"{n},{counts[n]}" for n in range(lo, hi + 1)]
     if args.csv:
         write_csv(args.csv, rows)
-    else:
-        print("\n".join(rows))
-    return 0
+        return Outcome()
+    return Outcome(echo="\n".join(rows))
 
 
-def cmd_coverage(args, cfg) -> int:
-    k = _positive("k", merged_setting(args, cfg, "k"))
-    s = _positive("s", merged_setting(args, cfg, "s"))
-    hi = _positive("hi", args.hi)
-    lo = _positive("lo", args.lo, 0)
-    if lo > hi:
-        raise ConfigError(f"window [{lo}, {hi}] is empty")
-    if args.dry_run:
-        print(f"plan: coverage probe k={k}, s={s}, window [{lo}, {hi}]")
-        return 0
-    subset = _subset_for(args, cfg, iroot(hi, k))
+def cmd_coverage(args, get) -> Outcome:
+    k, s = get("k"), get("s")
+    lo, hi = _window(get)
+    _plan(args, f"plan: coverage probe k={k}, s={s}, window [{lo}, {hi}]")
+    subset = _subset_for(get, iroot(hi, k))
     report, reach = coverage_probe(subset, k, s, (lo, hi), use_filter=not args.no_filter)
-    emit_json(report.to_json(), args.json)
     if args.csv:
         write_csv(args.csv, report.csv_rows(reach))
     if args.exceptions_file:
         Path(args.exceptions_file).write_text(
             "".join(f"{n}\n" for n in report.exceptions), encoding="utf-8"
         )
+    failure = None
     if report.exceptions:
-        raise CheckFailed(f"{len(report.exceptions)} admissible integers unrepresented")
-    return 0
+        failure = f"{len(report.exceptions)} admissible integers unrepresented"
+    return Outcome(json.loads(report.to_json()), failure)
 
 
-def cmd_transfer(args, cfg) -> int:
-    k = _positive("k", merged_setting(args, cfg, "k"))
-    s = _positive("s", merged_setting(args, cfg, "s"))
-    N = _positive("n", merged_setting(args, cfg, "n"))
-    epsilon = merged_setting(args, cfg, "epsilon")
-    if args.dry_run:
-        print(f"plan: {s}-fold convolution gauge at N={N}, epsilon={epsilon}")
-        return 0
+def cmd_transfer(args, get) -> Outcome:
+    k, s, N, epsilon = get("k"), get("s"), get("n"), get("epsilon")
+    _plan(args, f"plan: {s}-fold convolution gauge at N={N}, epsilon={epsilon}")
     if args.indicator:
         f_list = [WeightedSequence.indicator(N)] * s
     else:
-        w = _positive("w", merged_setting(args, cfg, "w"), 2)
-        W = compute_W(w, k)
-        Y = iroot(W.value * N + W.value, k)
-        subset = _subset_for(args, cfg, Y)
+        W = compute_W(get("w"), k)
+        subset = _subset_for(get, iroot(W.value * N + W.value, k))
         means = mean_g(W, k, N, subset, epsilon=epsilon)
         f_map = {
             b: max(0.0, min((g - epsilon / 2) / (1 + epsilon), 1 - 1e-12))
@@ -449,68 +384,51 @@ def cmd_transfer(args, cfg) -> int:
         target = args.target if args.target is not None else s % W.value
         decomp = local_decompose(W, k, s, target, f_map)
         if isinstance(decomp, DecompositionFailure):
-            raise CheckFailed(
-                f"target {target} mod {W.value} has no majority-weight decomposition"
+            return Outcome(
+                failure=f"target {target} mod {W.value} has no majority-weight decomposition"
             )
         f_list = [build_f(W, b, k, N, subset) for b in decomp.parts]
     profile = transference_gauge(f_list, epsilon=epsilon)
-    emit_json(profile.to_json(), args.json)
+    failure = None
     if profile.mean_each_ok and profile.mean_sum_ok and profile.gauge <= 0:
-        raise CheckFailed("mean hypotheses hold but the window gauge is not positive")
-    return 0
+        failure = "mean hypotheses hold but the window gauge is not positive"
+    return Outcome(json.loads(profile.to_json()), failure)
 
 
-def cmd_report(args, cfg) -> int:
-    k = _positive("k", merged_setting(args, cfg, "k"))
-    w = _positive("w", merged_setting(args, cfg, "w"), 2)
-    outdir = args.out or cfg.get("outdir")
+def cmd_report(args, get) -> Outcome:
+    k, w = get("k"), get("w")
+    outdir = args.out or get("outdir")
     if not outdir:
         raise ConfigError("report needs an output directory (--out or outdir=)")
-    n_list = [int(x) for x in str(merged_setting(args, cfg, "n_list", "4096")).split(",")]
-    if args.dry_run:
-        print(f"plan: batch report for k={k}, w={w}, N in {n_list} into {outdir}")
-        return 0
+    n_list = [_checked("n", int(x)) for x in get("n_list").split(",")]
+    W = compute_W(w, k)
+    b_list = get("b_list")
+    bs = None if b_list == "all" else [int(x) for x in b_list.split(",")]
+    for b in bs or ():
+        if b % W.value not in power_residues(W, k).unit_residues:
+            raise ConfigError(f"b = {b} is not a unit k-th power residue mod {W.value}")
+    _plan(args, f"plan: batch report for k={k}, w={w}, N in {n_list} into {outdir}")
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    W = compute_W(w, k)
-    r = compute_Rk(k)
     (out / "thresholds.json").write_text(theorem_thresholds(k).to_json(), encoding="utf-8")
-    (out / "rk.json").write_text(
-        _json_report({"k": k, "Rk": r.value, "factors": [list(f) for f in r.factors]}),
-        encoding="utf-8",
-    )
-    table = power_residues(W, k)
-    (out / "sigma.json").write_text(
-        _json_report(
-            {
-                "W": W.value,
-                "k": k,
-                "phi": W.euler_phi,
-                "unit_count": len(table.unit_residues),
-                "sigma": {str(b): sigma_b(W, k, b) for b in table.unit_sorted},
-            }
-        ),
-        encoding="utf-8",
-    )
-    spec = parse_subset_spec(merged_setting(args, cfg, "subset"))
-    b_setting = str(merged_setting(args, cfg, "b_list", "all"))
-    factor = merged_setting(args, cfg, "grid_factor")
+    (out / "rk.json").write_text(_json_report(_rk_body(k)), encoding="utf-8")
+    (out / "sigma.json").write_text(_json_report(_sigma_body(W, k)), encoding="utf-8")
+    spec = parse_subset_spec(get("subset"))
+    factor = get("grid_factor")
+    bs = bs or power_residues(W, k).unit_sorted
     for N in n_list:
         Y = iroot(W.value * N + W.value, k)
         primes = sieve_primes(max(Y, 100))  # covers every b < W as well
         subset = gen_subset(spec, max(Y, 100), primes=primes)
-        means = mean_g(W, k, N, subset, primes=primes)
-        body = means.to_json_dict()
+        body = mean_g(W, k, N, subset, primes=primes).to_json_dict()
         body["W_over_log_N"] = _regime(W.value, N)
         (out / f"means_N{N}.json").write_text(_json_report(body), encoding="utf-8")
-        bs = table.unit_sorted if b_setting == "all" else [int(x) for x in b_setting.split(",")]
-        rows = []
-        for b in bs:
-            nu = build_nu(W, b, k, N, primes=primes)
-            rows.append(pseudorandom_gauge(nu, factor * (1 << (N - 1).bit_length())).to_json_row())
+        M = default_grid(N, factor)
+        rows = [
+            pseudorandom_gauge(build_nu(W, b, k, N, primes=primes), M).to_json_row() for b in bs
+        ]
         (out / f"gauge_N{N}.jsonl").write_text("".join(rows), encoding="utf-8")
-    print(f"report written to {out}")
-    return 0
+    return Outcome(echo=f"report written to {out}")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -530,114 +448,80 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=argparse.SUPPRESS, help="output directory (report)")
 
 
+REQUIRED = {"required": True}
+INT_REQUIRED = {"type": int, "required": True}
+
+# subcommand: (handler, help, flags in --help order).  A flag is its name
+# alone or (name, argparse options); one whose dest is a config key takes
+# its type from CONFIG_KEYS.
+COMMANDS = {
+    "local": (cmd_local, "exact local arithmetic", [
+        ("local_op", {"choices": ["rk", "w", "sigma", "residues", "decompose"]}),
+        "--k", "--w", "--s", "--n", "--b",
+        ("--modulus", {"type": int}),
+        ("--f-const", {"type": float, "default": 0.6}),
+    ]),
+    "waring-pair": (cmd_waring_pair, "majority-subset sumset covering scans", [
+        ("--q", INT_REQUIRED),
+        "--k", "--s",
+        ("--strategy", {"choices": ["exhaustive", "sampled", "structured"],
+                        "default": "exhaustive"}),
+        "--trials", "--seed", "--budget", "--threads",
+    ]),
+    "majorant": (cmd_majorant, "weighted sequence means per residue", [
+        "--k", "--w", ("--n", REQUIRED), "--b", "--subset", "--epsilon",
+        ("--save-seq", {"help": "write the subset-thinned sequence here (binary)"}),
+    ]),
+    "spectrum": (cmd_spectrum, "pseudorandomness gauge on the grid", [
+        "--k", "--w", ("--n", REQUIRED), "--b", "--grid-factor",
+        ("--csv", {"help": "dump the full spectrum as CSV"}),
+        ("--assert-gauge-below", {"type": float}),
+    ]),
+    "arcs": (cmd_arcs, "major/minor classification of a frequency", [
+        ("--alpha", {"type": float, "required": True}),
+        "--k", "--w", ("--n", REQUIRED), "--sigma", "--sigma0",
+    ]),
+    "restrict": (cmd_restrict, "restriction-norm constants", [
+        "--k", "--w", ("--n", REQUIRED), "--b", "--exponent", "--subset",
+        ("--spike", {"action": "store_true", "help": "use the spike control sequence"}),
+    ]),
+    "count": (cmd_count, "representation counts per n", [
+        "--k", "--s",
+        ("--lo", {"type": int, "default": 0}),
+        ("--hi", INT_REQUIRED),
+        ("--method", {"choices": ["brute", "fft", "bitset"], "default": "fft"}),
+        "--subset", "--csv",
+    ]),
+    "coverage": (cmd_coverage, "admissible-window coverage probe", [
+        "--k", "--s", ("--lo", INT_REQUIRED), ("--hi", INT_REQUIRED), "--subset",
+        ("--no-filter", {"action": "store_true"}),
+        "--csv", "--exceptions-file",
+    ]),
+    "transfer": (cmd_transfer, "many-fold convolution gauge", [
+        "--k", "--w", ("--s", REQUIRED), ("--n", REQUIRED), "--epsilon",
+        ("--target", {"type": int}),
+        "--subset",
+        ("--indicator", {"action": "store_true", "help": "use interval indicators"}),
+    ]),
+    "report": (cmd_report, "batch cross-product report", ["--k", "--w", "--subset"]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="wglab", description=__doc__)
     top.set_defaults(config=None, dry_run=False, json=None, out=None)
     _add_common(top)
     sub = top.add_subparsers(dest="command", required=True)
-
-    p_local = sub.add_parser("local", help="exact local arithmetic")
-    p_local.add_argument("local_op", choices=["rk", "w", "sigma", "residues", "decompose"])
-    p_local.add_argument("--k", type=int)
-    p_local.add_argument("--w", type=int)
-    p_local.add_argument("--s", type=int)
-    p_local.add_argument("--n", type=int)
-    p_local.add_argument("--b", type=int)
-    p_local.add_argument("--modulus", type=int)
-    p_local.add_argument("--f-const", type=float, default=0.6)
-    p_local.set_defaults(func=cmd_local)
-
-    p_wp = sub.add_parser("waring-pair", help="majority-subset sumset covering scans")
-    p_wp.add_argument("--q", type=int, required=True)
-    p_wp.add_argument("--k", type=int)
-    p_wp.add_argument("--s", type=int)
-    p_wp.add_argument("--strategy", choices=["exhaustive", "sampled", "structured"], default="exhaustive")
-    p_wp.add_argument("--trials", type=int)
-    p_wp.add_argument("--seed", type=int)
-    p_wp.add_argument("--budget", type=int)
-    p_wp.add_argument("--threads", type=int)
-    p_wp.set_defaults(func=cmd_waring_pair)
-
-    p_maj = sub.add_parser("majorant", help="weighted sequence means per residue")
-    p_maj.add_argument("--k", type=int)
-    p_maj.add_argument("--w", type=int)
-    p_maj.add_argument("--n", type=int, required=True)
-    p_maj.add_argument("--b", type=int)
-    p_maj.add_argument("--subset")
-    p_maj.add_argument("--epsilon", type=float)
-    p_maj.add_argument("--save-seq", help="write the subset-thinned sequence here (binary)")
-    p_maj.set_defaults(func=cmd_majorant)
-
-    p_spec = sub.add_parser("spectrum", help="pseudorandomness gauge on the grid")
-    p_spec.add_argument("--k", type=int)
-    p_spec.add_argument("--w", type=int)
-    p_spec.add_argument("--n", type=int, required=True)
-    p_spec.add_argument("--b", type=int)
-    p_spec.add_argument("--grid-factor", type=int, dest="grid_factor")
-    p_spec.add_argument("--csv", help="dump the full spectrum as CSV")
-    p_spec.add_argument("--assert-gauge-below", type=float)
-    p_spec.set_defaults(func=cmd_spectrum)
-
-    p_arcs = sub.add_parser("arcs", help="major/minor classification of a frequency")
-    p_arcs.add_argument("--alpha", type=float, required=True)
-    p_arcs.add_argument("--k", type=int)
-    p_arcs.add_argument("--w", type=int)
-    p_arcs.add_argument("--n", type=int, required=True)
-    p_arcs.add_argument("--sigma", type=float)
-    p_arcs.add_argument("--sigma0", type=float)
-    p_arcs.set_defaults(func=cmd_arcs)
-
-    p_restr = sub.add_parser("restrict", help="restriction-norm constants")
-    p_restr.add_argument("--k", type=int)
-    p_restr.add_argument("--w", type=int)
-    p_restr.add_argument("--n", type=int, required=True)
-    p_restr.add_argument("--b", type=int)
-    p_restr.add_argument("--exponent", type=float)
-    p_restr.add_argument("--subset")
-    p_restr.add_argument("--spike", action="store_true", help="use the spike control sequence")
-    p_restr.set_defaults(func=cmd_restrict)
-
-    p_count = sub.add_parser("count", help="representation counts per n")
-    p_count.add_argument("--k", type=int)
-    p_count.add_argument("--s", type=int)
-    p_count.add_argument("--lo", type=int, default=0)
-    p_count.add_argument("--hi", type=int, required=True)
-    p_count.add_argument("--method", choices=["brute", "fft", "bitset"], default="fft")
-    p_count.add_argument("--subset")
-    p_count.add_argument("--csv")
-    p_count.set_defaults(func=cmd_count)
-
-    p_cov = sub.add_parser("coverage", help="admissible-window coverage probe")
-    p_cov.add_argument("--k", type=int)
-    p_cov.add_argument("--s", type=int)
-    p_cov.add_argument("--lo", type=int, required=True)
-    p_cov.add_argument("--hi", type=int, required=True)
-    p_cov.add_argument("--subset")
-    p_cov.add_argument("--no-filter", action="store_true")
-    p_cov.add_argument("--csv")
-    p_cov.add_argument("--exceptions-file")
-    p_cov.set_defaults(func=cmd_coverage)
-
-    p_tr = sub.add_parser("transfer", help="many-fold convolution gauge")
-    p_tr.add_argument("--k", type=int)
-    p_tr.add_argument("--w", type=int)
-    p_tr.add_argument("--s", type=int, required=True)
-    p_tr.add_argument("--n", type=int, required=True)
-    p_tr.add_argument("--epsilon", type=float)
-    p_tr.add_argument("--target", type=int)
-    p_tr.add_argument("--subset")
-    p_tr.add_argument("--indicator", action="store_true", help="use interval indicators")
-    p_tr.set_defaults(func=cmd_transfer)
-
-    p_rep = sub.add_parser("report", help="batch cross-product report")
-    p_rep.add_argument("--k", type=int)
-    p_rep.add_argument("--w", type=int)
-    p_rep.add_argument("--subset")
-    p_rep.set_defaults(func=cmd_report)
-
-    for p in (p_local, p_wp, p_maj, p_spec, p_arcs, p_restr, p_count, p_cov, p_tr, p_rep):
+    for name, (func, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            flag, opts = (flag, {}) if isinstance(flag, str) else flag
+            key = flag.lstrip("-").replace("-", "_")
+            if key in CONFIG_KEYS:
+                opts = {"type": CONFIG_KEYS[key], **opts}
+            p.add_argument(flag, **opts)
+        p.set_defaults(func=func)
         _add_common(p)
-
     return top
 
 
@@ -646,17 +530,24 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else {}
-        code = args.func(args, cfg)
-    except ConfigError as exc:
+        outcome = args.func(args, partial(setting, args, cfg))
+    except Planned as plan:
+        print(plan)
+        return 0
+    except (ConfigError, ValueError, LimitExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CheckFailed as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
+    if outcome.body is not None:
+        text = _json_report(outcome.body)
+        sys.stdout.write(text)
+        if args.json:
+            Path(args.json).write_text(text, encoding="utf-8")
+    if outcome.echo is not None:
+        print(outcome.echo)
+    if outcome.failure:
+        print(f"check failed: {outcome.failure}", file=sys.stderr)
         return 1
-    except (ValueError, LimitExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return code
+    return 0
 
 
 if __name__ == "__main__":

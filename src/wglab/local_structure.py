@@ -36,6 +36,7 @@ __all__ = [
 ENUMERATION_CAP_DEFAULT = 10**7
 EXHAUSTIVE_BUDGET_DEFAULT = 1 << 25
 _PARALLEL_MIN = 4096  # below this many subsets a pool is pure overhead
+DP_CELL_CAP = 1 << 28  # local_decompose work, about 5 s at 17 ns a cell
 
 
 @dataclass
@@ -485,7 +486,8 @@ def local_decompose(
     Dynamic program over s rounds and W residue states, parts restricted to
     the support of f inside the unit k-th power residues.  Succeeds only
     when the optimum exceeds s/2; ties during backtracking prefer the
-    smallest residue.
+    smallest residue.  Raises LimitExceededError before allocating when
+    s * |support| * W exceeds DP_CELL_CAP.
     """
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
@@ -502,14 +504,18 @@ def local_decompose(
     Wv = W.value
     n = n % Wv
     support = sorted(b for b in units if f[b] > 0)
+    # one cell per (round, part, state); an empty support still fills the table
+    cells = s * max(len(support), 1) * Wv
+    if cells > DP_CELL_CAP:
+        raise LimitExceededError(
+            f"decomposition DP of s * |support| * W = {cells} cells exceeds cap {DP_CELL_CAP}"
+        )
     neg_inf = float("-inf")
     dp = np.full((s + 1, Wv), neg_inf)
     dp[0][0] = 0.0
     for i in range(1, s + 1):
-        if not support:
-            break
-        layers = [np.roll(dp[i - 1], b) + f[b] for b in support]
-        dp[i] = np.maximum.reduce(layers)
+        for b in support:
+            np.maximum(dp[i], np.roll(dp[i - 1], b) + f[b], out=dp[i])
     optimum = float(dp[s][n])
     if optimum == neg_inf:
         return DecompositionFailure(target=n, modulus=Wv, optimum=None)

@@ -174,7 +174,8 @@ def coverage_probe(
     use_filter: bool = True,
 ) -> tuple[CoverageReport, int]:
     """Mark every sum of s subset-prime k-th powers up to the window top by
-    bitset doubling, then list the admissible integers left unrepresented.
+    s - 1 bitset additions of the powers, then list the admissible integers
+    left unrepresented.
 
     Returns the report together with the reachability bitmask (useful for
     CSV emission and cross-checks).

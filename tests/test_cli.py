@@ -1,8 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from wglab.cli import main
+from wglab.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -267,3 +268,176 @@ class TestConfigAndDeterminism:
         )
         assert code == 0
         assert out.startswith("plan:")
+
+
+# Golden outputs of the integer-valued invocations: stdout, stderr, exit
+# code and the bytes of every file written, run from an empty working
+# directory so that relative paths print the same everywhere.  Captured
+# before the command table replaced the per-command handlers; float-valued
+# reports (means, gauges, spectra, norms, convolution profiles) depend on
+# numpy's FFT and log and are left out, except for their file names.
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+FLOAT_FILES = ("means_N", "gauge_N")
+REPORT_CFG = "k=2\nw=2\nn_list=256\nb_list=1\n"
+
+GOLDEN_CASES = {
+    "local-rk": ("local rk --k 4", None),
+    "local-rk-json": ("--json rk.json local rk --k 6", None),
+    "local-rk-config": ("--config lab.cfg local rk", "k=4\n# comment line\nw=2\n"),
+    "local-rk-flag-over-config": ("local rk --config lab.cfg --k 2", "k=4\n"),
+    "local-w": ("local w --w 3 --k 2 --json w.json", None),
+    "local-sigma": ("local sigma --w 3 --k 2 --json sigma.json", None),
+    "local-sigma-b": ("local sigma --w 3 --k 2 --b 1 --json none.json", None),
+    "local-residues": ("local residues --modulus 16 --k 2", None),
+    "local-residues-many": ("local residues --modulus 1000 --k 2", None),
+    "local-decompose": ("local decompose --w 2 --k 2 --s 16 --f-const 0.6", None),
+    "local-decompose-n": ("local decompose --w 2 --k 2 --s 4 --n 12 --json d.json", None),
+    "local-decompose-fails": (
+        "local decompose --w 2 --k 2 --s 16 --f-const 0.4 --json d.json", None
+    ),
+    "waring-pair-exhaustive": ("waring-pair --q 16 --k 2 --s 16 --json wp.json", None),
+    "waring-pair-not-pair": ("waring-pair --q 5 --k 2 --s 2", None),
+    "waring-pair-sampled": (
+        "waring-pair --q 81 --k 2 --s 16 --strategy sampled --trials 200 --seed 9", None
+    ),
+    "waring-pair-structured": ("waring-pair --q 16 --k 2 --s 4 --strategy structured", None),
+    "waring-pair-config": ("--config lab.cfg waring-pair --q 81 --strategy sampled",
+                           "k=2\ns=16\ntrials=50\nseed=3\nthreads=1\n"),
+    "arcs": ("arcs --alpha 0.5 --w 2 --k 2 --n 131072 --sigma 2.0 --json arcs.json", None),
+    "arcs-config": ("--config lab.cfg arcs --alpha 0.25 --n 4096", "w=3\nsigma=3.0\nsigma0=1.5\n"),
+    "count-brute": ("count --k 2 --s 2 --hi 20 --method brute --csv counts.csv", None),
+    "count-fft": ("count --k 2 --s 3 --lo 5 --hi 40 --method fft", None),
+    "count-bitset": ("count --k 2 --s 2 --hi 20 --method bitset --csv reach.csv", None),
+    "coverage-clean": (
+        "coverage --k 2 --s 5 --lo 5000 --hi 5200 --csv cov.csv --exceptions-file exc.txt", None
+    ),
+    "coverage-dirty": (
+        "coverage --k 2 --s 2 --lo 10 --hi 60 --no-filter --csv cov.csv "
+        "--exceptions-file exc.txt --json cov.json",
+        None,
+    ),
+    "report": ("--config lab.cfg --out out report", REPORT_CFG),
+    "report-k3": ("report --k 3 --w 2 --out out --config lab.cfg", "n_list=256\nb_list=1\n"),
+    # exit 2: usage and config errors
+    "error-k-zero": ("local rk --k 0", None),
+    "error-w-one": ("local w --w 1", None),
+    "error-modulus": ("local residues --modulus 1", None),
+    "error-f-const": ("local decompose --w 2 --s 4 --f-const 1.5", None),
+    "error-q": ("waring-pair --q 1 --s 2", None),
+    "error-s-missing": ("waring-pair --q 16", None),
+    "error-n-zero": ("majorant --n 0", None),
+    "error-spectrum-w": ("spectrum --n 64 --w 1", None),
+    "error-arcs-degenerate": ("arcs --alpha 0.5 --w 2 --k 2 --n 2", None),
+    "error-restrict-k": ("restrict --n 64 --k 0", None),
+    "error-count-hi": ("count --k 2 --s 2 --hi 0", None),
+    "error-coverage-lo": ("coverage --s 2 --lo -1 --hi 10", None),
+    "error-coverage-empty": ("coverage --s 2 --lo 11 --hi 10", None),
+    "error-transfer-s": ("transfer --s 0 --n 64", None),
+    "error-transfer-w": ("transfer --s 2 --n 64 --w 1", None),
+    "error-report-no-out": ("report --k 2", None),
+    "error-config-key": ("--config lab.cfg local rk --k 2", "mystery=1\n"),
+    "error-config-value": ("--config lab.cfg local rk", "k=two\n"),
+    "error-config-line": ("--config lab.cfg local rk", "k 2\n"),
+    "error-config-missing": ("--config nofile.cfg local rk", None),
+    "error-subset": ("count --k 2 --s 2 --hi 20 --subset nonsense", None),
+    # one plan line per dry-run branch; nothing is written
+    "plan-local-rk": ("--dry-run local rk --k 3", None),
+    "plan-local-w": ("local w --w 3 --k 2 --dry-run --json w.json", None),
+    "plan-local-sigma": ("local sigma --w 2 --k 2 --dry-run", None),
+    "plan-local-residues": ("local residues --modulus 81 --dry-run", None),
+    "plan-local-decompose": ("local decompose --w 2 --s 7 --dry-run", None),
+    "plan-waring-pair": ("waring-pair --q 81 --s 16 --strategy sampled --dry-run", None),
+    "plan-majorant": ("majorant --n 4096 --w 3 --dry-run", None),
+    "plan-spectrum": ("--config lab.cfg spectrum --n 1000 --dry-run", "b=5\ngrid_factor=4\n"),
+    "plan-arcs": ("arcs --alpha 0.125 --n 4096 --dry-run", None),
+    "plan-restrict": ("restrict --n 4096 --b 7 --exponent 5.0 --dry-run", None),
+    "plan-count": ("count --k 2 --s 2 --lo 3 --hi 50 --method bitset --dry-run", None),
+    "plan-coverage": ("--dry-run coverage --k 2 --s 5 --lo 10 --hi 50", None),
+    "plan-transfer": ("transfer --s 2 --n 64 --w 1 --dry-run", None),
+    "plan-report": ("--dry-run --config lab.cfg report --out out", "n_list=256,512\n"),
+}
+
+
+def _run_case(tmp_path: Path, monkeypatch, capsys, argv: str, cfg: str | None) -> dict:
+    monkeypatch.chdir(tmp_path)
+    if cfg is not None:
+        (tmp_path / "lab.cfg").write_text(cfg, encoding="utf-8")
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    files = {}
+    for path in sorted(tmp_path.rglob("*")):
+        name = path.relative_to(tmp_path).as_posix()
+        if path.is_file() and name != "lab.cfg":
+            pinned = not path.name.startswith(FLOAT_FILES)
+            files[name] = path.read_text(encoding="utf-8") if pinned else None
+    return {"exit": code, "stdout": captured.out, "stderr": captured.err, "files": files}
+
+
+def _parser_shape() -> dict:
+    """Every subparser's arguments with what argparse does with them."""
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    shape = {}
+    for name, parser in sub.choices.items():
+        shape[name] = [
+            {
+                "flags": a.option_strings,
+                "dest": a.dest,
+                "default": a.default,
+                "required": a.required,
+                "choices": list(a.choices) if a.choices else None,
+                "help": a.help,
+                "type": a.type.__name__ if a.type else "str",
+                "nargs": a.nargs,
+                "const": a.const,
+            }
+            for a in parser._actions
+        ]
+    return shape
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_golden_invocation(case, golden, tmp_path, monkeypatch, capsys):
+    argv, cfg = GOLDEN_CASES[case]
+    assert _run_case(tmp_path, monkeypatch, capsys, argv, cfg) == golden["cases"][case]
+
+
+def test_golden_parser_shape(golden):
+    assert _parser_shape() == golden["parsers"]
+
+
+class TestRejectedInputs:
+    """Inputs that once ran (or half ran) now exit 2 before any work."""
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            ("count --k 2 --s 2 --lo -3 --hi 20", "error: lo must be >= 0, got -3\n"),
+            ("count --k 2 --s 2 --lo 21 --hi 20", "error: window [21, 20] is empty\n"),
+        ],
+        ids=["negative-lo", "lo-above-hi"],
+    )
+    def test_count_window(self, capsys, argv, err):
+        assert run_cli(capsys, *argv.split()) == (2, "", err)
+
+    @pytest.mark.parametrize(
+        "cfg, err",
+        [
+            ("n_list=0\n", "error: n must be >= 1, got 0\n"),
+            ("n_list=256,-1\n", "error: n must be >= 1, got -1\n"),
+            ("b_list=1,2\n", "error: b = 2 is not a unit k-th power residue mod 16\n"),
+        ],
+        ids=["n-zero", "n-negative", "b-not-unit"],
+    )
+    def test_report_lists(self, capsys, tmp_path, cfg, err):
+        path = tmp_path / "lab.cfg"
+        path.write_text("k=2\nw=2\n" + cfg)
+        out = tmp_path / "reports"
+        for dry in ([], ["--dry-run"]):
+            code = run_cli(capsys, "report", "--config", str(path), "--out", str(out), *dry)
+            assert code == (2, "", err)
+            assert not out.exists()

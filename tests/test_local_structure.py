@@ -2,12 +2,22 @@ import itertools
 import json
 import math
 import random
+import time
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wglab.bitsets import bit_positions, bits_from, cyclic_power, cyclic_power_stepwise
+from wglab.bitsets import (
+    bit_positions,
+    bits_from,
+    cyclic_power,
+    cyclic_power_stepwise,
+    line_add,
+    line_power,
+)
 from wglab.core_arith import FactoredModulus, LimitExceededError, compute_W
 from wglab.local_structure import (
     DecompositionFailure,
@@ -318,8 +328,63 @@ class TestLocalDecompose:
                     else:
                         assert got == pytest.approx(best[n], abs=1e-9)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 7),
+        st.lists(st.floats(0.0, 0.99), min_size=8, max_size=8),
+        st.integers(0, 3),
+        st.integers(1, 9),
+    )
+    def test_running_maximum_equals_layered_dp(self, mi, weights, zeroed, s):
+        """Every optimum equals the old DP's, which kept |support| rolled
+        layers a round and reduced them with np.maximum.reduce."""
+        m = (16, 21, 13, 11, 15, 35, 45)[mi - 1]
+        units = sorted(power_residues(fm(m), 2).unit_residues)
+        f = {b: (0.0 if i < zeroed else weights[i]) for i, b in enumerate(units)}
+        support = [b for b in units if f[b] > 0]
+        dp = np.full((s + 1, m), -np.inf)
+        dp[0][0] = 0.0
+        for i in range(1, s + 1):
+            if support:
+                dp[i] = np.maximum.reduce([np.roll(dp[i - 1], b) + f[b] for b in support])
+        for n in range(m):
+            res = local_decompose(fm(m), 2, s, n, f)
+            if isinstance(res, LocalDecomposition):
+                assert res.total == pytest.approx(dp[s][n], abs=1e-9)
+                continue
+            assert (-np.inf if res.optimum is None else res.optimum) == dp[s][n]
+
+    def test_cell_cap_refuses_before_allocating(self):
+        W = compute_W(5, 2)  # 810000 states, 13500 unit squares: 4.8e11 cells at s = 44
+        f = {b: 0.6 for b in power_residues(W, 2).unit_residues}
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            with pytest.raises(LimitExceededError, match="cells exceeds cap"):
+                local_decompose(W, 2, 44, 0, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - t0 < 5
+        assert peak < 16 << 20
+
 
 class TestBitHelpers:
     def test_round_trip(self):
         vals = [0, 3, 17, 40]
         assert bit_positions(bits_from(vals)) == vals
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sets(st.integers(0, 300), max_size=40), st.integers(1, 9), st.integers(0, 400))
+    def test_line_power_equals_doubling(self, elements, s, hi):
+        """s - 1 sparse additions give the bitmask of repeated doubling on the
+        binary expansion of s."""
+        B = bits_from(elements)
+        result, cur, t = None, B, s
+        while t:
+            if t & 1:
+                result = cur if result is None else line_add(result, cur, hi)
+            t >>= 1
+            if t:
+                cur = line_add(cur, cur, hi)
+        assert line_power(B, s, hi) == result
