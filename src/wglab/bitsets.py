@@ -31,12 +31,7 @@ def bits_from(values) -> int:
 
 
 def bit_positions(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    return list(_iter_bits(mask))
 
 
 def window_flags(mask: int, lo: int, hi: int) -> np.ndarray:

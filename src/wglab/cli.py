@@ -148,13 +148,16 @@ def _checked(key: str, value):
     return value
 
 
-def setting(args, cfg: dict, key: str):
+def setting(args, cfg: dict, key: str, given_only: bool = False):
     """Flag value if given, else config file value, else the default;
-    checked against MINIMA."""
+    checked against MINIMA.  With given_only, the flag or config value
+    unchecked, or None: for a handler whose default and range differ."""
     value = getattr(args, key, None)
     if value is None:
-        value = cfg.get(key, DEFAULTS.get(key))
-    return _checked(key, value)
+        value = cfg.get(key)
+    if given_only:
+        return value
+    return _checked(key, DEFAULTS.get(key) if value is None else value)
 
 
 def _plan(args, line: str) -> None:
@@ -215,8 +218,9 @@ def cmd_local(args, get) -> Outcome:
         return Outcome(body, echo=W.value)
     if args.local_op == "sigma":
         _plan(args, f"plan: root multiplicities mod W={W.value}")
-        if args.b is not None:
-            return Outcome(echo=sigma_b(W, k, args.b))
+        b = get("b", given_only=True)
+        if b is not None:
+            return Outcome(echo=sigma_b(W, k, b))
         return Outcome({**_sigma_body(W, k), "w": w})
     if args.local_op == "residues":
         m = get("modulus")
@@ -232,7 +236,9 @@ def cmd_local(args, get) -> Outcome:
         return Outcome(body)
     # decompose, the last of the parser's choices
     s = get("s")
-    n = args.n if args.n is not None else s % W.value
+    # a residue target, so any integer; by default the class of s
+    n = get("n", given_only=True)
+    n = s % W.value if n is None else n
     if not 0 <= args.f_const < 1:
         raise ConfigError(f"f-const must lie in [0, 1), got {args.f_const}")
     _plan(args, f"plan: decompose {n} mod {W.value} into {s} weighted parts")
@@ -407,13 +413,14 @@ def cmd_report(args, get) -> Outcome:
     for b in bs or ():
         if b % W.value not in power_residues(W, k).unit_residues:
             raise ConfigError(f"b = {b} is not a unit k-th power residue mod {W.value}")
+    thresholds = theorem_thresholds(k).to_json()
+    spec = parse_subset_spec(get("subset"))
     _plan(args, f"plan: batch report for k={k}, w={w}, N in {n_list} into {outdir}")
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "thresholds.json").write_text(theorem_thresholds(k).to_json(), encoding="utf-8")
+    (out / "thresholds.json").write_text(thresholds, encoding="utf-8")
     (out / "rk.json").write_text(_json_report(_rk_body(k)), encoding="utf-8")
     (out / "sigma.json").write_text(_json_report(_sigma_body(W, k)), encoding="utf-8")
-    spec = parse_subset_spec(get("subset"))
     factor = get("grid_factor")
     bs = bs or power_residues(W, k).unit_sorted
     for N in n_list:

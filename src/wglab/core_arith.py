@@ -161,19 +161,15 @@ class PrimeSet:
         return self._count
 
     def bool_mask(self, hi: int | None = None) -> np.ndarray:
-        """Unpacked boolean membership for 0..hi (inclusive)."""
-        hi = self.limit if hi is None else min(hi, self.limit)
-        mask = np.unpackbits(self._bits)[: hi + 1]
-        return mask.astype(bool)
+        """Unpacked boolean membership for 0..hi (inclusive), a fresh array
+        unpacked from the packed bytes that hold 0..hi only."""
+        hi = self.limit if hi is None else max(min(hi, self.limit), -1)
+        return np.unpackbits(self._bits[: (hi >> 3) + 1], count=hi + 1).view(bool)
 
     def primes(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """All primes in [lo, hi] as an int64 array."""
-        hi = self.limit if hi is None else min(hi, self.limit)
-        if hi < lo:
-            return np.zeros(0, dtype=np.int64)
-        mask = np.unpackbits(self._bits)[: hi + 1]
-        ps = np.flatnonzero(mask).astype(np.int64)
-        return ps[ps >= lo]
+        lo = max(lo, 0)
+        return np.flatnonzero(self.bool_mask(hi)[lo:]).astype(np.int64) + lo
 
 
 def _simple_bool_sieve(limit: int) -> np.ndarray:

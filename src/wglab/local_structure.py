@@ -298,56 +298,22 @@ def _structured_families(qv: int, units: list[int], m0: int) -> list[list[int]]:
     return families
 
 
-def _exhaustive_chunk(args) -> tuple[int | None, int]:
-    """Scan combinations [start, stop) in lexicographic rank order.
-
-    Returns (rank of first violating subset or None, subsets checked).
-    Module-level so multiprocessing can pickle it.
-    """
-    qv, k, s, units, m0, start, stop, target = args
-    checked = 0
-    gen = itertools.islice(_combinations_from(units, m0, start), stop - start)
-    for offset, B in enumerate(gen):
-        checked += 1
-        if cyclic_power(bits_from(B), s, qv) != target:
-            return start + offset, checked
-    return None, checked
+def _first_violation(candidates, q: int, s: int, target: int):
+    """(position counted from 1, subset) of the first candidate whose s-fold
+    sumset mod q is not target, or (number scanned, None)."""
+    position = 0
+    for position, B in enumerate(candidates, 1):
+        if cyclic_power(bits_from(B), s, q) != target:
+            return position, B
+    return position, None
 
 
-def _combination_at(pool: list[int], r: int, rank: int) -> tuple[int, ...]:
-    """Lexicographic unranking of an r-combination of pool."""
-    n = len(pool)
-    out = []
-    i = 0
-    for slot in range(r):
-        while True:
-            rest = math.comb(n - i - 1, r - slot - 1)
-            if rank < rest:
-                out.append(pool[i])
-                i += 1
-                break
-            rank -= rest
-            i += 1
-    return tuple(out)
-
-
-def _combinations_from(pool: list[int], r: int, rank: int):
-    """Lexicographic combinations starting at the given rank."""
-    first = list(_combination_at(pool, r, rank))
-    n = len(pool)
-    index = {v: i for i, v in enumerate(pool)}
-    cur = [index[v] for v in first]
-    while True:
-        yield tuple(pool[i] for i in cur)
-        # next lexicographic combination of indices
-        j = r - 1
-        while j >= 0 and cur[j] == n - r + j:
-            j -= 1
-        if j < 0:
-            return
-        cur[j] += 1
-        for t in range(j + 1, r):
-            cur[t] = cur[t - 1] + 1
+def _exhaustive_chunk(args):
+    """_first_violation over the combinations of lexicographic rank in
+    [start, stop).  Module-level so multiprocessing can pickle it."""
+    start, stop, qv, s, units, m0, target = args
+    chunk = itertools.islice(itertools.combinations(units, m0), start, stop)
+    return _first_violation(chunk, qv, s, target)
 
 
 def waring_pair_check(
@@ -365,12 +331,13 @@ def waring_pair_check(
 
     By sumset monotonicity it suffices to test subsets of the minimal
     majority size m0 = floor(#units/2) + 1: any violating majority subset
-    contains a violating subset of size m0.  Only the exhaustive strategy
-    may return the verdict "pair"; sampled and structured scans cap out at
-    "no-violation-found".  Any "not-pair" verdict carries a witness that is
-    re-verified through the slow stepwise sumset path.  With threads != 1
-    a large exhaustive scan runs in a pool of min(threads, cpu_count,
-    chunks) workers (every core when threads < 1).
+    contains a violating subset of size m0.  Each strategy is a stream of
+    candidates through one scan, _first_violation.  Only the exhaustive
+    strategy may return the verdict "pair"; sampled and structured scans
+    cap out at "no-violation-found".  Any "not-pair" verdict carries a
+    witness that is re-verified through the slow stepwise sumset path.
+    With threads != 1 a large exhaustive scan runs in a pool of
+    min(threads, cpu_count, chunks) workers (every core when threads < 1).
     """
     if strategy not in ("exhaustive", "sampled", "structured"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -381,29 +348,15 @@ def waring_pair_check(
     qv = q.value
     target = _target_mask(qv, k, s, q)
 
-    def finish(verdict, witness, uncovered, count):
-        return WaringPairReport(
-            q=qv,
-            q_factors=q.factors,
-            k=k,
-            s=s,
-            strategy=strategy,
-            verdict=verdict,
-            witness=witness,
-            uncovered=uncovered,
-            trials=count,
-        )
-
-    def found_violation(B, count):
-        misses = _reverify_violation(q, k, s, list(B), n_units)
-        return finish("not-pair", sorted(B), misses, count)
-
+    verdict = "no-violation-found"
     if strategy == "exhaustive":
+        verdict = "pair"
         total = math.comb(n_units, m0)
         if total > budget:
             raise LimitExceededError(
                 f"exhaustive scan needs {total} subsets, over budget {budget}"
             )
+        chunks = [(0, total, qv, s, units, m0, target)]
         if threads != 1 and total >= _PARALLEL_MIN:
             import multiprocessing
 
@@ -411,38 +364,46 @@ def waring_pair_check(
             workers = min(threads, cores) if threads > 1 else cores
             step = (total + workers - 1) // workers
             chunks = [
-                (qv, k, s, units, m0, lo, min(lo + step, total), target)
+                (lo, min(lo + step, total), qv, s, units, m0, target)
                 for lo in range(0, total, step)
             ]
             with multiprocessing.Pool(min(workers, len(chunks))) as pool:
                 results = pool.map(_exhaustive_chunk, chunks)
-            hits = [r for r, _ in results if r is not None]
-            if hits:
-                # count as if enumeration stopped at the first violation
-                rank = min(hits)
-                B = _combination_at(units, m0, rank)
-                return found_violation(B, rank + 1)
-            return finish("pair", None, None, sum(c for _, c in results))
-        checked = 0
-        for B in itertools.combinations(units, m0):
-            checked += 1
-            if cyclic_power(bits_from(B), s, qv) != target:
-                return found_violation(B, checked)
-        return finish("pair", None, None, checked)
-
-    if strategy == "sampled":
+        else:
+            results = [_exhaustive_chunk(chunks[0])]
+        # count as if enumeration stopped at the lowest-ranked violation
+        hits = [
+            (start + pos - 1, B)
+            for (start, *_), (pos, B) in zip(chunks, results)
+            if B is not None
+        ]
+        if hits:
+            rank, witness = min(hits)
+            count = rank + 1
+        else:
+            count, witness = sum(pos for pos, _ in results), None
+    elif strategy == "sampled":
         rng = random.Random(seed)
-        for t in range(trials):
-            B = rng.sample(units, m0)
-            if cyclic_power(bits_from(B), s, qv) != target:
-                return found_violation(B, t + 1)
-        return finish("no-violation-found", None, None, trials)
-
-    families = _structured_families(qv, units, m0)
-    for i, B in enumerate(families):
-        if cyclic_power(bits_from(B), s, qv) != target:
-            return found_violation(B, i + 1)
-    return finish("no-violation-found", None, None, len(families))
+        samples = (rng.sample(units, m0) for _ in range(trials))
+        count, witness = _first_violation(samples, qv, s, target)
+    else:
+        families = _structured_families(qv, units, m0)
+        count, witness = _first_violation(families, qv, s, target)
+    uncovered = None
+    if witness is not None:
+        verdict, witness = "not-pair", sorted(witness)
+        uncovered = _reverify_violation(q, k, s, witness, n_units)
+    return WaringPairReport(
+        q=qv,
+        q_factors=q.factors,
+        k=k,
+        s=s,
+        strategy=strategy,
+        verdict=verdict,
+        witness=witness,
+        uncovered=uncovered,
+        trials=count,
+    )
 
 
 @dataclass

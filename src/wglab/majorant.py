@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_arith import FactoredModulus, PrimeSet, iroot, sieve_primes
-from .local_structure import power_residues
+from .local_structure import _vector_pow_mod, power_residues
 
 __all__ = [
     "SubsetSpec",
@@ -173,8 +173,7 @@ def gen_subset(spec: SubsetSpec, limit: int, primes: PrimeSet | None = None) -> 
     """
     if limit < 100:
         raise ValueError(f"limit must be >= 100, got {limit}")
-    ps = primes if primes is not None and primes.limit >= limit else sieve_primes(limit)
-    mask = ps.bool_mask(limit).copy()
+    mask = _primes_to(limit, primes).bool_mask(limit)
     plist = np.flatnonzero(mask)
     if spec.kind == "bernoulli":
         keep = np.array([_bernoulli_keep(spec.seed, int(p), spec.delta) for p in plist])
@@ -298,26 +297,30 @@ class WeightedSequence:
                 fh.write(f"{i + 1},{v:.12g}\n")
 
 
-def _supported_weights(
-    W: FactoredModulus, b: int, k: int, N: int, primes: PrimeSet
-) -> tuple[np.ndarray, np.ndarray]:
-    """(n, p) pairs with W n + b = p^k, p prime, 1 <= n <= N."""
-    Y = iroot(W.value * N + b, k)
-    ps = primes.primes(2, Y)
-    if (Y + 1) ** k >= 2**62:
-        keep_n, keep_p = [], []
-        for p in map(int, ps):
-            pk = p**k
-            if (pk - b) % W.value == 0:
-                n = (pk - b) // W.value
-                if 1 <= n <= N:
-                    keep_n.append(n)
-                    keep_p.append(p)
-        return np.array(keep_n, dtype=np.int64), np.array(keep_p, dtype=np.int64)
-    pk = ps**k
-    n = (pk - b) // W.value
-    mask = ((pk - b) % W.value == 0) & (n >= 1) & (n <= N)
-    return n[mask], ps[mask]
+def _primes_to(Y: int, primes: PrimeSet | None) -> PrimeSet:
+    """primes when they reach Y, else a fresh sieve."""
+    return primes if primes is not None and primes.limit >= Y else sieve_primes(max(Y, 2))
+
+
+def _hits(xs: np.ndarray, k: int, W: int, b, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, mask): mask marks the x in xs with x^k = W n + b for some
+    1 <= n <= N, and n lists those n.
+
+    b is one residue or one residue per x.  The powers are Python ints when
+    they could overflow int64.
+    """
+    if len(xs) and (int(xs.max()) + 1) ** k >= 2**62:
+        xk = xs.astype(object) ** k
+    else:
+        xk = xs**k
+    n = (xk - b) // W
+    mask = ((xk - b) % W == 0) & (n >= 1) & (n <= N)
+    return n[mask].astype(np.int64), mask
+
+
+def _weights(W: FactoredModulus, sigma: int, k: int, p: np.ndarray) -> np.ndarray:
+    """The majorant weight (phi(W)/(W sigma)) k p^(k-1) log p at each prime p."""
+    return W.euler_phi / (W.value * sigma) * k * p.astype(np.float64) ** (k - 1) * np.log(p)
 
 
 def _require_unit_power(W: FactoredModulus, k: int, b: int) -> int:
@@ -325,6 +328,25 @@ def _require_unit_power(W: FactoredModulus, k: int, b: int) -> int:
     if b % W.value not in table.unit_residues:
         raise ValueError(f"b = {b} is not a unit k-th power residue mod {W.value}")
     return table.multiplicity[b % W.value]
+
+
+def _prime_power_sequence(
+    W: FactoredModulus, b: int, k: int, N: int, primes, subset, kind: str
+) -> WeightedSequence:
+    """The weights at the W n + b = p^k, 1 <= n <= N, over the primes p that
+    subset keeps (every prime when subset is None)."""
+    sigma = _require_unit_power(W, k, b)
+    Y = iroot(W.value * N + b, k)
+    if subset is not None and subset.limit < Y:
+        raise ValueError(f"subset realized to {subset.limit} but Y = {Y} needed")
+    ps = _primes_to(Y, primes).primes(2, Y)
+    if subset is not None:
+        ps = ps[subset.members[ps]]
+    ns, hit = _hits(ps, k, W.value, b, N)
+    values = np.zeros(N)
+    values[ns - 1] = _weights(W, sigma, k, ps[hit])
+    spec = None if subset is None else subset.spec
+    return WeightedSequence(values=values, kind=kind, W=W.value, b=b % W.value, k=k, subset=spec)
 
 
 def build_nu(
@@ -335,14 +357,7 @@ def build_nu(
     Weight (phi(W)/(W sigma(b))) k p^(k-1) log p at each supported n, with
     the natural logarithm, so the sequence has mean about 1.
     """
-    sigma = _require_unit_power(W, k, b)
-    Y = iroot(W.value * N + b, k)
-    ps = primes if primes is not None and primes.limit >= Y else sieve_primes(max(Y, 2))
-    ns, pvals = _supported_weights(W, b, k, N, ps)
-    values = np.zeros(N)
-    coef = W.euler_phi / (W.value * sigma)
-    values[ns - 1] = coef * k * pvals.astype(np.float64) ** (k - 1) * np.log(pvals)
-    return WeightedSequence(values=values, kind="nu", W=W.value, b=b % W.value, k=k)
+    return _prime_power_sequence(W, b, k, N, primes, None, "nu")
 
 
 def build_f(
@@ -358,20 +373,7 @@ def build_f(
     dominated by the unrestricted sequence by construction."""
     if kind not in ("f", "bold-f"):
         raise ValueError(f"kind must be f or bold-f, got {kind!r}")
-    sigma = _require_unit_power(W, k, b)
-    Y = iroot(W.value * N + b, k)
-    if subset.limit < Y:
-        raise ValueError(f"subset realized to {subset.limit} but Y = {Y} needed")
-    ps = primes if primes is not None and primes.limit >= Y else sieve_primes(max(Y, 2))
-    ns, pvals = _supported_weights(W, b, k, N, ps)
-    keep = subset.members[pvals]
-    ns, pvals = ns[keep], pvals[keep]
-    values = np.zeros(N)
-    coef = W.euler_phi / (W.value * sigma)
-    values[ns - 1] = coef * k * pvals.astype(np.float64) ** (k - 1) * np.log(pvals)
-    return WeightedSequence(
-        values=values, kind=kind, W=W.value, b=b % W.value, k=k, subset=subset.spec
-    )
+    return _prime_power_sequence(W, b, k, N, primes, subset, kind)
 
 
 def build_mu(W: FactoredModulus, b: int, k: int, N: int):
@@ -385,11 +387,9 @@ def build_mu(W: FactoredModulus, b: int, k: int, N: int):
     Wv = W.value
     Y = iroot(Wv * N + b, k)
     xs = np.arange(1, Y + 1, dtype=np.int64)
-    xk = xs**k
-    n = (xk - b) // Wv
-    mask = ((xk - b) % Wv == 0) & (n >= 1) & (n <= N)
+    ns, hit = _hits(xs, k, Wv, b, N)
     values = np.zeros(N)
-    values[n[mask] - 1] = (1.0 / sigma) * k * xs[mask].astype(np.float64) ** (k - 1)
+    values[ns - 1] = (1.0 / sigma) * k * xs[hit].astype(np.float64) ** (k - 1)
     mu = WeightedSequence(values=values, kind="mu", W=Wv, b=b % Wv, k=k)
 
     def psi_of(phi: WeightedSequence) -> WeightedSequence:
@@ -456,23 +456,20 @@ def mean_g(
     """
     table = power_residues(W, k)
     Wv = W.value
-    phi = W.euler_phi
     Ymax = iroot(Wv * N + Wv, k)
     if subset.limit < Ymax:
         raise ValueError(f"subset realized to {subset.limit} but Y = {Ymax} needed")
-    ps = primes if primes is not None and primes.limit >= Ymax else sieve_primes(max(Ymax, 2))
-    sums: dict[int, float] = {b: 0.0 for b in table.unit_residues}
-    for p in map(int, ps.primes(2, Ymax)):
-        if not subset.members[p]:
-            continue
-        pk = p**k
-        b = pk % Wv
-        if b not in sums:  # p divides W
-            continue
-        n = (pk - b) // Wv
-        if 1 <= n <= N:
-            sums[b] += (phi / (Wv * table.multiplicity[b])) * k * p ** (k - 1) * math.log(p)
-    per_b = {b: v / N for b, v in sums.items()}
+    ps = _primes_to(Ymax, primes).primes(2, Ymax)
+    ps = ps[subset.members[ps] & (np.gcd(ps, Wv) == 1)]
+    bs = _vector_pow_mod(Wv, k)[ps % Wv]  # the class p^k mod W of each p
+    _, hit = _hits(ps, k, Wv, bs, N)
+    units = table.unit_sorted
+    # every unit k-th power residue has the same root count sigma
+    weights = _weights(W, table.multiplicity[1], k, ps[hit])
+    sums = np.bincount(np.searchsorted(units, bs[hit]), weights, minlength=len(units))
+    class_sum = dict(zip(units, sums.tolist()))
+    # in the table's iteration order: the aggregate sums per_b left to right
+    per_b = {b: class_sum[b] / N for b in table.unit_residues}
     aggregate = sum(per_b.values()) / len(per_b)
     delta = subset.spec.intended_density
     margin = k * delta - (k - 1) if delta is not None else None

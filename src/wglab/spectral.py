@@ -74,9 +74,6 @@ class Spectrum:
     values: np.ndarray
     source: dict
 
-    def alpha(self, j: int) -> float:
-        return j / self.M
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="\n") as fh:
             fh.write("j,re,im\n")

@@ -441,3 +441,54 @@ class TestRejectedInputs:
             code = run_cli(capsys, "report", "--config", str(path), "--out", str(out), *dry)
             assert code == (2, "", err)
             assert not out.exists()
+
+
+class TestValidatedBeforeWork:
+    """Settings a command once read late, or not at all."""
+
+    @pytest.mark.parametrize(
+        "flags, cfg, err",
+        [
+            (["--k", "1"], "", "error: k must be >= 2, got 1\n"),
+            ([], "subset=nonsense\n", "error: cannot parse subset spec 'nonsense'\n"),
+        ],
+        ids=["k-one", "bad-subset"],
+    )
+    def test_report_writes_nothing(self, capsys, tmp_path, flags, cfg, err):
+        path = tmp_path / "lab.cfg"
+        path.write_text("w=2\n" + cfg)
+        out = tmp_path / "reports"
+        for dry in ([], ["--dry-run"]):
+            argv = ["report", *flags, "--config", str(path), "--out", str(out), *dry]
+            assert run_cli(capsys, *argv) == (2, "", err)
+            assert not out.exists()
+
+    def test_decompose_target_from_config(self, capsys, tmp_path):
+        path = tmp_path / "lab.cfg"
+        path.write_text("n=12\n")
+        argv = ["--config", str(path), "local", "decompose", "--w", "2", "--s", "4"]
+        assert run_cli(capsys, *argv, "--dry-run")[1] == (
+            "plan: decompose 12 mod 16 into 4 weighted parts\n"
+        )
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["target"] == 12
+        assert run_cli(capsys, *argv, "--n", "8", "--dry-run")[1] == (
+            "plan: decompose 8 mod 16 into 4 weighted parts\n"
+        )
+
+    def test_decompose_target_zero_is_a_residue(self, capsys, tmp_path):
+        path = tmp_path / "lab.cfg"
+        path.write_text("n=0\n")
+        for argv in (["--config", str(path)], ["--n", "0"]):
+            code, out, _ = run_cli(
+                capsys, "local", "decompose", "--w", "2", "--s", "4", *argv, "--dry-run"
+            )
+            assert (code, out) == (0, "plan: decompose 0 mod 16 into 4 weighted parts\n")
+
+    def test_sigma_value_from_config(self, capsys, tmp_path):
+        path = tmp_path / "lab.cfg"
+        path.write_text("w=2\nb=9\n")
+        assert run_cli(capsys, "--config", str(path), "local", "sigma") == (0, "4\n", "")
+        path.write_text("w=2\n")
+        code, out, _ = run_cli(capsys, "--config", str(path), "local", "sigma")
+        assert code == 0 and json.loads(out)["sigma"] == {"1": 4, "9": 4}

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -154,6 +155,23 @@ class TestSieve:
         assert list(map(int, big.primes(99999900, 10**8))) == [
             99999931, 99999941, 99999959, 99999971, 99999989,
         ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 3000), st.integers(-5, 3100), st.integers(-1, 3100) | st.none())
+    def test_sliced_unpack_equals_full_unpack(self, limit, lo, hi):
+        """bool_mask and primes read the bytes up to hi only, and agree with
+        unpacking the whole bit array; the mask is a fresh writable copy."""
+        ps = sieve_primes(limit)
+        top = limit if hi is None else min(hi, limit)
+        full = np.unpackbits(ps._bits)[: top + 1].astype(bool)
+        mask = ps.bool_mask(hi)
+        assert mask.dtype == bool and np.array_equal(mask, full)
+        mask[:] = True
+        assert np.array_equal(ps.bool_mask(hi), full)
+        expected = np.flatnonzero(full).astype(np.int64)
+        got = ps.primes(lo, hi)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected[expected >= lo])
 
     def test_cap_refusal(self):
         with pytest.raises(LimitExceededError):

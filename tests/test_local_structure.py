@@ -161,6 +161,26 @@ class TestSumsetCover:
                 )
 
 
+class _InProcessPool:
+    """A multiprocessing.Pool stand-in that maps in this process and records
+    each pool's (processes, chunk count)."""
+
+    made: list = []
+
+    def __init__(self, processes):
+        self.processes = processes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, chunks):
+        self.made.append((self.processes, len(chunks)))
+        return [fn(c) for c in chunks]
+
+
 class TestWaringPairCheck:
     def test_exhaustive_pair_16(self):
         rep = waring_pair_check(compute_W(2, 2), 2, 16, "exhaustive")
@@ -253,6 +273,29 @@ class TestWaringPairCheck:
             )
         waring_pair_check(fm(45), 2, 8, "exhaustive", threads=2)
         assert sizes == [2]
+
+    def test_pooled_violation_past_first_chunk(self, monkeypatch):
+        """On 16 cores the 3,003 subsets at q = 29 split into chunks of 188, so
+        the first violation, rank 273, lies in the second chunk; the pooled
+        report equals the serial one."""
+        import multiprocessing
+
+        import wglab.local_structure as ls
+
+        monkeypatch.setattr(_InProcessPool, "made", [])
+        monkeypatch.setattr(multiprocessing, "Pool", _InProcessPool)
+        monkeypatch.setattr(multiprocessing, "cpu_count", lambda: 16)
+        monkeypatch.setattr(ls, "_PARALLEL_MIN", 1)
+        serial = {}
+        for q, chunks in ((29, 16), (13, 15)):
+            serial[q] = waring_pair_check(fm(q), 2, 3, "exhaustive", threads=1)
+            pooled = waring_pair_check(fm(q), 2, 3, "exhaustive", threads=10**6)
+            assert pooled == serial[q]
+            assert _InProcessPool.made.pop() == (chunks, chunks)
+        assert serial[29].witness == [1, 4, 5, 7, 13, 16, 22, 25]
+        assert serial[29].trials == 274
+        assert serial[29].trials - 1 >= -(-math.comb(14, 8) // 16)  # not in chunk 1
+        assert (serial[13].witness, serial[13].trials) == ([1, 3, 4, 10], 2)
 
 
 class TestLocalDecompose:

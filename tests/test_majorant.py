@@ -1,8 +1,11 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wglab.core_arith import compute_W, sieve_primes
+from wglab.core_arith import compute_W, iroot, sieve_primes
 from wglab.local_structure import power_residues
 from wglab.majorant import (
     SubsetSpec,
@@ -280,3 +283,109 @@ class TestSerialization:
         nu1 = build_nu(compute_W(2, 2), 1, 2, 4096, primes=ps)
         nu2 = build_nu(compute_W(2, 2), 1, 2, 4096)
         assert (nu1.values == nu2.values).all()
+
+
+def _old_hits(W, b, k, N, xs):
+    n = (xs**k - b) // W.value
+    mask = ((xs**k - b) % W.value == 0) & (n >= 1) & (n <= N)
+    return n[mask], xs[mask]
+
+
+def _old_prime_weights(W, b, k, N, members=None):
+    """build_nu's values before the shared kernel (build_f's with members)."""
+    sigma = power_residues(W, k).multiplicity[b % W.value]
+    Y = iroot(W.value * N + b, k)
+    ns, pvals = _old_hits(W, b, k, N, sieve_primes(max(Y, 2)).primes(2, Y))
+    if members is not None:
+        keep = members[pvals]
+        ns, pvals = ns[keep], pvals[keep]
+    values = np.zeros(N)
+    coef = W.euler_phi / (W.value * sigma)
+    values[ns - 1] = coef * k * pvals.astype(np.float64) ** (k - 1) * np.log(pvals)
+    return values
+
+
+def _old_mu(W, b, k, N):
+    sigma = power_residues(W, k).multiplicity[b % W.value]
+    xs = np.arange(1, iroot(W.value * N + b, k) + 1, dtype=np.int64)
+    ns, xs = _old_hits(W, b, k, N, xs)
+    values = np.zeros(N)
+    values[ns - 1] = (1.0 / sigma) * k * xs.astype(np.float64) ** (k - 1)
+    return values
+
+
+def _old_means(W, k, N, subset):
+    """mean_g's per-prime loop before the bincount."""
+    table = power_residues(W, k)
+    Wv, phi = W.value, W.euler_phi
+    Ymax = iroot(Wv * N + Wv, k)
+    sums = {b: 0.0 for b in table.unit_residues}
+    for p in map(int, sieve_primes(max(Ymax, 2)).primes(2, Ymax)):
+        if not subset.members[p]:
+            continue
+        pk = p**k
+        b = pk % Wv
+        if b not in sums:
+            continue
+        n = (pk - b) // Wv
+        if 1 <= n <= N:
+            sums[b] += (phi / (Wv * table.multiplicity[b])) * k * p ** (k - 1) * math.log(p)
+    per_b = {b: v / N for b, v in sums.items()}
+    return per_b, sum(per_b.values()) / len(per_b)
+
+
+class TestOneWeightKernel:
+    """nu, f, mu and the class means are bit-identical to the four separate
+    builders the shared hit finder and weight kernel replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([2, 3]),
+        st.sampled_from([2, 3, 4]),
+        st.integers(1, 1 << 13),
+        st.integers(0, 10**6),
+        st.booleans(),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**31),
+    )
+    def test_sequences_and_means_equal_old_code(self, w, k, N, pick, shift, delta, seed):
+        W = compute_W(w, k)
+        units = sorted(power_residues(W, k).unit_residues)
+        b = units[pick % len(units)] + (W.value if shift else 0)
+        Y = iroot(W.value * N + W.value + b, k)
+        subset = gen_subset(SubsetSpec.bernoulli(delta, seed), max(Y, 100))
+        nu = build_nu(W, b, k, N)
+        f = build_f(W, b, k, N, subset)
+        mu, _ = build_mu(W, b, k, N)
+        assert nu.values.tobytes() == _old_prime_weights(W, b, k, N).tobytes()
+        assert f.values.tobytes() == _old_prime_weights(W, b, k, N, subset.members).tobytes()
+        assert mu.values.tobytes() == _old_mu(W, b, k, N).tobytes()
+        assert nu.b == f.b == mu.b == b % W.value
+        report = mean_g(W, k, N, subset)
+        per_b, aggregate = _old_means(W, k, N, subset)
+        assert list(report.per_b.items()) == list(per_b.items())
+        assert report.aggregate == aggregate
+
+    def test_means_past_int64_powers(self):
+        """At k = 3, w = 2 and N = 2^60 the powers p^3 reach 2^66; the class
+        sums equal a reference in Python ints, prime by prime."""
+        W, k, N = compute_W(2, 3), 3, 1 << 60
+        Y = iroot(W.value * N + W.value, k)
+        assert (Y + 1) ** k >= 2**62
+        primes = sieve_primes(Y)
+        subset = gen_subset(SubsetSpec.drop_classes(10, {3}), Y, primes=primes)
+        report = mean_g(W, k, N, subset, primes=primes)
+        table = power_residues(W, k)
+        kept = primes.primes(2, Y)
+        kept = kept[subset.members[kept]]
+        sums = {b: 0.0 for b in table.unit_residues}
+        for p, log_p in zip(kept.tolist(), np.log(kept).tolist()):
+            pk = p**k
+            b = pk % W.value
+            if b in sums and 1 <= (pk - b) // W.value <= N:
+                coef = W.euler_phi / (W.value * table.multiplicity[b])
+                sums[b] += coef * k * p ** (k - 1) * log_p
+        per_b = {b: v / N for b, v in sums.items()}
+        assert list(report.per_b.items()) == list(per_b.items())
+        assert report.aggregate == sum(per_b.values()) / len(per_b)
+        assert report.aggregate > 0
