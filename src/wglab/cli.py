@@ -393,7 +393,8 @@ def cmd_transfer(args, get) -> Outcome:
             return Outcome(
                 failure=f"target {target} mod {W.value} has no majority-weight decomposition"
             )
-        f_list = [build_f(W, b, k, N, subset) for b in decomp.parts]
+        built = {b: build_f(W, b, k, N, subset) for b in dict.fromkeys(decomp.parts)}
+        f_list = [built[b] for b in decomp.parts]
     profile = transference_gauge(f_list, epsilon=epsilon)
     failure = None
     if profile.mean_each_ok and profile.mean_sum_ok and profile.gauge <= 0:

@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = [
+    "MEMORY_BUDGET",
     "LimitExceededError",
     "FactoredModulus",
     "PrimeSet",
@@ -24,14 +25,29 @@ __all__ = [
     "sieve_primes",
     "rational_approx",
     "iroot",
+    "require_bytes",
 ]
 
-SIEVE_CAP_DEFAULT = 1_000_000_000
+# The one limit on array bytes: each array-heavy path prices its peak with
+# require_bytes before it allocates.  Caps that bound work instead stay with
+# their modules: DP_CELL_CAP (DP time), the exhaustive budget (subsets
+# scanned), ENUMERATION_CAP_DEFAULT (Python dicts), _ARC_SCAN_CAP and the
+# brute caps (Python loops).
+MEMORY_BUDGET = 4 << 30
 _SEGMENT = 1 << 22  # multiple of 8 so segments pack cleanly
 
 
 class LimitExceededError(RuntimeError):
     """A computation was refused because it exceeds a configured resource cap."""
+
+
+def require_bytes(estimate: float, what: str) -> None:
+    """Refuse, before it allocates, a path whose peak estimate exceeds MEMORY_BUDGET."""
+    if estimate > MEMORY_BUDGET:
+        raise LimitExceededError(
+            f"{what} needs about {estimate / 2**30:.3g} GiB, "
+            f"over the memory budget of {MEMORY_BUDGET / 2**30:g} GiB"
+        )
 
 
 def _is_prime_trial(n: int) -> bool:
@@ -164,6 +180,7 @@ class PrimeSet:
         """Unpacked boolean membership for 0..hi (inclusive), a fresh array
         unpacked from the packed bytes that hold 0..hi only."""
         hi = self.limit if hi is None else max(min(hi, self.limit), -1)
+        require_bytes(hi + 1, "PrimeSet.bool_mask")
         return np.unpackbits(self._bits[: (hi >> 3) + 1], count=hi + 1).view(bool)
 
     def primes(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
@@ -181,15 +198,15 @@ def _simple_bool_sieve(limit: int) -> np.ndarray:
     return mask
 
 
-def sieve_primes(limit: int, *, cap: int = SIEVE_CAP_DEFAULT) -> PrimeSet:
+def sieve_primes(limit: int) -> PrimeSet:
     """Exact prime bit array for 0..limit, sieved in segments.
 
-    Refuses limits above cap.  Membership agrees with trial division.
+    Priced at the byte-per-integer mask that every consumer unpacks, plus
+    one working segment.  Membership agrees with trial division.
     """
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
-    if limit > cap:
-        raise LimitExceededError(f"sieve limit {limit} exceeds cap {cap}")
+    require_bytes(limit + 1 + _SEGMENT, "sieve_primes")
     if limit < _SEGMENT:
         mask = _simple_bool_sieve(limit)
         return PrimeSet(limit, np.packbits(mask), int(mask.sum()))

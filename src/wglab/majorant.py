@@ -334,14 +334,15 @@ def _prime_power_sequence(
     W: FactoredModulus, b: int, k: int, N: int, primes, subset, kind: str
 ) -> WeightedSequence:
     """The weights at the W n + b = p^k, 1 <= n <= N, over the primes p that
-    subset keeps (every prime when subset is None)."""
+    subset.members keeps (every prime when subset is None)."""
     sigma = _require_unit_power(W, k, b)
     Y = iroot(W.value * N + b, k)
-    if subset is not None and subset.limit < Y:
+    if subset is None:
+        ps = _primes_to(Y, primes).primes(2, Y)
+    elif subset.limit < Y:
         raise ValueError(f"subset realized to {subset.limit} but Y = {Y} needed")
-    ps = _primes_to(Y, primes).primes(2, Y)
-    if subset is not None:
-        ps = ps[subset.members[ps]]
+    else:
+        ps = np.flatnonzero(subset.members[: Y + 1]).astype(np.int64)
     ns, hit = _hits(ps, k, W.value, b, N)
     values = np.zeros(N)
     values[ns - 1] = _weights(W, sigma, k, ps[hit])
@@ -367,13 +368,12 @@ def build_f(
     N: int,
     subset: PrimeSubset,
     kind: str = "f",
-    primes: PrimeSet | None = None,
 ) -> WeightedSequence:
-    """As build_nu but restricted to primes kept by the subset; pointwise
+    """As build_nu but over the primes that subset.members keeps; pointwise
     dominated by the unrestricted sequence by construction."""
     if kind not in ("f", "bold-f"):
         raise ValueError(f"kind must be f or bold-f, got {kind!r}")
-    return _prime_power_sequence(W, b, k, N, primes, subset, kind)
+    return _prime_power_sequence(W, b, k, N, None, subset, kind)
 
 
 def build_mu(W: FactoredModulus, b: int, k: int, N: int):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_arith import FactoredModulus, LimitExceededError, rational_approx
+from .core_arith import FactoredModulus, LimitExceededError, rational_approx, require_bytes
 from .majorant import KIND_CODES, WeightedSequence
 
 __all__ = [
@@ -37,12 +37,10 @@ __all__ = [
     "major_arc_residual",
     "pseudorandom_gauge",
     "restriction_norm",
-    "SPECTRAL_GRID_CAP",
 ]
 
 TWO_PI = 2.0 * math.pi
 _ARC_SCAN_CAP = 10**6
-SPECTRAL_GRID_CAP = 1 << 27  # the default grid at N = 2^24
 
 
 def default_grid(N: int, factor: int = 8) -> int:
@@ -51,12 +49,7 @@ def default_grid(N: int, factor: int = 8) -> int:
 
 
 def _zero_padded(values: np.ndarray, M: int) -> np.ndarray:
-    """values at positions 1..N of a zero array of length M.
-
-    Grids above SPECTRAL_GRID_CAP are refused before anything is allocated.
-    """
-    if M > SPECTRAL_GRID_CAP:
-        raise LimitExceededError(f"grid M = {M} exceeds the spectral cap {SPECTRAL_GRID_CAP}")
+    """values at positions 1..N of a zero array of length M."""
     arr = np.zeros(M)
     arr[1 : len(values) + 1] = values
     return arr
@@ -104,13 +97,15 @@ def dft_spectrum(seq: WeightedSequence, M: int | None = None) -> Spectrum:
     """Exact grid samples of the transform via a zero-padded FFT.
 
     Requires M >= 2N so arcs of interest are resolved and downstream
-    quadrature is stable, and M <= SPECTRAL_GRID_CAP.
+    quadrature is stable.  The peak, five float64 grids of length M, is
+    priced against MEMORY_BUDGET before anything is allocated.
     """
     N = seq.N
     if M is None:
         M = default_grid(N)
     if M < 2 * N:
         raise ValueError(f"grid M = {M} must be >= 2N = {2 * N}")
+    require_bytes(5.0 * 8 * M, "dft_spectrum")
     arr = _zero_padded(seq.values, M)
     values = np.conj(np.fft.fft(arr))  # conj flips to the e(+n alpha) convention
     source = {"kind": seq.kind, "W": seq.W, "b": seq.b, "k": seq.k, "N": N}
@@ -227,13 +222,6 @@ def exp_sum_Sstar(
     return ExpSumValue(q=q, a=a, z=z, W=Wv, k=k, b=b % Wv, value=complex(total))
 
 
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    if a == 0:
-        return b, 0, 1
-    g, x, y = _egcd(b % a, a)
-    return g, y - (b // a) * x, x
-
-
 def _diamond_sum(m: int, am: int, W: int, k: int, z: int) -> complex:
     """Sum of e_m(am * ((z+Wr)^k - z^k)/W) over r < m with (z+Wr, m) = 1."""
     total = 0j
@@ -287,10 +275,9 @@ def exp_sum_factor(q: int, a: int, W: FactoredModulus, k: int, z: int) -> Factor
     qf = FactoredModulus.from_value(q)
     u_fm, v_fm = qf.split_by_support(W.prime_support)
     u, v = u_fm.value, v_fm.value
-    g, ubar, vbar = _egcd(u, v)
-    # u*ubar + v*vbar = 1 since u and v are coprime by construction
-    a1 = (a * vbar) % u if u > 1 else 0
-    a2 = (a * ubar) % v if v > 1 else 0
+    # u and v are coprime by construction, so each is a unit mod the other
+    a1 = a * pow(v, -1, u) % u
+    a2 = a * pow(u, -1, v) % v
     direct = _diamond_sum(q, a, Wv, k, z)
     s_u = _diamond_sum(u, a1, Wv, k, z)
     s_v = _diamond_sum(v, a2, Wv, k, z)
@@ -393,9 +380,10 @@ def pseudorandom_gauge(
     """Grid maximum of |transform(nu) - transform(interval)| / N.
 
     By linearity this is one real FFT: nu - 1 at n = 1..N, zero-padded to
-    M <= SPECTRAL_GRID_CAP, through np.fft.rfft.  Real input has
-    |X(j)| = |X(M - j)|, so the maximum is taken over bins 0..M/2 and the
-    argmax is canonical: argmax_j <= M/2 and argmax_alpha lies in [0, 1/2].
+    M, through np.fft.rfft; its peak of 2.6 float64 grids is priced against
+    MEMORY_BUDGET first.  Real input has |X(j)| = |X(M - j)|, so the
+    maximum is taken over bins 0..M/2 and the argmax is canonical:
+    argmax_j <= M/2 and argmax_alpha lies in [0, 1/2].
 
     The argmax frequency is classified into major/minor arcs using the
     first exponent in sigma_chain that yields a nondegenerate P < Q; the
@@ -406,6 +394,7 @@ def pseudorandom_gauge(
         M = default_grid(N)
     if M < 2 * N:
         raise ValueError(f"grid M = {M} must be >= 2N = {2 * N}")
+    require_bytes(2.6 * 8 * M, "pseudorandom_gauge")
     arr = _zero_padded(nu.values, M)
     arr[1 : N + 1] -= 1.0
     diff = np.abs(np.fft.rfft(arr))
@@ -467,7 +456,8 @@ def restriction_norm(
 ) -> RestrictionReport:
     """Riemann-grid L^exponent norm of the spectrum, and K = norm/N^(1-1/q).
 
-    One real FFT of length M <= SPECTRAL_GRID_CAP through np.fft.rfft.
+    One real FFT of length M through np.fft.rfft; its peak of two float64
+    grids is priced against MEMORY_BUDGET first.
     Real input has |X(j)| = |X(M - j)|, so the full-grid sum counts bin 0
     once, bin M/2 once when M is even, and every other (interior) bin of
     the half spectrum twice.
@@ -483,6 +473,7 @@ def restriction_norm(
         M = max(default_grid(N), 4 * N)
     if M < 4 * N:
         raise ValueError(f"grid M = {M} must be >= 4N = {4 * N}")
+    require_bytes(2.0 * 8 * M, "restriction_norm")
     mag = np.abs(np.fft.rfft(_zero_padded(seq.values, M))) ** exponent
     total = mag[0] + 2.0 * mag[1 : (M + 1) // 2].sum()
     if M % 2 == 0:

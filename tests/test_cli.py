@@ -410,6 +410,29 @@ def test_golden_parser_shape(golden):
     assert _parser_shape() == golden["parsers"]
 
 
+class TestMemoryBudget:
+    """Runs whose arrays would pass MEMORY_BUDGET exit 2 before allocating."""
+
+    def test_fft_count(self, capsys):
+        # s hi just under the former s hi <= 10^9 cap: a 2^30-point grid
+        argv = "count --k 2 --s 4 --hi 249999999 --method fft".split()
+        assert run_cli(capsys, *argv) == (
+            2,
+            "",
+            "error: count_representations(method='fft') needs about 40 GiB, "
+            "over the memory budget of 4 GiB\n",
+        )
+
+    def test_transfer(self, capsys):
+        # 44 N = 44 * 2^22 points pad to a 2^28-point grid
+        argv = "transfer --w 3 --s 44 --n 4194304".split()
+        assert run_cli(capsys, *argv) == (
+            2,
+            "",
+            "error: transference_gauge needs about 15 GiB, over the memory budget of 4 GiB\n",
+        )
+
+
 class TestRejectedInputs:
     """Inputs that once ran (or half ran) now exit 2 before any work."""
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wglab.core_arith import (
+    MEMORY_BUDGET,
     FactoredModulus,
     LimitExceededError,
     compute_Rk,
@@ -175,7 +176,7 @@ class TestSieve:
 
     def test_cap_refusal(self):
         with pytest.raises(LimitExceededError):
-            sieve_primes(10**7, cap=10**6)
+            sieve_primes(MEMORY_BUDGET)
 
     def test_rejects_tiny_limit(self):
         with pytest.raises(ValueError):

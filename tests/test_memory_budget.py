@@ -1,0 +1,196 @@
+"""The one memory budget: every array-heavy path prices its peak first.
+
+Each budgeted path passes one byte estimate to core_arith.require_bytes
+before it allocates.  These tests check that a call just over
+MEMORY_BUDGET is refused at once, with almost nothing allocated, and that
+no estimate understates the tracemalloc peak of its path.
+"""
+
+import time
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from wglab import core_arith, representation, spectral
+from wglab.core_arith import (
+    _SEGMENT,
+    MEMORY_BUDGET,
+    LimitExceededError,
+    PrimeSet,
+    compute_W,
+    sieve_primes,
+)
+from wglab.majorant import SubsetSpec, WeightedSequence, build_nu, gen_subset
+from wglab.representation import count_representations, transference_gauge
+from wglab.spectral import dft_spectrum, pseudorandom_gauge, restriction_norm
+
+# interpreter objects and prime lists, which do not grow with the arrays
+OBJECT_BYTES = 16 << 10
+BUDGETED = (core_arith, spectral, representation)
+
+
+class _Probe(Exception):
+    pass
+
+
+def probed_estimate(monkeypatch, call):
+    """The estimate call passes to require_bytes; the call stops there, so
+    nothing is allocated whatever the estimate."""
+
+    def probe(estimate, what):
+        raise _Probe(estimate)
+
+    with monkeypatch.context() as m:
+        for mod in BUDGETED:
+            m.setattr(mod, "require_bytes", probe)
+        with pytest.raises(_Probe) as info:
+            call()
+    return info.value.args[0]
+
+
+# Each factory returns (small, under, over): calls at a small size and at
+# the adjacent sizes where the estimate crosses the budget.
+
+
+def _spectral_sizes(monkeypatch, path):
+    seq = WeightedSequence.indicator(64)
+    rate = probed_estimate(monkeypatch, lambda: path(seq, 1024)) / 1024
+    over = int(MEMORY_BUDGET / rate) + 1
+    return tuple((lambda M=M: path(seq, M)) for M in (1024, over - 1, over))
+
+
+def sizes_sieve(monkeypatch):
+    # the estimate is limit + 1 + one segment
+    over = MEMORY_BUDGET - _SEGMENT
+    return tuple((lambda n=n: sieve_primes(n)) for n in (1000, over - 1, over))
+
+
+def sizes_bool_mask(monkeypatch):
+    # a prime set of 2^32 + 1 integers whose packed bytes are one stride-0 byte
+    bits = np.lib.stride_tricks.as_strided(
+        np.zeros(1, np.uint8), shape=(MEMORY_BUDGET // 8 + 1,), strides=(0,)
+    )
+    ps = PrimeSet(MEMORY_BUDGET, bits, 0)
+    return tuple((lambda hi=hi: ps.bool_mask(hi)) for hi in (1000, MEMORY_BUDGET - 1, MEMORY_BUDGET))
+
+
+def sizes_pseudorandom_gauge(monkeypatch):
+    return _spectral_sizes(monkeypatch, pseudorandom_gauge)
+
+
+def sizes_restriction_norm(monkeypatch):
+    return _spectral_sizes(monkeypatch, lambda seq, M: restriction_norm(seq, 6.5, M))
+
+
+def sizes_dft_spectrum(monkeypatch):
+    return _spectral_sizes(monkeypatch, dft_spectrum)
+
+
+def sizes_count(monkeypatch):
+    # 5791 and 5801 are consecutive primes: 2 * 5791^2 + 1 < 2^26 <= 2 * 5801^2 + 1,
+    # so the FFT grid goes from 2^26 points to 2^27
+    sub = gen_subset(SubsetSpec.all(), 6000)
+
+    def count(hi):
+        return lambda: count_representations(sub, 2, 2, hi, method="fft")
+
+    return count(1000), count(5791**2), count(5801**2)
+
+
+def sizes_transference(monkeypatch):
+    # stride-0 sequences: at s = 2 the grid goes from 2^26 points to 2^27
+    def gauge(N):
+        f = WeightedSequence(values=np.broadcast_to(0.5, N), kind="custom", W=0, b=0, k=0)
+        return lambda: transference_gauge([f, f])
+
+    return gauge(1000), gauge((1 << 25) - 2), gauge((1 << 25) - 1)
+
+
+SIZES = {
+    "sieve_primes": sizes_sieve,
+    "PrimeSet.bool_mask": sizes_bool_mask,
+    "pseudorandom_gauge": sizes_pseudorandom_gauge,
+    "restriction_norm": sizes_restriction_norm,
+    "dft_spectrum": sizes_dft_spectrum,
+    "count_representations(method='fft')": sizes_count,
+    "transference_gauge": sizes_transference,
+}
+
+
+@pytest.mark.parametrize("name", list(SIZES))
+def test_just_over_budget_refused_before_allocating(name, monkeypatch):
+    small, under, over = SIZES[name](monkeypatch)
+    # a path that skips require_bytes fails here, at a harmless size
+    assert probed_estimate(monkeypatch, small) <= MEMORY_BUDGET
+    assert probed_estimate(monkeypatch, under) <= MEMORY_BUDGET
+    assert probed_estimate(monkeypatch, over) > MEMORY_BUDGET
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(LimitExceededError) as info:
+            over()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 5
+    assert peak < 1 << 20
+    message = str(info.value)
+    assert message.startswith(f"{name} needs about ")
+    assert message.endswith("over the memory budget of 4 GiB")
+
+
+def _small_calls(name):
+    """Two calls of the path at small sizes, set up outside the trace."""
+    if name == "sieve_primes":
+        return [lambda: sieve_primes(1 << 20), lambda: sieve_primes(1 << 23)]
+    if name == "PrimeSet.bool_mask":
+        ps = sieve_primes(1 << 22)
+        return [lambda: ps.bool_mask(1 << 20), lambda: ps.bool_mask(1 << 22)]
+    if name == "count_representations(method='fft')":
+        sub = gen_subset(SubsetSpec.all(), 2000)
+        return [lambda hi=hi: count_representations(sub, 2, 3, hi) for hi in (10**5, 10**6)]
+    if name == "transference_gauge":
+        rng = np.random.default_rng(0)
+        calls = []
+        for N, s, distinct in ((1000, 2, 2), (1 << 12, 44, 44)):
+            base = [
+                WeightedSequence(values=rng.random(N), kind="custom", W=0, b=0, k=0)
+                for _ in range(distinct)
+            ]
+            calls.append(lambda f_list=(base * s)[:s]: transference_gauge(f_list))
+        return calls
+    W = compute_W(3, 2)
+    path = {
+        "pseudorandom_gauge": pseudorandom_gauge,
+        "restriction_norm": lambda nu: restriction_norm(nu, 6.5),
+        "dft_spectrum": dft_spectrum,
+    }[name]
+    return [lambda nu=build_nu(W, 1, 2, N): path(nu) for N in (1 << 12, 1 << 14)]
+
+
+@pytest.mark.parametrize("name", list(SIZES))
+def test_estimate_covers_peak(name, monkeypatch):
+    """At two small sizes the estimate is at least the traced peak, up to
+    OBJECT_BYTES; a warm-up call first keeps one-time FFT setup and lazy
+    imports out of the peak."""
+    seen = []
+    real = core_arith.require_bytes
+
+    def record(estimate, what):
+        seen.append((what, estimate))
+        real(estimate, what)
+
+    for mod in BUDGETED:
+        monkeypatch.setattr(mod, "require_bytes", record)
+    for call in _small_calls(name):
+        call()
+        seen.clear()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [what for what, _ in seen] == [name]
+        assert seen[0][1] + OBJECT_BYTES >= peak

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wglab.bitsets import bits_from, line_power
 from wglab.core_arith import compute_W
@@ -276,3 +278,21 @@ class TestThresholds:
     def test_rejects_k1(self):
         with pytest.raises(ValueError):
             theorem_thresholds(1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 500))
+    def test_equals_trial_division_omega(self, k):
+        """The thresholds from the factored modulus equal those from the
+        former trial-division count of the distinct primes of k."""
+        n, om, d = k, 0, 2
+        while d * d <= n:
+            if n % d == 0:
+                om += 1
+                while n % d == 0:
+                    n //= d
+            d += 1
+        om += n > 1
+        rep = theorem_thresholds(k)
+        assert rep.s_min_theorem == max(16 * k * om + 4 * k + 3, k * k + k) + 1
+        assert rep.s_min_local == 8 * k * om + 2 * k + 2
+        assert rep.delta_threshold == Fraction(2 * k - 1, 2 * k)

@@ -9,10 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wglab.core_arith import FactoredModulus, LimitExceededError, compute_W, rational_approx
+from wglab.core_arith import (
+    MEMORY_BUDGET,
+    FactoredModulus,
+    LimitExceededError,
+    compute_W,
+    rational_approx,
+)
 from wglab.majorant import SubsetSpec, WeightedSequence, build_f, build_nu, gen_subset
 from wglab.spectral import (
-    SPECTRAL_GRID_CAP,
     ArcParams,
     arc_decompose,
     dft_spectrum,
@@ -391,7 +396,7 @@ class TestHalfGridKernels:
 
     def test_grid_cap_refuses_before_allocating(self):
         seq = WeightedSequence.indicator(64)
-        M = SPECTRAL_GRID_CAP + 1
+        M = MEMORY_BUDGET // 16 + 1
         tracemalloc.start()
         try:
             with pytest.raises(LimitExceededError):
