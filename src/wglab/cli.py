@@ -412,8 +412,7 @@ def cmd_report(args, get) -> Outcome:
     b_list = get("b_list")
     bs = None if b_list == "all" else [int(x) for x in b_list.split(",")]
     for b in bs or ():
-        if b % W.value not in power_residues(W, k).unit_residues:
-            raise ConfigError(f"b = {b} is not a unit k-th power residue mod {W.value}")
+        sigma_b(W, k, b)  # raises on a b that is not a unit k-th power residue
     thresholds = theorem_thresholds(k).to_json()
     spec = parse_subset_spec(get("subset"))
     _plan(args, f"plan: batch report for k={k}, w={w}, N in {n_list} into {outdir}")
@@ -428,7 +427,7 @@ def cmd_report(args, get) -> Outcome:
         Y = iroot(W.value * N + W.value, k)
         primes = sieve_primes(max(Y, 100))  # covers every b < W as well
         subset = gen_subset(spec, max(Y, 100), primes=primes)
-        body = mean_g(W, k, N, subset, primes=primes).to_json_dict()
+        body = mean_g(W, k, N, subset).to_json_dict()
         body["W_over_log_N"] = _regime(W.value, N)
         (out / f"means_N{N}.json").write_text(_json_report(body), encoding="utf-8")
         M = default_grid(N, factor)

@@ -96,10 +96,6 @@ class FactoredModulus:
             raise ValueError(f"factors multiply to {prod}, not {self.value}")
 
     @classmethod
-    def one(cls) -> "FactoredModulus":
-        return cls(1, ())
-
-    @classmethod
     def from_value(cls, n: int) -> "FactoredModulus":
         """Factor n by trial division (meant for small or smooth n)."""
         if n < 1:

@@ -100,19 +100,21 @@ def power_residues(m: FactoredModulus, k: int, *, cap: int = ENUMERATION_CAP_DEF
 def sigma_b(W: FactoredModulus, k: int, b: int, *, cap: int = ENUMERATION_CAP_DEFAULT) -> int:
     """Number of z in [W] with z^k = b (mod W), for b a unit k-th power.
 
-    Cross-asserts the enumerated count against phi(W)/#units, which the
-    k-th power homomorphism on the unit group forces exactly.
+    The one test that b is a unit k-th power residue mod W (b is reduced
+    mod W first, and the error names b as given).  Cross-asserts the
+    enumerated count against phi(W)/#units, which the k-th power
+    homomorphism on the unit group forces exactly.
     """
     table = power_residues(W, k, cap=cap)
-    b = b % W.value
-    if b not in table.unit_residues:
-        raise ValueError(f"{b} is not a unit k-th power residue mod {W.value}")
-    count = table.multiplicity[b]
+    r = b % W.value
+    if r not in table.unit_residues:
+        raise ValueError(f"b = {b} is not a unit k-th power residue mod {W.value}")
+    count = table.multiplicity[r]
     phi = W.euler_phi
     n_units = len(table.unit_residues)
     if phi % n_units != 0 or count != phi // n_units:
         raise RuntimeError(
-            f"multiplicity {count} of {b} disagrees with phi/|units| = {phi}/{n_units}"
+            f"multiplicity {count} of {r} disagrees with phi/|units| = {phi}/{n_units}"
         )
     return count
 

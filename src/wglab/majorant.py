@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_arith import FactoredModulus, PrimeSet, iroot, sieve_primes
-from .local_structure import _vector_pow_mod, power_residues
+from .local_structure import _vector_pow_mod, power_residues, sigma_b
 
 __all__ = [
     "SubsetSpec",
@@ -323,19 +323,12 @@ def _weights(W: FactoredModulus, sigma: int, k: int, p: np.ndarray) -> np.ndarra
     return W.euler_phi / (W.value * sigma) * k * p.astype(np.float64) ** (k - 1) * np.log(p)
 
 
-def _require_unit_power(W: FactoredModulus, k: int, b: int) -> int:
-    table = power_residues(W, k)
-    if b % W.value not in table.unit_residues:
-        raise ValueError(f"b = {b} is not a unit k-th power residue mod {W.value}")
-    return table.multiplicity[b % W.value]
-
-
 def _prime_power_sequence(
     W: FactoredModulus, b: int, k: int, N: int, primes, subset, kind: str
 ) -> WeightedSequence:
     """The weights at the W n + b = p^k, 1 <= n <= N, over the primes p that
     subset.members keeps (every prime when subset is None)."""
-    sigma = _require_unit_power(W, k, b)
+    sigma = sigma_b(W, k, b)
     Y = iroot(W.value * N + b, k)
     if subset is None:
         ps = _primes_to(Y, primes).primes(2, Y)
@@ -383,7 +376,7 @@ def build_mu(W: FactoredModulus, b: int, k: int, N: int):
     Returns (mu, psi_of) where psi_of(phi) = phi / L and asserts the
     rescaled sequence stays under mu pointwise.
     """
-    sigma = _require_unit_power(W, k, b)
+    sigma = sigma_b(W, k, b)
     Wv = W.value
     Y = iroot(Wv * N + b, k)
     xs = np.arange(1, Y + 1, dtype=np.int64)
@@ -445,27 +438,27 @@ def mean_g(
     N: int,
     subset: PrimeSubset,
     epsilon: float = 0.1,
-    primes: PrimeSet | None = None,
 ) -> MeanReport:
     """Mean weight per residue class and the aggregate over all classes.
 
-    One pass over the primes up to Y: each kept prime lands in the unique
-    class b = p^k mod W it can support.  The report carries the density
-    margin k*delta - (k-1) and the floor (1-epsilon)*delta computed from
-    the subset's intended density when that is known.
+    One pass over the kept primes up to Y, read from subset.members: each
+    one coprime to W lands in the unique class b = p^k mod W it can
+    support.  The report carries the density margin k*delta - (k-1) and
+    the floor (1-epsilon)*delta computed from the subset's intended
+    density when that is known.
     """
     table = power_residues(W, k)
     Wv = W.value
     Ymax = iroot(Wv * N + Wv, k)
     if subset.limit < Ymax:
         raise ValueError(f"subset realized to {subset.limit} but Y = {Ymax} needed")
-    ps = _primes_to(Ymax, primes).primes(2, Ymax)
-    ps = ps[subset.members[ps] & (np.gcd(ps, Wv) == 1)]
+    ps = np.flatnonzero(subset.members[: Ymax + 1]).astype(np.int64)
+    ps = ps[np.gcd(ps, Wv) == 1]
     bs = _vector_pow_mod(Wv, k)[ps % Wv]  # the class p^k mod W of each p
     _, hit = _hits(ps, k, Wv, bs, N)
     units = table.unit_sorted
     # every unit k-th power residue has the same root count sigma
-    weights = _weights(W, table.multiplicity[1], k, ps[hit])
+    weights = _weights(W, sigma_b(W, k, 1), k, ps[hit])
     sums = np.bincount(np.searchsorted(units, bs[hit]), weights, minlength=len(units))
     class_sum = dict(zip(units, sums.tolist()))
     # in the table's iteration order: the aggregate sums per_b left to right

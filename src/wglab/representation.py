@@ -40,9 +40,12 @@ class FFTPrecisionError(RuntimeError):
     """FFT counts left the exact-integer range of double precision."""
 
 
-def admissible_filter(n: int, s: int, k: int) -> bool:
+def admissible_filter(n: int | np.ndarray, s: int, k: int) -> bool | np.ndarray:
     """Does n satisfy the necessary congruence n = s modulo the classical
-    modulus for sums of s prime k-th powers?"""
+    modulus R_k for sums of s prime k-th powers?
+
+    The one such test: a bool for an int n, a bool array for an int array.
+    """
     return (n - s) % compute_Rk(k).value == 0
 
 
@@ -116,6 +119,9 @@ def count_representations(
             raise FFTPrecisionError(f"rounding residual {drift:.3g} too large to trust")
         counts = rounded.astype(np.int64)
         counts[counts < 0] = 0
+        if grid <= hi:
+            # every sum of s powers lies below the grid: the tail counts are 0
+            counts = np.pad(counts, (0, hi + 1 - grid))
         return counts[: hi + 1]
     if method == "bitset":
         if not powers:
@@ -156,12 +162,10 @@ class CoverageReport:
 
     def csv_rows(self, reach) -> list[str]:
         lo, hi = self.window
-        rows = ["n,admissible,represented"]
-        g = self.modulus
-        for n, rep in zip(range(lo, hi + 1), window_flags(reach, lo, hi).tolist()):
-            adm = 1 if (not self.filtered or (n - self.s) % g == 0) else 0
-            rows.append(f"{n},{adm},{int(rep)}")
-        return rows
+        ns = np.arange(lo, hi + 1, dtype=np.int64)
+        adm = admissible_filter(ns, self.s, self.k) if self.filtered else np.ones(ns.size, bool)
+        flags = zip(ns.tolist(), adm.tolist(), window_flags(reach, lo, hi).tolist())
+        return ["n,admissible,represented"] + [f"{n},{int(a)},{int(r)}" for n, a, r in flags]
 
 
 def coverage_probe(
@@ -186,7 +190,7 @@ def coverage_probe(
     modulus = compute_Rk(k).value
     flags = window_flags(reach, lo, hi)
     ns = np.arange(lo, hi + 1, dtype=np.int64)
-    adm = (ns - s) % modulus == 0 if use_filter else np.ones(ns.size, dtype=bool)
+    adm = admissible_filter(ns, s, k) if use_filter else np.ones(ns.size, dtype=bool)
     report = CoverageReport(
         k=k,
         s=s,
@@ -259,9 +263,9 @@ def transference_gauge(f_list: list[WeightedSequence], epsilon: float = 0.1) -> 
     s(1+epsilon)/2.  A warning flag is raised when the gauge sits
     more than six decimal digits below the crude transform-mass bound,
     meaning the computed digits are mostly cancellation.
-    Its peak, measured at 5.5 to 7.1 float64 grids of transforms, products
-    and grouping keys, is priced at 7.5 grids against MEMORY_BUDGET before
-    anything is allocated.
+    Its peak, measured at 5.5 to 6.06 float64 grids of transforms and
+    products, is priced at 6.5 grids against MEMORY_BUDGET before anything
+    is allocated.
     """
     s = len(f_list)
     if s < 2:
@@ -273,15 +277,19 @@ def transference_gauge(f_list: list[WeightedSequence], epsilon: float = 0.1) -> 
         raise ValueError("all sequences must share one length")
     kappa = epsilon / 32.0
     grid = 1 << (s * N + 2).bit_length()
-    require_bytes(7.5 * 8 * grid, "transference_gauge")
-    # group identical arrays so repeated factors cost one FFT each
-    groups: dict[bytes, tuple[np.ndarray, int]] = {}
+    require_bytes(6.5 * 8 * grid, "transference_gauge")
+    # group equal arrays, in first-occurrence order, so repeated factors
+    # cost one FFT each
+    groups: list[list] = []
     for f in f_list:
-        key = f.values.tobytes()
-        arr, mult = groups.get(key, (f.values, 0))
-        groups[key] = (arr, mult + 1)
+        for group in groups:
+            if group[0] is f.values or np.array_equal(group[0], f.values):
+                group[1] += 1
+                break
+        else:
+            groups.append([f.values, 1])
     prod = None
-    for arr, mult in groups.values():
+    for arr, mult in groups:
         padded = np.zeros(grid)
         padded[1 : N + 1] = arr / N
         ft = np.fft.rfft(padded)
@@ -301,9 +309,8 @@ def transference_gauge(f_list: list[WeightedSequence], epsilon: float = 0.1) -> 
     gauged = window_vals
     f0 = f_list[0]
     if f0.W > 0 and all(f.W == f0.W and f.k == f0.k for f in f_list):
-        shift = sum(f.b for f in f_list) - s
-        targets = np.arange(lo, hi + 1, dtype=np.int64)
-        gauged = window_vals[(f0.W * targets + shift) % compute_Rk(f0.k).value == 0]
+        ns = f0.W * np.arange(lo, hi + 1, dtype=np.int64) + sum(f.b for f in f_list)
+        gauged = window_vals[admissible_filter(ns, s, f0.k)]
     gauge = float(gauged.min()) if gauged.size else 0.0
     means = [f.mean() for f in f_list]
     mean_each_ok = all(m > epsilon / 2 for m in means)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_arith import FactoredModulus, LimitExceededError, rational_approx, require_bytes
+from .local_structure import sigma_b
 from .majorant import KIND_CODES, WeightedSequence
 
 __all__ = [
@@ -201,9 +202,8 @@ def exp_sum_Sstar(
 ) -> ExpSumValue:
     """Sum of e_q(a ((z+Wr)^k - b)/W) over r < q with z+Wr coprime to Wq.
 
-    Needs z^k = b (mod W) so the exponent argument is an exact integer;
-    the argument is reduced mod q before any complex exponential, which
-    keeps the phase exact for huge powers.
+    Needs z coprime to W and z^k = b (mod W), so the exponent argument is
+    an exact integer (see _complete_sum).
     """
     Wv = W.value
     if q < 1 or math.gcd(a, q) != 1:
@@ -212,26 +212,26 @@ def exp_sum_Sstar(
         raise ValueError(f"z = {z} is not coprime to W = {Wv}")
     if pow(z, k, Wv) != b % Wv:
         raise ValueError(f"z^k = {pow(z, k, Wv)} (mod W) but b = {b % Wv}")
-    total = 0j
-    for r in range(q):
-        t = z + Wv * r
-        if math.gcd(t, Wv * q) != 1:
-            continue
-        T = (t**k - b) // Wv
-        total += np.exp(2j * np.pi * ((a * T) % q) / q)
-    return ExpSumValue(q=q, a=a, z=z, W=Wv, k=k, b=b % Wv, value=complex(total))
+    value = _complete_sum(q, a, Wv, k, z, b)
+    return ExpSumValue(q=q, a=a, z=z, W=Wv, k=k, b=b % Wv, value=value)
 
 
-def _diamond_sum(m: int, am: int, W: int, k: int, z: int) -> complex:
-    """Sum of e_m(am * ((z+Wr)^k - z^k)/W) over r < m with (z+Wr, m) = 1."""
+def _complete_sum(m: int, a: int, W: int, k: int, z: int, c: int) -> complex:
+    """Sum of e_m(a ((z+Wr)^k - c)/W) over r < m with (z+Wr, m) = 1.
+
+    The one loop behind exp_sum_Sstar (c = b) and exp_sum_factor (c = z^k).
+    Needs z coprime to W, so (z+Wr, Wm) = 1 exactly when (z+Wr, m) = 1, and
+    c = z^k (mod W), so the exponent argument is an exact integer; it is
+    reduced mod m before any complex exponential, which keeps the phase
+    exact for huge powers.
+    """
     total = 0j
-    zk = z**k
     for r in range(m):
         t = z + W * r
         if math.gcd(t, m) != 1:
             continue
-        poly = (t**k - zk) // W
-        total += np.exp(2j * np.pi * ((am * poly) % m) / m)
+        T = (t**k - c) // W
+        total += np.exp(2j * np.pi * ((a * T) % m) / m)
     return complex(total)
 
 
@@ -278,9 +278,10 @@ def exp_sum_factor(q: int, a: int, W: FactoredModulus, k: int, z: int) -> Factor
     # u and v are coprime by construction, so each is a unit mod the other
     a1 = a * pow(v, -1, u) % u
     a2 = a * pow(u, -1, v) % v
-    direct = _diamond_sum(q, a, Wv, k, z)
-    s_u = _diamond_sum(u, a1, Wv, k, z)
-    s_v = _diamond_sum(v, a2, Wv, k, z)
+    zk = z**k
+    direct = _complete_sum(q, a, Wv, k, z, zk)
+    s_u = _complete_sum(u, a1, Wv, k, z, zk)
+    s_v = _complete_sum(v, a2, Wv, k, z, zk)
     h = math.gcd(u, Wv)
     return FactorParts(
         q=q,
@@ -317,10 +318,8 @@ def major_arc_model(
     sums, times the interval integral at offset beta.
     """
     Wv = W.value
+    sigma = sigma_b(W, k, b)
     zs = [z for z in range(1, Wv + 1) if math.gcd(z, Wv) == 1 and pow(z, k, Wv) == b % Wv]
-    if not zs:
-        raise ValueError(f"b = {b} is not a unit k-th power residue mod {Wv}")
-    sigma = len(zs)
     Wq = W.scaled_by(FactoredModulus.from_value(q))
     coef = W.euler_phi / (Wq.euler_phi * sigma)
     total = sum(exp_sum_Sstar(q, a, W, k, b, z).value for z in zs)

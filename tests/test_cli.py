@@ -170,6 +170,17 @@ class TestChecksAndReports:
         assert seq.kind == "f"
         assert seq.total() > 0
 
+    def test_count_fft_window_past_its_grid(self, capsys):
+        # the squares of primes stop at 49 below 121, so the FFT grid has
+        # 64 points; the rows past it are zero counts
+        code, out, err = run_cli(
+            capsys, "count", "--k", "2", "--s", "1", "--lo", "0", "--hi", "120", "--method", "fft"
+        )
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == "n,count"
+        assert lines[1:] == [f"{n},{int(n in (4, 9, 25, 49))}" for n in range(121)]
+
     def test_count_bitset_method(self, capsys, tmp_path):
         path = tmp_path / "reach.csv"
         code, _, _ = run_cli(
@@ -429,7 +440,7 @@ class TestMemoryBudget:
         assert run_cli(capsys, *argv) == (
             2,
             "",
-            "error: transference_gauge needs about 15 GiB, over the memory budget of 4 GiB\n",
+            "error: transference_gauge needs about 13 GiB, over the memory budget of 4 GiB\n",
         )
 
 

@@ -76,6 +76,16 @@ class TestRootMultiplicity:
         with pytest.raises(ValueError):
             sigma_b(compute_W(2, 2), 2, 3)  # unit but not a square
 
+    @pytest.mark.parametrize("b", [3, 4, 18, 19, -1])
+    def test_one_message_names_b_as_given(self, b):
+        # 18 and 19 reduce to 2 and 3 mod 16; -1 to 15
+        message = rf"^b = {b} is not a unit k-th power residue mod 16$"
+        with pytest.raises(ValueError, match=message):
+            sigma_b(compute_W(2, 2), 2, b)
+
+    def test_b_past_w_reduces(self):
+        assert sigma_b(compute_W(2, 2), 2, 17) == sigma_b(compute_W(2, 2), 2, 25) == 4
+
     def test_constant_over_unit_powers(self):
         W = compute_W(3, 2)
         t = power_residues(W, 2)

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wglab.core_arith import compute_W, iroot, sieve_primes
-from wglab.local_structure import power_residues
+from wglab import majorant
+from wglab.core_arith import FactoredModulus, compute_W, iroot, sieve_primes
+from wglab.local_structure import _vector_pow_mod, power_residues
 from wglab.majorant import (
     SubsetSpec,
     WeightedSequence,
+    _hits,
+    _weights,
     build_f,
     build_mu,
     build_nu,
@@ -97,6 +100,30 @@ class TestBuildNu:
     def test_rejects_non_unit_power(self):
         with pytest.raises(ValueError):
             build_nu(self.W, 3, 2, 128)
+
+    def test_builders_take_sigma_from_sigma_b(self, monkeypatch):
+        seen = []
+        real = majorant.sigma_b
+
+        def recorded(W, k, b):
+            seen.append(b)
+            return real(W, k, b)
+
+        monkeypatch.setattr(majorant, "sigma_b", recorded)
+        subset = gen_subset(SubsetSpec.all(), 300)
+        build_nu(self.W, 9, 2, 128)
+        build_f(self.W, 25, 2, 128, subset)
+        build_mu(self.W, 1, 2, 128)
+        mean_g(self.W, 2, 128, subset)
+        assert seen == [9, 25, 1, 1]
+        message = r"^b = 19 is not a unit k-th power residue mod 16$"
+        for build in (
+            lambda: build_nu(self.W, 19, 2, 128),
+            lambda: build_f(self.W, 19, 2, 128, subset),
+            lambda: build_mu(self.W, 19, 2, 128),
+        ):
+            with pytest.raises(ValueError, match=message):
+                build()
 
     def test_metadata(self):
         nu = build_nu(self.W, 1, 2, 4096)
@@ -374,7 +401,7 @@ class TestOneWeightKernel:
         assert (Y + 1) ** k >= 2**62
         primes = sieve_primes(Y)
         subset = gen_subset(SubsetSpec.drop_classes(10, {3}), Y, primes=primes)
-        report = mean_g(W, k, N, subset, primes=primes)
+        report = mean_g(W, k, N, subset)
         table = power_residues(W, k)
         kept = primes.primes(2, Y)
         kept = kept[subset.members[kept]]
@@ -389,3 +416,75 @@ class TestOneWeightKernel:
         assert list(report.per_b.items()) == list(per_b.items())
         assert report.aggregate == sum(per_b.values()) / len(per_b)
         assert report.aggregate > 0
+
+
+def _old_mean_g(W, k, N, subset):
+    """mean_g before it read its primes from subset.members: a fresh sieve
+    up to Y intersected with the members."""
+    table = power_residues(W, k)
+    Wv = W.value
+    Ymax = iroot(Wv * N + Wv, k)
+    ps = sieve_primes(max(Ymax, 2)).primes(2, Ymax)
+    ps = ps[subset.members[ps] & (np.gcd(ps, Wv) == 1)]
+    bs = _vector_pow_mod(Wv, k)[ps % Wv]
+    _, hit = _hits(ps, k, Wv, bs, N)
+    units = table.unit_sorted
+    weights = _weights(W, table.multiplicity[1], k, ps[hit])
+    sums = np.bincount(np.searchsorted(units, bs[hit]), weights, minlength=len(units))
+    class_sum = dict(zip(units, sums.tolist()))
+    per_b = {b: class_sum[b] / N for b in table.unit_residues}
+    return per_b, sum(per_b.values()) / len(per_b)
+
+
+SUBSET_SPECS = [
+    "all",
+    "bernoulli:0.7:5",
+    "classes:10:1,7,9",
+    "drop-class:3:2",
+    "prefix-drop:50",
+    "window-drop:200-400,1000-1500",
+]
+
+
+class TestMeansFromMembers:
+    """mean_g reads its kept primes from subset.members, with no sieve of
+    its own, and matches the old sieve-and-intersect route bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from([2, 3]),
+        st.sampled_from([2, 3]),
+        st.integers(1, 1 << 14),
+        st.sampled_from(SUBSET_SPECS),
+        st.integers(0, 2000),
+    )
+    def test_equals_sieve_and_intersect(self, w, k, N, spec, extra):
+        W = compute_W(w, k)
+        Y = iroot(W.value * N + W.value, k)
+        subset = gen_subset(parse_subset_spec(spec), max(Y, 100) + extra)
+        report = mean_g(W, k, N, subset)
+        per_b, aggregate = _old_mean_g(W, k, N, subset)
+        assert list(report.per_b.items()) == list(per_b.items())
+        assert report.aggregate == aggregate
+
+    @pytest.mark.parametrize("Wv", [6, 10, 30])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_primes_dividing_w_left_out(self, Wv, k):
+        # unlike compute_W, these moduli have p^k > W for some p | W, so
+        # such a p would land in a class n >= 1 without the gcd filter
+        W, N = FactoredModulus.from_value(Wv), 5000
+        subset = gen_subset(SubsetSpec.all(), max(iroot(Wv * N + Wv, k), 100))
+        report = mean_g(W, k, N, subset)
+        per_b, aggregate = _old_mean_g(W, k, N, subset)
+        assert list(report.per_b.items()) == list(per_b.items())
+        assert report.aggregate == aggregate
+
+    def test_makes_no_sieve_call(self, monkeypatch):
+        W, N = compute_W(3, 2), 4096
+        subset = gen_subset(SubsetSpec.all(), iroot(W.value * N + W.value, 2))
+
+        def no_sieve(*args, **kwargs):
+            raise AssertionError("mean_g sieved")
+
+        monkeypatch.setattr(majorant, "sieve_primes", no_sieve)
+        assert mean_g(W, 2, N, subset).aggregate > 0

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wglab.bitsets import bits_from, line_power
-from wglab.core_arith import compute_W
+from wglab.bitsets import bits_from, line_power, window_flags
+from wglab.core_arith import compute_Rk, compute_W
 from wglab.local_structure import LocalDecomposition, local_decompose
 from wglab.majorant import SubsetSpec, WeightedSequence, build_f, gen_subset, mean_g
 from wglab.representation import (
@@ -48,6 +48,19 @@ class TestCounting:
             brute = count_representations(sub, 2, s, 5000, method="brute")
             fft = count_representations(sub, 2, s, 5000, method="fft")
             assert (brute == fft).all()
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_fft_equals_brute_past_the_grid(self, k, s):
+        # at s = 1, k = 2, hi = 120 the powers stop at 49, so the grid has
+        # 64 points and the counts from 64 to 120 are zeros past the grid
+        sub = all_primes(100)
+        for hi in (*range(130), 300, 1000):
+            brute = count_representations(sub, k, s, hi, method="brute")
+            fft = count_representations(sub, k, s, hi, method="fft")
+            assert fft.shape == (hi + 1,)
+            assert fft.dtype == np.int64
+            assert (fft == brute).all(), hi
 
     def test_mass_conservation(self):
         # the window covers every power of every subset prime, so the total
@@ -252,6 +265,90 @@ class TestTransferenceCongruence:
         prof = transference_gauge(f_list, epsilon=0.1)
         assert prof.gauge == prof.values.min()
         assert prof.gauge > 0
+
+
+class TestOneCongruenceTest:
+    """admissible_filter is the one (n - s) % R_k test: coverage_probe,
+    csv_rows and transference_gauge equal the inline formulas it replaced."""
+
+    def test_scalar_and_vector_forms(self):
+        ns = np.arange(-50, 500, dtype=np.int64)
+        for k in (2, 3, 4):
+            for s in (1, 5, 44):
+                vec = admissible_filter(ns, s, k)
+                assert vec.dtype == bool
+                scalars = [admissible_filter(n, s, k) for n in ns.tolist()]
+                assert all(type(a) is bool for a in scalars)
+                assert vec.tolist() == scalars
+
+    def test_coverage_and_csv_flags_equal_old_formulas(self):
+        sub = all_primes(100)
+        for k, s, window in ((2, 5, (100, 3000)), (3, 4, (0, 500)), (2, 3, (7, 7))):
+            g = compute_Rk(k).value
+            lo, hi = window
+            ns = np.arange(lo, hi + 1, dtype=np.int64)
+            for use_filter in (True, False):
+                report, reach = coverage_probe(sub, k, s, window, use_filter=use_filter)
+                flags = window_flags(reach, lo, hi)
+                adm = (ns - s) % g == 0 if use_filter else np.ones(ns.size, dtype=bool)
+                assert report.admissible_count == int(adm.sum())
+                assert report.represented_count == int((adm & flags).sum())
+                assert report.exceptions == ns[adm & ~flags].tolist()
+                rows = ["n,admissible,represented"]
+                for n, rep in zip(range(lo, hi + 1), flags.tolist()):
+                    a = 1 if (not use_filter or (n - s) % g == 0) else 0
+                    rows.append(f"{n},{a},{int(rep)}")
+                assert report.csv_rows(reach) == rows
+
+    @pytest.mark.parametrize("w", [2, 3])
+    def test_gauge_mask_equals_old_formula(self, w):
+        s, k = 44, 2
+        f_list = majority_parts(w, k, s, 2048)
+        prof = transference_gauge(f_list, epsilon=0.1)
+        lo, hi = prof.window
+        shift = sum(f.b for f in f_list) - s
+        targets = np.arange(lo, hi + 1, dtype=np.int64)
+        old = (f_list[0].W * targets + shift) % compute_Rk(k).value == 0
+        assert prof.gauge == prof.values[old].min()
+
+
+class TestGaugeGrouping:
+    """Equal sequences share one transform, grouped in first-occurrence
+    order as the old byte-keyed dict grouped them, with no copy kept."""
+
+    def _rfft_inputs(self, monkeypatch, f_list):
+        seen = []
+        real = np.fft.rfft
+
+        def recorded(a, *args, **kwargs):
+            seen.append(a.copy())
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", recorded)
+        prof = transference_gauge(f_list)
+        monkeypatch.undo()
+        return prof, seen
+
+    def test_groups_in_first_occurrence_order(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        N = 500
+        a, b, c = (rng.random(N) for _ in range(3))
+        order = [a, b, a, c, b, a, a]
+
+        def seq(v):
+            return WeightedSequence(values=v, kind="custom", W=0, b=0, k=0)
+
+        shared = [seq(v) for v in order]
+        copies = [seq(v.copy()) for v in order]
+        prof_shared, seen_shared = self._rfft_inputs(monkeypatch, shared)
+        prof_copies, seen_copies = self._rfft_inputs(monkeypatch, copies)
+        old_order = list({v.tobytes(): v for v in order}.values())
+        for seen in (seen_shared, seen_copies):
+            assert len(seen) == 3
+            for padded, v in zip(seen, old_order):
+                assert padded[1 : N + 1].tobytes() == (v / N).tobytes()
+        assert prof_shared.values.tobytes() == prof_copies.values.tobytes()
+        assert prof_shared.gauge == prof_copies.gauge
 
 
 class TestThresholds:

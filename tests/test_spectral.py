@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import random
+import struct
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from wglab.core_arith import (
     compute_W,
     rational_approx,
 )
+from wglab.local_structure import power_residues
 from wglab.majorant import SubsetSpec, WeightedSequence, build_f, build_nu, gen_subset
 from wglab.spectral import (
     ArcParams,
@@ -409,3 +411,86 @@ class TestHalfGridKernels:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def _bits(c):
+    return struct.pack("<dd", c.real, c.imag)
+
+
+def _old_sstar(q, a, Wv, k, b, z):
+    """exp_sum_Sstar's loop before the shared complete sum."""
+    total = 0j
+    for r in range(q):
+        t = z + Wv * r
+        if math.gcd(t, Wv * q) != 1:
+            continue
+        T = (t**k - b) // Wv
+        total += np.exp(2j * np.pi * ((a * T) % q) / q)
+    return complex(total)
+
+
+def _old_diamond(m, am, Wv, k, z):
+    """The b-free loop exp_sum_factor used before the shared complete sum."""
+    total = 0j
+    zk = z**k
+    for r in range(m):
+        t = z + Wv * r
+        if math.gcd(t, m) != 1:
+            continue
+        poly = (t**k - zk) // Wv
+        total += np.exp(2j * np.pi * ((am * poly) % m) / m)
+    return complex(total)
+
+
+def _old_model(q, a, beta, W, k, b, N):
+    """major_arc_model with sigma counted from its own root list."""
+    Wv = W.value
+    zs = [z for z in range(1, Wv + 1) if math.gcd(z, Wv) == 1 and pow(z, k, Wv) == b % Wv]
+    Wq = W.scaled_by(FactoredModulus.from_value(q))
+    coef = W.euler_phi / (Wq.euler_phi * len(zs))
+    total = sum(_old_sstar(q, a, Wv, k, b, z) for z in zs)
+    return coef * total * integral_I(beta, N)
+
+
+class TestOneCompleteSum:
+    """exp_sum_Sstar, exp_sum_factor and major_arc_model are bit-equal to
+    the separate loops that the one complete sum replaced."""
+
+    @pytest.mark.parametrize("w, k", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_sums_equal_old_loops(self, w, k):
+        W = compute_W(w, k)
+        Wv = W.value
+        units = [z for z in range(1, Wv) if math.gcd(z, Wv) == 1]
+        zs = units[:: max(1, len(units) // 5)]
+        checked = 0
+        for q in (*range(1, 25), 36, 60, 64, 81, 100):
+            coprime = [a for a in range(q) if math.gcd(a, q) == 1]
+            for a in {*coprime[:2], coprime[-1]}:
+                for z in zs:
+                    b = pow(z, k, Wv)
+                    for given_b in (b, b + Wv):
+                        got = exp_sum_Sstar(q, a, W, k, given_b, z).value
+                        assert _bits(got) == _bits(_old_sstar(q, a, Wv, k, given_b, z))
+                    parts = exp_sum_factor(q, a, W, k, z)
+                    assert _bits(parts.direct) == _bits(_old_diamond(q, a, Wv, k, z))
+                    assert _bits(parts.s_u) == _bits(_old_diamond(parts.u, parts.a1, Wv, k, z))
+                    assert _bits(parts.s_v) == _bits(_old_diamond(parts.v, parts.a2, Wv, k, z))
+                    checked += 1
+        assert checked >= 400
+
+    @pytest.mark.parametrize("w, k", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_model_equals_old_root_count(self, w, k):
+        W = compute_W(w, k)
+        bs = sorted(power_residues(W, k).unit_residues)
+        bs = bs[:: max(1, len(bs) // 3)]
+        qs = range(1, 13) if W.value < 10**4 else (1, 2, 3, 4, 6)
+        for b in bs:
+            for q in qs:
+                for a in (a for a in range(q) if math.gcd(a, q) == 1):
+                    for beta in (0.0, 1 / 9000):
+                        got = major_arc_model(q, a, beta, W, k, b, 4096)
+                        assert _bits(got) == _bits(_old_model(q, a, beta, W, k, b, 4096))
+
+    def test_model_rejects_non_unit_b(self):
+        with pytest.raises(ValueError, match=r"^b = 3 is not a unit k-th power residue mod 16$"):
+            major_arc_model(2, 1, 0.0, compute_W(2, 2), 2, 3, 4096)
