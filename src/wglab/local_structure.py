@@ -36,7 +36,8 @@ __all__ = [
 ENUMERATION_CAP_DEFAULT = 10**7
 EXHAUSTIVE_BUDGET_DEFAULT = 1 << 25
 _PARALLEL_MIN = 4096  # below this many subsets a pool is pure overhead
-DP_CELL_CAP = 1 << 28  # local_decompose work, about 5 s at 17 ns a cell
+DP_CELL_CAP = 1 << 28  # local_decompose work, about 1.5 s at 6 ns a cell when every state is live
+_GATHER_BLOCK = 1 << 16  # local_decompose gathers about this many cells at a time
 
 
 @dataclass
@@ -447,10 +448,13 @@ def local_decompose(
     """Maximize f(b_1)+...+f(b_s) over parts with b_1+...+b_s = n (mod W).
 
     Dynamic program over s rounds and W residue states, parts restricted to
-    the support of f inside the unit k-th power residues.  Succeeds only
-    when the optimum exceeds s/2; ties during backtracking prefer the
-    smallest residue.  Raises LimitExceededError before allocating when
-    s * |support| * W exceeds DP_CELL_CAP.
+    the support of f inside the unit k-th power residues.  Round i visits
+    only the live states, those reachable with exactly i parts, and fills
+    them with one gather dp[i-1][r - b] + f(b) and a max over the parts b,
+    about _GATHER_BLOCK cells at a time; every other state stays -inf.
+    Succeeds only when the optimum exceeds s/2; ties during backtracking
+    prefer the smallest residue.  Raises LimitExceededError before
+    allocating when s * |support| * W exceeds DP_CELL_CAP.
     """
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
@@ -474,11 +478,23 @@ def local_decompose(
             f"decomposition DP of s * |support| * W = {cells} cells exceeds cap {DP_CELL_CAP}"
         )
     neg_inf = float("-inf")
+    sup = np.array(support, dtype=np.int64)
+    fv = np.array([f[b] for b in support], dtype=np.float64)
+    rows_per_block = max(1, _GATHER_BLOCK // max(len(support), 1))
     dp = np.full((s + 1, Wv), neg_inf)
     dp[0][0] = 0.0
+    live = np.zeros(1, dtype=np.int64)
     for i in range(1, s + 1):
-        for b in support:
-            np.maximum(dp[i], np.roll(dp[i - 1], b) + f[b], out=dp[i])
+        if len(live) < Wv:  # once every state is live, every later round is too
+            reach = np.zeros(Wv, dtype=bool)
+            for lo in range(0, len(live), rows_per_block):
+                np.put(reach, live[lo : lo + rows_per_block] + sup[:, None], True, mode="wrap")
+            live = np.flatnonzero(reach)
+        for lo in range(0, len(live), rows_per_block):
+            rows = live[lo : lo + rows_per_block]
+            cand = np.take(dp[i - 1], rows - sup[:, None], mode="wrap")
+            cand += fv[:, None]
+            dp[i][rows] = cand.max(axis=0)
     optimum = float(dp[s][n])
     if optimum == neg_inf:
         return DecompositionFailure(target=n, modulus=Wv, optimum=None)
@@ -487,15 +503,14 @@ def local_decompose(
     parts_rev = []
     r = n
     for i in range(s, 0, -1):
-        for b in support:
-            prev = dp[i - 1][(r - b) % Wv]
-            cand = prev + f[b]
-            if cand == dp[i][r] or abs(cand - dp[i][r]) <= 1e-12:
-                parts_rev.append(b)
-                r = (r - b) % Wv
-                break
-        else:
+        cur = dp[i][r]
+        cand = dp[i - 1][(r - sup) % Wv] + fv
+        hits = np.flatnonzero((cand == cur) | (np.abs(cand - cur) <= 1e-12))
+        if len(hits) == 0:
             raise RuntimeError("backtracking failed to find a transition")
+        b = support[hits[0]]
+        parts_rev.append(b)
+        r = (r - b) % Wv
     parts = parts_rev[::-1]
     result = LocalDecomposition(
         target=n,

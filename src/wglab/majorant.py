@@ -340,7 +340,7 @@ def _prime_power_sequence(
     values = np.zeros(N)
     values[ns - 1] = _weights(W, sigma, k, ps[hit])
     spec = None if subset is None else subset.spec
-    return WeightedSequence(values=values, kind=kind, W=W.value, b=b % W.value, k=k, subset=spec)
+    return WeightedSequence(values=values, kind=kind, W=W.value, b=b, k=k, subset=spec)
 
 
 def build_nu(
@@ -383,7 +383,7 @@ def build_mu(W: FactoredModulus, b: int, k: int, N: int):
     ns, hit = _hits(xs, k, Wv, b, N)
     values = np.zeros(N)
     values[ns - 1] = (1.0 / sigma) * k * xs[hit].astype(np.float64) ** (k - 1)
-    mu = WeightedSequence(values=values, kind="mu", W=Wv, b=b % Wv, k=k)
+    mu = WeightedSequence(values=values, kind="mu", W=Wv, b=b, k=k)
 
     def psi_of(phi: WeightedSequence) -> WeightedSequence:
         if phi.N != N:
@@ -396,9 +396,7 @@ def build_mu(W: FactoredModulus, b: int, k: int, N: int):
                 f"rescaled sequence exceeds the envelope at n = {n0}: "
                 f"{psi_vals[bad[0]]:.6g} > {mu.values[bad[0]]:.6g}"
             )
-        return WeightedSequence(
-            values=psi_vals, kind="psi", W=Wv, b=b % Wv, k=k, subset=phi.subset
-        )
+        return WeightedSequence(values=psi_vals, kind="psi", W=Wv, b=b, k=k, subset=phi.subset)
 
     return mu, psi_of
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_arith import FactoredModulus, LimitExceededError, rational_approx, require_bytes
-from .local_structure import sigma_b
+from .local_structure import _vector_pow_mod, sigma_b
 from .majorant import KIND_CODES, WeightedSequence
 
 __all__ = [
@@ -319,7 +319,10 @@ def major_arc_model(
     """
     Wv = W.value
     sigma = sigma_b(W, k, b)
-    zs = [z for z in range(1, Wv + 1) if math.gcd(z, Wv) == 1 and pow(z, k, Wv) == b % Wv]
+    # the roots of the unit b are units, and 0 is never one
+    zs = np.flatnonzero(_vector_pow_mod(Wv, k) == b % Wv).tolist()
+    if len(zs) != sigma:
+        raise RuntimeError(f"{len(zs)} roots of z^k = {b} (mod {Wv}), sigma(b) = {sigma}")
     Wq = W.scaled_by(FactoredModulus.from_value(q))
     coef = W.euler_phi / (Wq.euler_phi * sigma)
     total = sum(exp_sum_Sstar(q, a, W, k, b, z).value for z in zs)

@@ -381,32 +381,6 @@ class TestLocalDecompose:
                     else:
                         assert got == pytest.approx(best[n], abs=1e-9)
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(1, 7),
-        st.lists(st.floats(0.0, 0.99), min_size=8, max_size=8),
-        st.integers(0, 3),
-        st.integers(1, 9),
-    )
-    def test_running_maximum_equals_layered_dp(self, mi, weights, zeroed, s):
-        """Every optimum equals the old DP's, which kept |support| rolled
-        layers a round and reduced them with np.maximum.reduce."""
-        m = (16, 21, 13, 11, 15, 35, 45)[mi - 1]
-        units = sorted(power_residues(fm(m), 2).unit_residues)
-        f = {b: (0.0 if i < zeroed else weights[i]) for i, b in enumerate(units)}
-        support = [b for b in units if f[b] > 0]
-        dp = np.full((s + 1, m), -np.inf)
-        dp[0][0] = 0.0
-        for i in range(1, s + 1):
-            if support:
-                dp[i] = np.maximum.reduce([np.roll(dp[i - 1], b) + f[b] for b in support])
-        for n in range(m):
-            res = local_decompose(fm(m), 2, s, n, f)
-            if isinstance(res, LocalDecomposition):
-                assert res.total == pytest.approx(dp[s][n], abs=1e-9)
-                continue
-            assert (-np.inf if res.optimum is None else res.optimum) == dp[s][n]
-
     def test_cell_cap_refuses_before_allocating(self):
         W = compute_W(5, 2)  # 810000 states, 13500 unit squares: 4.8e11 cells at s = 44
         f = {b: 0.6 for b in power_residues(W, 2).unit_residues}
@@ -420,6 +394,76 @@ class TestLocalDecompose:
             tracemalloc.stop()
         assert time.perf_counter() - t0 < 5
         assert peak < 16 << 20
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from((16, 21, 13, 11, 15, 35, 45, 1296)), st.integers(1, 12), st.data())
+    def test_live_rounds_equal_roll_loop(self, m, s, data):
+        """Every target's result is bit-equal to the roll-loop kernel's, ties
+        and unreachable targets included (float repr round-trips exactly)."""
+        units = sorted(power_residues(fm(m), 2).unit_residues)
+        weight = st.one_of(st.just(0.0), st.sampled_from((0.3, 0.5, 0.6)), st.floats(0.01, 0.99))
+        weights = data.draw(st.lists(weight, min_size=len(units), max_size=len(units)))
+        zeroed = data.draw(st.integers(0, len(units)))  # len(units): empty support
+        f = {b: (0.0 if i < zeroed else w) for i, (b, w) in enumerate(zip(units, weights))}
+        want = _roll_loop_decompose(m, s, f)
+        for n in range(m):
+            assert repr(local_decompose(fm(m), 2, s, n, f)) == repr(want(n))
+
+    def test_gather_runs_in_blocks(self):
+        """The per-round gather stays a bounded temporary beside the table."""
+        W = compute_W(5, 2)  # 810000 states
+        units = sorted(power_residues(W, 2).unit_residues)
+        kept = set(random.Random(8).sample(units, 100))  # 26540 live states in round 3
+        f = {b: (0.6 if b in kept else 0.0) for b in units}
+        s = 3  # 3 * 100 * 810000 = 2.43e8 cells, under the cap
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            res = local_decompose(W, 2, s, 3, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - t0 < 1
+        assert isinstance(res, LocalDecomposition)
+        assert peak <= (s + 1) * W.value * 8 + (4 << 20)
+
+
+def _roll_loop_decompose(m, s, f):
+    """local_decompose's former kernel, as a map from each target to its
+    result: one np.roll, add and np.maximum pass per part a round over all
+    m states, and a scalar backtrack that takes the smallest residue within
+    1e-12."""
+    support = sorted(b for b in f if f[b] > 0)
+    dp = np.full((s + 1, m), -np.inf)
+    dp[0][0] = 0.0
+    for i in range(1, s + 1):
+        for b in support:
+            np.maximum(dp[i], np.roll(dp[i - 1], b) + f[b], out=dp[i])
+
+    def decompose(n):
+        optimum = float(dp[s][n])
+        if optimum == -np.inf:
+            return DecompositionFailure(target=n, modulus=m, optimum=None)
+        if optimum <= s / 2:
+            return DecompositionFailure(target=n, modulus=m, optimum=optimum)
+        parts, r = [], n
+        for i in range(s, 0, -1):
+            for b in support:
+                cand = dp[i - 1][(r - b) % m] + f[b]
+                if cand == dp[i][r] or abs(cand - dp[i][r]) <= 1e-12:
+                    parts.append(b)
+                    r = (r - b) % m
+                    break
+        parts = parts[::-1]
+        return LocalDecomposition(
+            target=n,
+            modulus=m,
+            parts=parts,
+            values=[f[b] for b in parts],
+            total=float(sum(f[b] for b in parts)),
+        )
+
+    return decompose
 
 
 class TestBitHelpers:

@@ -131,6 +131,20 @@ class TestBuildNu:
         assert nu.Y == math.isqrt(16 * 4096 + 1)
         assert nu.L == pytest.approx(0.5 * math.log(16 * 4096 + 16))
 
+    def test_b_past_w_stored_as_given(self, tmp_path):
+        """The header's b is the b of x^k = W n + b that placed the weights."""
+        subset = gen_subset(SubsetSpec.all(), 300)
+        nu = build_nu(self.W, 17, 2, 64)
+        assert nu.b == 17
+        assert nu.support().tolist() == [2, 17, 32, 59]  # 7^2, 17^2, 23^2, 31^2 = 16 n + 17
+        assert nu.Y == math.isqrt(16 * 64 + 17)
+        assert build_f(self.W, 17, 2, 64, subset).b == 17
+        mu, psi_of = build_mu(self.W, 17, 2, 64)
+        assert mu.b == psi_of(nu).b == 17
+        path = tmp_path / "nu.bin"
+        nu.to_binary(path)
+        assert WeightedSequence.from_binary(path).b == 17
+
 
 class TestBuildF:
     def setup_method(self):
@@ -387,7 +401,7 @@ class TestOneWeightKernel:
         assert nu.values.tobytes() == _old_prime_weights(W, b, k, N).tobytes()
         assert f.values.tobytes() == _old_prime_weights(W, b, k, N, subset.members).tobytes()
         assert mu.values.tobytes() == _old_mu(W, b, k, N).tobytes()
-        assert nu.b == f.b == mu.b == b % W.value
+        assert nu.b == f.b == mu.b == b  # stored as given, also past W
         report = mean_g(W, k, N, subset)
         per_b, aggregate = _old_means(W, k, N, subset)
         assert list(report.per_b.items()) == list(per_b.items())
