@@ -213,7 +213,7 @@ def exp_sum_Sstar(
     if pow(z, k, Wv) != b % Wv:
         raise ValueError(f"z^k = {pow(z, k, Wv)} (mod W) but b = {b % Wv}")
     value = _complete_sum(q, a, Wv, k, z, b)
-    return ExpSumValue(q=q, a=a, z=z, W=Wv, k=k, b=b % Wv, value=value)
+    return ExpSumValue(q=q, a=a, z=z, W=Wv, k=k, b=b, value=value)
 
 
 def _complete_sum(m: int, a: int, W: int, k: int, z: int, c: int) -> complex:
@@ -315,14 +315,16 @@ def major_arc_model(
     """Main-term prediction for the transform of nu near a/q.
 
     phi(W) / (phi(Wq) sigma(b)) times the z-sum of the complete exponential
-    sums, times the interval integral at offset beta.
+    sums, times the interval integral at offset beta.  b is taken as given,
+    as the sequences store it: b + m W, whose weights sit m places lower,
+    multiplies every complete sum by e(-a m / q).
     """
     Wv = W.value
     sigma = sigma_b(W, k, b)
-    # the roots of the unit b are units, and 0 is never one
+    # the roots of the unit b are units, and 0 is never one; sigma_b counts
+    # the same power table, so the assert guards only this extraction
     zs = np.flatnonzero(_vector_pow_mod(Wv, k) == b % Wv).tolist()
-    if len(zs) != sigma:
-        raise RuntimeError(f"{len(zs)} roots of z^k = {b} (mod {Wv}), sigma(b) = {sigma}")
+    assert len(zs) == sigma
     Wq = W.scaled_by(FactoredModulus.from_value(q))
     coef = W.euler_phi / (Wq.euler_phi * sigma)
     total = sum(exp_sum_Sstar(q, a, W, k, b, z).value for z in zs)

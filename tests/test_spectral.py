@@ -274,6 +274,25 @@ class TestMajorArcModel:
         assert res == pytest.approx(abs(nu.total() - 4096) / 4096, rel=1e-9)
         assert model == pytest.approx(4096)
 
+    def test_residual_for_b_past_W(self):
+        # b = 1 + 2W puts every weight 2 places lower than b = 1 does (n = 1
+        # and 2 carry none there), and each complete sum turns by e(-2a/q)
+        N, m = 4096, 2
+        seq = build_nu(self.W, 1 + m * 16, 2, N)
+        base = build_nu(self.W, 1, 2, N + m)
+        assert seq.b == 33
+        assert not base.values[:m].any()
+        np.testing.assert_array_equal(seq.values, base.values[m:])
+        assert exp_sum_Sstar(3, 1, self.W, 2, 33, 1).b == 33
+        for q, a in ((1, 0), (3, 1), (5, 2), (8, 3)):
+            turn = cmath.exp(-2j * cmath.pi * a * m / q)
+            model_1 = major_arc_model(q, a, 0.0, self.W, 2, 1, N)
+            hat_1 = transform_at(base, a / q)
+            res, hat, model = major_arc_residual(seq, q, a)
+            assert model == pytest.approx(turn * model_1, rel=1e-9, abs=1e-9)
+            assert hat == pytest.approx(turn * hat_1, rel=1e-9)
+            assert res == pytest.approx(abs(hat_1 - model_1) / N, rel=1e-9, abs=1e-12)
+
 
 class TestGauge:
     def test_indicator_gauge_is_zero(self):
