@@ -215,6 +215,9 @@ class ConvolutionProfile:
     the paper's congruence condition n = s (mod R_k) when every sequence
     shares one W > 0 and k, and every window target when W = 0.
     kappa = epsilon/32 fixes the window ((1-kappa^2) sN/2, (1+kappa) sN/2).
+    The values come from a cyclic grid sized to the window (see
+    transference_gauge), on which no position wraps into the window, so
+    they equal the linear convolution's up to FFT rounding.
     """
 
     s: int
@@ -245,6 +248,21 @@ class ConvolutionProfile:
         return json.dumps(d, sort_keys=True, indent=2) + "\n"
 
 
+def _smooth_above(n: int) -> int:
+    """The least 2^a 3^b 5^c strictly above n."""
+    best = 1 << n.bit_length()
+    p5 = 1
+    while p5 <= n:
+        p35 = p5
+        while p35 <= n:
+            # the least p35 * 2^a above n
+            best = min(best, p35 << (n // p35).bit_length())
+            p35 *= 3
+        best = min(best, p35)
+        p5 *= 5
+    return min(best, p5)
+
+
 def transference_gauge(f_list: list[WeightedSequence], epsilon: float = 0.1) -> ConvolutionProfile:
     """Convolve s nonnegative sequences and gauge the window minimum over
     the admissible targets.
@@ -256,14 +274,25 @@ def transference_gauge(f_list: list[WeightedSequence], epsilon: float = 0.1) -> 
     minimum (but kept in values and in the negativity check).  With W = 0
     every window target is admissible.
 
+    The cyclic grid is the least 2^a 3^b 5^c strictly above both hi and
+    sN - lo, for the window [lo, hi], not a grid that holds the whole
+    linear convolution.  The window is still exact: the convolution lives
+    on [s, sN], a grid above hi keeps the window in the array and folds no
+    negative position onto it, and a grid above sN - lo sends every
+    position that would wrap onto the window past sN, where the
+    convolution is zero.  Since sN - lo >= N, the grid also holds each
+    padded sequence.
+
     Works on the normalized transforms (each sequence divided by N) so the
     pointwise product of s spectra stays O(1); the inverse transform is
     rescaled back by N^(s-1).  Also records whether the two mean
     hypotheses hold: every mean above epsilon/2, and the mean sum above
     s(1+epsilon)/2.  A warning flag is raised when the gauge sits
     more than six decimal digits below the crude transform-mass bound,
-    meaning the computed digits are mostly cancellation.
-    Its peak, measured at 5.5 to 6.06 float64 grids of transforms and
+    sum |P| / grid * N over the spectrum P on that same grid, which bounds
+    every window value of nonnegative sequences; below it the computed
+    digits are mostly cancellation.
+    Its peak, measured at 5.5 to 6.13 float64 grids of transforms and
     products, is priced at 6.5 grids against MEMORY_BUDGET before anything
     is allocated.
     """
@@ -276,7 +305,9 @@ def transference_gauge(f_list: list[WeightedSequence], epsilon: float = 0.1) -> 
     if any(f.N != N for f in f_list):
         raise ValueError("all sequences must share one length")
     kappa = epsilon / 32.0
-    grid = 1 << (s * N + 2).bit_length()
+    lo = math.floor((1 - kappa**2) * s * N / 2) + 1
+    hi = math.ceil((1 + kappa) * s * N / 2) - 1
+    grid = _smooth_above(max(hi, s * N - lo))
     require_bytes(6.5 * 8 * grid, "transference_gauge")
     # group equal arrays, in first-occurrence order, so repeated factors
     # cost one FFT each
@@ -296,8 +327,6 @@ def transference_gauge(f_list: list[WeightedSequence], epsilon: float = 0.1) -> 
         term = ft**mult
         prod = term if prod is None else prod * term
     conv_scaled = np.fft.irfft(prod, grid) * N  # convolution / N^(s-1)
-    lo = math.floor((1 - kappa**2) * s * N / 2) + 1
-    hi = math.ceil((1 + kappa) * s * N / 2) - 1
     window_vals = conv_scaled[lo : hi + 1].copy()
     mass_bound = float(np.sum(np.abs(prod)) / grid * N)
     noise_floor = 1e-12 * max(mass_bound, 1.0)

@@ -435,12 +435,13 @@ class TestMemoryBudget:
         )
 
     def test_transfer(self, capsys):
-        # 44 N = 44 * 2^22 points pad to a 2^28-point grid
+        # the window around 44 * 2^22 / 2 ends at 92,563,046, under a
+        # 93,312,000-point grid
         argv = "transfer --w 3 --s 44 --n 4194304".split()
         assert run_cli(capsys, *argv) == (
             2,
             "",
-            "error: transference_gauge needs about 13 GiB, over the memory budget of 4 GiB\n",
+            "error: transference_gauge needs about 4.52 GiB, over the memory budget of 4 GiB\n",
         )
 
 

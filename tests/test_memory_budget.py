@@ -99,12 +99,14 @@ def sizes_count(monkeypatch):
 
 
 def sizes_transference(monkeypatch):
-    # stride-0 sequences: at s = 2 the grid goes from 2^26 points to 2^27
+    # stride-0 sequences: at s = 2 the window's top hi goes from 82,012,499
+    # to 82,012,500 = 2^2 3^8 5^5, so the grid, the least 5-smooth integer
+    # above hi, goes from 82,012,500 points to 82,944,000
     def gauge(N):
         f = WeightedSequence(values=np.broadcast_to(0.5, N), kind="custom", W=0, b=0, k=0)
         return lambda: transference_gauge([f, f])
 
-    return gauge(1000), gauge((1 << 25) - 2), gauge((1 << 25) - 1)
+    return gauge(1000), gauge(81_757_009), gauge(81_757_010)
 
 
 SIZES = {

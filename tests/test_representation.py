@@ -1,17 +1,21 @@
+import bisect
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wglab import representation
 from wglab.bitsets import bits_from, line_power, window_flags
 from wglab.core_arith import compute_Rk, compute_W
 from wglab.local_structure import LocalDecomposition, local_decompose
 from wglab.majorant import SubsetSpec, WeightedSequence, build_f, gen_subset, mean_g
 from wglab.representation import (
     FFTPrecisionError,
+    _smooth_above,
     admissible_filter,
     count_representations,
     coverage_probe,
@@ -349,6 +353,177 @@ class TestGaugeGrouping:
                 assert padded[1 : N + 1].tobytes() == (v / N).tobytes()
         assert prof_shared.values.tobytes() == prof_copies.values.tobytes()
         assert prof_shared.gauge == prof_copies.gauge
+
+
+def window_of(s, N, epsilon=0.1):
+    """The gauge's window [lo, hi], by the formula of its docstring."""
+    kappa = epsilon / 32
+    return math.floor((1 - kappa**2) * s * N / 2) + 1, math.ceil((1 + kappa) * s * N / 2) - 1
+
+
+SMOOTH = sorted(
+    2**a * 3**b * 5**c
+    for a in range(20)
+    for b in range(13)
+    for c in range(9)
+    if 2**a * 3**b * 5**c <= 1 << 20
+)
+
+
+def smooth_above(n):
+    """The least 5-smooth integer above n, from the enumerated list."""
+    return SMOOTH[bisect.bisect_right(SMOOTH, n)]
+
+
+def gauge_grid(f_list):
+    """The grid transference_gauge prices, stopped before anything is allocated."""
+
+    class Priced(Exception):
+        pass
+
+    def priced(estimate, what):
+        raise Priced(estimate)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(representation, "require_bytes", priced)
+        with pytest.raises(Priced) as info:
+            transference_gauge(f_list)
+    return round(info.value.args[0] / (6.5 * 8))
+
+
+def gauge_inputs(kind, s, N, seed):
+    """s sequences of one kind: the interval indicator, random nonnegative
+    weights, or w = 2 arithmetic f_b, which live on one class mod 3 each."""
+    rng = np.random.default_rng(seed)
+    if kind == "indicator":
+        return [WeightedSequence.indicator(N)] * s
+    if kind == "random":
+        return [
+            WeightedSequence(values=rng.random(N), kind="custom", W=0, b=0, k=0) for _ in range(s)
+        ]
+    W = compute_W(2, 2)
+    sub = all_primes(math.isqrt(W.value * N + W.value) + 1)
+    return [build_f(W, int(b), 2, N, sub) for b in rng.choice([1, 9], s)]
+
+
+class TestGaugeGrid:
+    """transference_gauge convolves on the least 5-smooth grid above both
+    the window top hi and sN - lo; nothing wraps into the window."""
+
+    def test_smooth_above_is_least_5_smooth(self):
+        def smooth(m):
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+
+        brute = []
+        m = 1
+        for n in range(10**4 + 1):
+            while m <= n or not smooth(m):
+                m += 1
+            brute.append(m)
+        assert [_smooth_above(n) for n in range(10**4 + 1)] == brute
+        assert [smooth_above(n) for n in range(10**4 + 1)] == brute
+
+    def test_rule_clears_the_window_everywhere(self):
+        s = np.arange(2, 65)[:, None]
+        N = np.arange(1, 4097)[None, :]
+        kappa = 0.1 / 32
+        lo = np.floor((1 - kappa**2) * s * N / 2).astype(np.int64) + 1
+        hi = np.ceil((1 + kappa) * s * N / 2).astype(np.int64) - 1
+        assert lo[0, 0] == 1 and (lo[61, 4095], hi[61, 4095]) == window_of(63, 4096)
+        table = np.array(SMOOTH)
+        grid = table[np.searchsorted(table, np.maximum(hi, s * N - lo), side="right")]
+        assert (grid > hi).all() and (grid > s * N - lo).all() and (grid > N).all()
+        # the window top matters: a grid above hi - s alone would cut it
+        short = table[np.searchsorted(table, np.maximum(hi - s, s * N - lo), side="right")]
+        cut = short <= hi
+        # s = 2, N = 323: the window is [323, 324], and the least 5-smooth
+        # integer above hi - s = 322 and sN - lo = 323 is 324 = hi
+        assert cut[0, 323 - 1]
+        assert cut.sum() > 10**4
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 64), st.integers(1, 4096))
+    @example(2, 323)
+    @example(2, 1)
+    @example(64, 4096)
+    def test_gauge_uses_the_rule(self, s, N):
+        f = WeightedSequence(values=np.broadcast_to(0.5, N), kind="custom", W=0, b=0, k=0)
+        lo, hi = window_of(s, N)
+        grid = gauge_grid([f] * s)
+        assert grid == smooth_above(max(hi, s * N - lo))
+        assert grid > hi and grid > s * N - lo and grid > N
+
+    @pytest.mark.parametrize("s, N, pattern", [(7, 500, "abacbaa"), (44, 1000, "a"), (2, 1, "ab")])
+    def test_one_rfft_per_distinct_sequence_one_irfft(self, monkeypatch, s, N, pattern):
+        rng = np.random.default_rng(5)
+        arrays = {c: rng.random(N) for c in set(pattern)}
+        parts = (pattern * s)[:s]
+        f_list = [WeightedSequence(values=arrays[c], kind="custom", W=0, b=0, k=0) for c in parts]
+        lo, hi = window_of(s, N)
+        grid = smooth_above(max(hi, s * N - lo))
+        lengths = {"rfft": [], "irfft": []}
+        for name in lengths:
+            real = getattr(np.fft, name)
+
+            def recorded(a, n=None, *args, real=real, name=name, **kwargs):
+                lengths[name].append(np.shape(a)[-1] if n is None else n)
+                return real(a, n, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, recorded)
+        prof = transference_gauge(f_list)
+        assert prof.window == (lo, hi)
+        assert lengths == {"rfft": [grid] * len(set(parts)), "irfft": [grid]}
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["indicator", "random", "w2"]),
+        st.integers(2, 8),
+        st.integers(1, 300),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_window_equals_direct_convolution(self, kind, s, N, seed):
+        f_list = gauge_inputs(kind, s, N, seed)
+        prof = transference_gauge(f_list)
+        lo, hi = prof.window
+        assert (lo, hi) == window_of(s, N)
+        padded = [np.concatenate(([0.0], f.values)) for f in f_list]
+        conv = functools.reduce(np.convolve, padded) / N ** (s - 1)
+        want = conv[lo : hi + 1]
+        assert prof.values.shape == want.shape
+        if not want.size:
+            return
+        # 1e-12 of the window maximum; a window with no representation at
+        # all (sparse w = 2 sequences at small N) is held to 1e-12 of the
+        # whole convolution's maximum instead
+        scale = want.max() if want.max() > 0 else conv.max()
+        assert np.abs(prof.values - want).max() <= 1e-12 * scale
+        if kind == "w2" and want.max() > 0:
+            n = f_list[0].W * np.arange(lo, hi + 1) + sum(f.b for f in f_list)
+            off = ~admissible_filter(n, s, 2)
+            assert (prof.values[off] <= 1e-9 * want.max()).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["indicator", "random"]), st.integers(2, 8), st.integers(1, 2000))
+    def test_same_profile_as_power_of_two_grid(self, kind, s, N):
+        f_list = gauge_inputs(kind, s, N, seed=N)
+        new = transference_gauge(f_list)
+        with pytest.MonkeyPatch.context() as m:
+            # the old grid: the next power of two above the whole convolution
+            m.setattr(representation, "_smooth_above", lambda n: 1 << (s * N + 2).bit_length())
+            old = transference_gauge(f_list)
+        assert new.window == old.window
+        assert new.means == old.means
+        assert (new.mean_each_ok, new.mean_sum_ok) == (old.mean_each_ok, old.mean_sum_ok)
+        if new.window[0] >= s:
+            assert math.isclose(new.gauge, old.gauge, rel_tol=1e-12)
+        else:
+            # the window starts below s, where no sum of s positive integers
+            # lands: both gauges are 0 up to rounding of the total mass
+            mass = N * math.prod(new.means)
+            assert new.gauge <= 1e-12 * mass and old.gauge <= 1e-12 * mass
 
 
 class TestThresholds:
