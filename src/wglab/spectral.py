@@ -56,6 +56,145 @@ def _zero_padded(values: np.ndarray, M: int) -> np.ndarray:
     return arr
 
 
+# most cells of the half grid formed by one matrix product (256 KiB of
+# complex X); blocks of 2^13 to 2^16 cells ran within host noise of it
+_PRODUCT_BLOCK = 1 << 14
+# multiply-adds in one real matrix product.  OpenBLAS 0.3.31 (numpy 2.4's
+# wheels) runs a product of up to 100 x 100 x 100 on the calling thread;
+# on a 2-core VM each threaded call whose worker had gone idle stalled for
+# 7-16 ms, so a lone gauge at M = 2^15 took 16 ms against 0.5 ms.
+_SERIAL_MACS = 10**6
+
+
+def _use_product(S: int, M: int) -> bool:
+    """Whether the half-grid product beats the rfft for S support points on
+    a grid of M points: M >= 2^15 and 64 S^2 <= min(M, 2^18), fitted to a
+    sweep of both paths over M = 2^14..2^24 and S = 2..512.  Below 2^15
+    points the rfft costs less than the product's fixed steps; from 2^18
+    points on, the product passes the rfft's cost near S = 64 to 96."""
+    return M >= 1 << 15 and 64 * S * S <= min(M, 1 << 18)
+
+
+def _half_grid_shape(S: int, M: int) -> tuple[int, int, int, int]:
+    """Bins j = 0..M//2 as j = u T + t for S support points: the bin
+    count, T, the row count and the rows of one block.  A block holds at
+    most min(_PRODUCT_BLOCK, _SERIAL_MACS / 4S) cells, so that its real
+    product, 4 S multiply-adds a cell, stays on the calling thread.  T is
+    the power of two at or above the bin count's square root, halved
+    until a block holds 16 rows: products of one or two rows ran 2-4 times
+    slower per multiply-add."""
+    half = M // 2 + 1
+    block = min(_PRODUCT_BLOCK, _SERIAL_MACS // max(4 * S, 1))
+    T = 1 << ((half - 1).bit_length() + 1) // 2
+    while T > 1 and 16 * T > block:
+        T //= 2
+    return half, T, -(-half // T), max(1, block // T)
+
+
+def _product_bytes(S: int, M: int, block_words: int) -> float:
+    """Peak of the product path: E with its int64 phases, cos, sin and
+    real form (48 bytes a cell), one block's A likewise, the rank-two
+    factors, then block_words float64 arrays the size of one block."""
+    _, T, rows, step = _half_grid_shape(S, M)
+    return 48.0 * S * (step + T) + 64.0 * (rows + T) + 8.0 * block_words * step * T
+
+
+def _cos_sin(p: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of pi p / M, the phase e(-p / 2M) = cos - i sin, for
+    exact integer numerators p in [0, 2M)."""
+    angle = p * (math.pi / M)
+    return np.cos(angle), np.sin(angle)
+
+
+def _price_product(S: int, M: int, block_words: int, what: str) -> None:
+    """Refuse a product path before it allocates: its exact int64 phases
+    need 2 M^2 < 2^63, and its peak must fit MEMORY_BUDGET."""
+    if 2 * M * M >= 1 << 63:
+        raise LimitExceededError(f"{what} on M = {M} needs 2M^2 < 2^63 for exact phases")
+    require_bytes(_product_bytes(S, M, block_words), what)
+
+
+def _half_grid_product(c: np.ndarray, w: np.ndarray, M: int):
+    """X(j) = sum_s w_s e(-c_s j / 2M) on the bins j = 0..M//2, by blocks.
+
+    With j = u T + t, X is the matrix product of A[u, s] = w_s e(-c_s u T /
+    2M) and E[s, t] = e(-c_s t / 2M); each block forms its own rows of A.
+    Every phase numerator is reduced mod 2M as an exact int64 before any
+    cos or sin.  A block is one real product on the calling thread (see
+    _SERIAL_MACS): [Re A | Im A] times the 2S x 2T matrix whose columns 2t
+    and 2t + 1 give Re X and Im X, so the result reads as complex X with
+    no copy.  Yields (j0, X) with X the bins j0, j0 + 1, ... of one block,
+    flattened and cut at M//2.
+    """
+    S = len(c)
+    half, T, rows, step = _half_grid_shape(S, M)
+    c = np.asarray(c, dtype=np.int64) % (2 * M)
+    cos_t, sin_t = _cos_sin(np.outer(c, np.arange(T, dtype=np.int64)) % (2 * M), M)
+    E = np.empty((2 * S, 2 * T))
+    E[:S, 0::2], E[S:, 0::2] = cos_t, sin_t
+    E[:S, 1::2], E[S:, 1::2] = -sin_t, cos_t
+    del cos_t, sin_t
+    for u0 in range(0, rows, step):
+        uT = np.arange(u0 * T, min(u0 + step, rows) * T, T, dtype=np.int64)
+        cos_u, sin_u = _cos_sin(np.outer(uT, c) % (2 * M), M)
+        A = np.concatenate([w * cos_u, -w * sin_u], axis=1)
+        j0 = u0 * T
+        yield j0, (A @ E).view(complex).ravel()[: half - j0]
+
+
+def _sin_rank_two(numerators, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """sin(pi (p_u + q_t) / M) over j = u T + t as L @ R, with L of shape
+    (rows, 2) and R of shape (2, T): sin(a + b) = sin a cos b + cos a sin b.
+    numerators are the exact integers (p_u, q_t), each reduced mod 2M."""
+    (cos_a, sin_a), (cos_b, sin_b) = (_cos_sin(p, M) for p in numerators)
+    return np.stack([sin_a, cos_a], axis=1), np.stack([cos_b, sin_b])
+
+
+def _gauge_by_product(nu: WeightedSequence, M: int) -> tuple[float, int]:
+    """max_j |X_nu(j) - X_interval(j)| over j <= M//2 and its first argmax.
+
+    Both transforms turn by the separable phase e((N + 1) j / 2M): nu's
+    moves into the product's phases, and the interval's becomes the real
+    Dirichlet kernel sin(pi N j / M) / sin(pi j / M), exactly N at j = 0.
+    Its numerator and denominator are each a rank-two product over (u, t).
+    """
+    N = nu.N
+    idx = np.flatnonzero(nu.values)
+    _, T, rows, _ = _half_grid_shape(len(idx), M)
+    uT = np.arange(0, rows * T, T, dtype=np.int64)
+    t = np.arange(T, dtype=np.int64)
+    num_u, num_t = _sin_rank_two((N * uT % (2 * M), N * t % (2 * M)), M)
+    den_u, den_t = _sin_rank_two((uT, t), M)
+    best, arg = -1.0, 0
+    for j0, X in _half_grid_product(2 * idx + 1 - N, nu.values[idx], M):
+        u = slice(j0 // T, -(-(j0 + len(X)) // T))
+        top = (num_u[u] @ num_t).ravel()[: len(X)]
+        bottom = (den_u[u] @ den_t).ravel()[: len(X)]
+        if j0 == 0:
+            top[0], bottom[0] = N, 1.0
+        X.real -= top / bottom
+        mag = np.abs(X)
+        k = int(mag.argmax())
+        if mag[k] > best:
+            best, arg = float(mag[k]), j0 + k
+    return best, arg
+
+
+def _restriction_sum_by_product(seq: WeightedSequence, exponent: float, M: int) -> float:
+    """sum over the full grid of |X(j)|^exponent from the bins j <= M//2."""
+    idx = np.flatnonzero(seq.values)
+    half = M // 2 + 1
+    total = 0.0
+    for j0, X in _half_grid_product(2 * idx + 2, seq.values[idx], M):
+        mag = np.abs(X) ** exponent
+        total += 2.0 * mag.sum()
+        if j0 == 0:
+            total -= mag[0]
+        if M % 2 == 0 and j0 + len(mag) == half:
+            total -= mag[-1]
+    return total
+
+
 @dataclass
 class Spectrum:
     """Samples of a sequence's Fourier transform on the grid j/M.
@@ -383,11 +522,26 @@ def pseudorandom_gauge(
 ) -> GaugeReport:
     """Grid maximum of |transform(nu) - transform(interval)| / N.
 
-    By linearity this is one real FFT: nu - 1 at n = 1..N, zero-padded to
-    M, through np.fft.rfft; its peak of 2.6 float64 grids is priced against
-    MEMORY_BUDGET first.  Real input has |X(j)| = |X(M - j)|, so the
-    maximum is taken over bins 0..M/2 and the argmax is canonical:
-    argmax_j <= M/2 and argmax_alpha lies in [0, 1/2].
+    By linearity this is the transform of nu - 1 at n = 1..N.  Real input
+    has |X(j)| = |X(M - j)|, so the maximum is taken over bins 0..M/2 and
+    the argmax, the first index of the maximum, is canonical: argmax_j <=
+    M/2 and argmax_alpha lies in [0, 1/2].  One of two paths computes it,
+    chosen from the support size S of nu and M alone:
+
+    - M >= 2^15 and 64 S^2 <= min(M, 2^18): a blocked matrix product
+      over the S support points (_half_grid_product).  Both transforms
+      turn by the phase e((N + 1) j / 2M), which moves into the product's
+      phases and makes the interval's transform the real Dirichlet kernel
+      sin(pi N j / M) / sin(pi j / M), exactly N at j = 0; its sines are
+      rank-two products.  Every phase numerator is reduced mod 2M as an
+      exact int64 before any cos or sin, so M with 2 M^2 >= 2^63 is
+      refused.  The peak, E, the rank-two factors and one block of at
+      most 2^14 cells, is priced first.
+    - otherwise one real FFT: nu - 1 zero-padded to M, through
+      np.fft.rfft; its peak of 2.6 float64 grids is priced first.
+
+    Both agree to rounding; prices go to MEMORY_BUDGET before any
+    allocation.
 
     The argmax frequency is classified into major/minor arcs using the
     first exponent in sigma_chain that yields a nondegenerate P < Q; the
@@ -398,12 +552,19 @@ def pseudorandom_gauge(
         M = default_grid(N)
     if M < 2 * N:
         raise ValueError(f"grid M = {M} must be >= 2N = {2 * N}")
-    require_bytes(2.6 * 8 * M, "pseudorandom_gauge")
-    arr = _zero_padded(nu.values, M)
-    arr[1 : N + 1] -= 1.0
-    diff = np.abs(np.fft.rfft(arr))
-    j = int(diff.argmax())
-    D = float(diff[j]) / N
+    S = int(np.count_nonzero(nu.values))
+    if _use_product(S, M):
+        # X, the Dirichlet kernel's numerator, denominator and quotient, |X|
+        _price_product(S, M, 6, "pseudorandom_gauge")
+        peak, j = _gauge_by_product(nu, M)
+    else:
+        require_bytes(2.6 * 8 * M, "pseudorandom_gauge")
+        arr = _zero_padded(nu.values, M)
+        arr[1 : N + 1] -= 1.0
+        diff = np.abs(np.fft.rfft(arr))
+        j = int(diff.argmax())
+        peak = float(diff[j])
+    D = peak / N
     arc = None
     sigma_used = None
     if nu.W > 1:
@@ -460,11 +621,15 @@ def restriction_norm(
 ) -> RestrictionReport:
     """Riemann-grid L^exponent norm of the spectrum, and K = norm/N^(1-1/q).
 
-    One real FFT of length M through np.fft.rfft; its peak of two float64
-    grids is priced against MEMORY_BUDGET first.
     Real input has |X(j)| = |X(M - j)|, so the full-grid sum counts bin 0
     once, bin M/2 once when M is even, and every other (interior) bin of
-    the half spectrum twice.
+    the half spectrum twice.  The half spectrum comes from the same rule
+    and paths as pseudorandom_gauge's: for M >= 2^15 and 64 S^2 <= min(M,
+    2^18), with S the support size, the blocked half-grid matrix product
+    with exact phases reduced mod 2M (2 M^2 >= 2^63 refused); otherwise
+    one real FFT of length M through np.fft.rfft, whose peak of two
+    float64 grids is priced against MEMORY_BUDGET first, as is the
+    product's.
 
     Exponents below 2 are rejected; exponent exactly 2 is kept as a
     reference mode where the constant is pinned to 1 for the interval by
@@ -477,11 +642,17 @@ def restriction_norm(
         M = max(default_grid(N), 4 * N)
     if M < 4 * N:
         raise ValueError(f"grid M = {M} must be >= 4N = {4 * N}")
-    require_bytes(2.0 * 8 * M, "restriction_norm")
-    mag = np.abs(np.fft.rfft(_zero_padded(seq.values, M))) ** exponent
-    total = mag[0] + 2.0 * mag[1 : (M + 1) // 2].sum()
-    if M % 2 == 0:
-        total += mag[M // 2]
+    S = int(np.count_nonzero(seq.values))
+    if _use_product(S, M):
+        # X, |X| and its power
+        _price_product(S, M, 4, "restriction_norm")
+        total = _restriction_sum_by_product(seq, exponent, M)
+    else:
+        require_bytes(2.0 * 8 * M, "restriction_norm")
+        mag = np.abs(np.fft.rfft(_zero_padded(seq.values, M))) ** exponent
+        total = mag[0] + 2.0 * mag[1 : (M + 1) // 2].sum()
+        if M % 2 == 0:
+            total += mag[M // 2]
     norm = float((total / M) ** (1.0 / exponent))
     constant = norm / N ** (1.0 - 1.0 / exponent)
     return RestrictionReport(

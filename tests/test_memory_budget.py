@@ -53,11 +53,17 @@ def probed_estimate(monkeypatch, call):
 # the adjacent sizes where the estimate crosses the budget.
 
 
+def _dense(N):
+    """N stride-0 weights: dense, so every grid size takes the FFT path."""
+    return WeightedSequence(values=np.broadcast_to(1.0, N), kind="custom", W=0, b=0, k=0)
+
+
 def _spectral_sizes(monkeypatch, path):
-    seq = WeightedSequence.indicator(64)
-    rate = probed_estimate(monkeypatch, lambda: path(seq, 1024)) / 1024
+    seq = _dense(4096)
+    small = 4 * seq.N
+    rate = probed_estimate(monkeypatch, lambda: path(seq, small)) / small
     over = int(MEMORY_BUDGET / rate) + 1
-    return tuple((lambda M=M: path(seq, M)) for M in (1024, over - 1, over))
+    return tuple((lambda M=M: path(seq, M)) for M in (small, over - 1, over))
 
 
 def sizes_sieve(monkeypatch):
@@ -168,7 +174,10 @@ def _small_calls(name):
         "restriction_norm": lambda nu: restriction_norm(nu, 6.5),
         "dft_spectrum": dft_spectrum,
     }[name]
-    return [lambda nu=build_nu(W, 1, 2, N): path(nu) for N in (1 << 12, 1 << 14)]
+    # build_nu at w = 3 is sparse enough for the product path; a dense
+    # sequence keeps the FFT path's estimate under test too
+    calls = [lambda nu=build_nu(W, 1, 2, N): path(nu) for N in (1 << 12, 1 << 14)]
+    return calls + [lambda: path(_dense(1 << 12))]
 
 
 @pytest.mark.parametrize("name", list(SIZES))

@@ -33,6 +33,7 @@ from wglab.spectral import (
     restriction_norm,
     transform_at,
 )
+from wglab.spectral import _PRODUCT_BLOCK, _SERIAL_MACS, _half_grid_shape, _use_product
 
 
 def fm(n):
@@ -416,7 +417,8 @@ class TestHalfGridKernels:
         assert calls == [("rfft", 4001)]
 
     def test_grid_cap_refuses_before_allocating(self):
-        seq = WeightedSequence.indicator(64)
+        # dense stride-0 weights: a sparse input this size takes the product path
+        seq = WeightedSequence(values=np.broadcast_to(1.0, 4096), kind="custom", W=0, b=0, k=0)
         M = MEMORY_BUDGET // 16 + 1
         tracemalloc.start()
         try:
@@ -426,6 +428,148 @@ class TestHalfGridKernels:
                 pseudorandom_gauge(seq, M)
             with pytest.raises(LimitExceededError):
                 restriction_norm(seq, 6.5, M)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def _rfft_gauge_magnitudes(seq, M):
+    """pseudorandom_gauge's rfft path: |rfft(seq - 1)| on bins 0..M/2."""
+    arr = np.zeros(M)
+    arr[1 : seq.N + 1] = seq.values
+    arr[1 : seq.N + 1] -= 1.0
+    return np.abs(np.fft.rfft(arr))
+
+
+def _rfft_restriction_norm(seq, exponent, M):
+    """restriction_norm's rfft path."""
+    arr = np.zeros(M)
+    arr[1 : seq.N + 1] = seq.values
+    mag = np.abs(np.fft.rfft(arr)) ** exponent
+    total = mag[0] + 2.0 * mag[1 : (M + 1) // 2].sum()
+    if M % 2 == 0:
+        total += mag[M // 2]
+    return float((total / M) ** (1.0 / exponent))
+
+
+def _product_grid(S, M):
+    """The least M * 2^i whose grid takes the product path for S points."""
+    assert _use_product(S, 1 << 40)
+    while not _use_product(S, M):
+        M *= 2
+    return M
+
+
+class TestSparseProduct:
+    """The half-grid product path against the rfft path it replaces."""
+
+    def assert_matches_rfft(self, seq, M, exponent):
+        S = int(np.count_nonzero(seq.values))
+        assert _use_product(S, M) and M >= 2 * seq.N
+        rep = pseudorandom_gauge(seq, M)
+        diff = _rfft_gauge_magnitudes(seq, M)
+        top = diff.max()
+        assert rep.D == pytest.approx(top / seq.N, rel=1e-12)
+        second = np.partition(diff, -2)[-2] if len(diff) > 1 else 0.0
+        if top - second > 1e-9 * top:
+            assert rep.argmax_j == int(diff.argmax())
+        else:
+            assert diff[rep.argmax_j] == pytest.approx(top, rel=1e-9)
+        Mr = M + 2 * seq.N  # restriction_norm needs M >= 4N
+        assert _use_product(S, Mr)
+        norm = restriction_norm(seq, exponent, Mr).norm
+        assert norm == pytest.approx(_rfft_restriction_norm(seq, exponent, Mr), rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        N=st.integers(1, 4096),
+        extra=st.integers(0, 1 << 16),
+        share=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        exponent=st.sampled_from([2.0, 3.0, 6.5]),
+    )
+    def test_random_supports(self, N, extra, share, seed, exponent):
+        M = _product_grid(1, 2 * N) + extra  # even or odd
+        bound = max(S for S in range(1, N + 1) if _use_product(S, M))
+        S = 1 + int(share * (bound - 1))
+        rng = np.random.default_rng(seed)
+        vals = np.zeros(N)
+        vals[rng.choice(N, S, replace=False)] = 0.1 + 10 * rng.random(S)
+        seq = WeightedSequence(values=vals, kind="custom", W=0, b=0, k=0)
+        self.assert_matches_rfft(seq, M, exponent)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        w=st.sampled_from([2, 3]),
+        N=st.integers(64, 4096),
+        pick=st.integers(0, 53),
+        thinned=st.booleans(),
+        extra=st.integers(0, 1 << 14),
+        exponent=st.sampled_from([2.0, 6.5]),
+    )
+    def test_majorant_sequences(self, w, N, pick, thinned, extra, exponent):
+        W = compute_W(w, 2)
+        bs = power_residues(W, 2).unit_sorted
+        b = bs[pick % len(bs)]
+        if thinned:
+            sub = gen_subset(SubsetSpec.bernoulli(0.8, pick), max(100, math.isqrt(W.value * (N + 1)) + 1))
+            seq = build_f(W, b, 2, N, sub)
+        else:
+            seq = build_nu(W, b, 2, N)
+        S = int(np.count_nonzero(seq.values))
+        if S:
+            self.assert_matches_rfft(seq, _product_grid(S, 2 * N) + extra, exponent)
+
+    def test_rule_picks_one_path(self, monkeypatch):
+        calls = []
+        real = np.fft.rfft
+
+        def counted(a, *args, **kwargs):
+            calls.append(len(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", counted)
+        M = 1 << 16
+        bound = max(S for S in range(1, 1000) if _use_product(S, M))
+        for S, expected in ((bound, []), (bound + 1, [M])):
+            vals = np.zeros(2000)
+            vals[:: 2000 // S][:S] = 1.5
+            seq = WeightedSequence(values=vals, kind="custom", W=0, b=0, k=0)
+            assert np.count_nonzero(seq.values) == S
+            pseudorandom_gauge(seq, M)
+            assert calls == expected
+            calls.clear()
+            restriction_norm(seq, 6.5, M)
+            assert calls == expected
+            calls.clear()
+
+    def test_repeated_runs_bitwise_identical(self):
+        nu = build_nu(compute_W(3, 2), 1, 2, 4096)
+        M = _product_grid(int(np.count_nonzero(nu.values)), 8 * 4096)
+        a = pseudorandom_gauge(nu, M)
+        b = pseudorandom_gauge(nu, M)
+        assert a.D == b.D and a.argmax_j == b.argmax_j
+        assert a.to_json_row() == b.to_json_row()
+        assert restriction_norm(nu, 6.5, M).norm == restriction_norm(nu, 6.5, M).norm
+
+    def test_blocks_cover_the_half_grid_in_serial_products(self):
+        for M in (1 << 15, 3 << 15, (1 << 18) + 1, 1 << 22, (1 << 31) - 1):
+            for S in range(65):
+                half, T, rows, step = _half_grid_shape(S, M)
+                assert (rows - 1) * T < half <= rows * T
+                assert step * T <= _PRODUCT_BLOCK
+                assert 4 * S * step * T <= _SERIAL_MACS
+
+    def test_phase_bound_refuses_before_allocating(self):
+        seq = WeightedSequence.spike(64)
+        M = 1 << 31  # 2 M^2 = 2^63
+        assert _use_product(1, M)
+        tracemalloc.start()
+        try:
+            for call in (pseudorandom_gauge, lambda s, m: restriction_norm(s, 6.5, m)):
+                with pytest.raises(LimitExceededError, match="2M\\^2 < 2\\^63"):
+                    call(seq, M)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
