@@ -272,6 +272,8 @@ class WeightedSequence:
 
     @classmethod
     def spike(cls, N: int, mass: float | None = None, at: int = 1) -> "WeightedSequence":
+        if not 1 <= at <= N:
+            raise ValueError(f"spike position at = {at} outside 1..{N}")
         v = np.zeros(N)
         v[at - 1] = N if mass is None else mass
         return cls(values=v, kind="custom", W=0, b=0, k=0)
@@ -285,9 +287,19 @@ class WeightedSequence:
 
     @classmethod
     def from_binary(cls, path) -> "WeightedSequence":
+        """Read a to_binary file; an unknown kind code or a file shorter
+        than its header says raises ValueError naming the path."""
         with open(path, "rb") as fh:
-            code, W, b, k, N = struct.unpack("<5q", fh.read(40))
-            values = np.frombuffer(fh.read(8 * N), dtype="<f8").astype(np.float64)
+            raw = fh.read()
+        if len(raw) < 40:
+            raise ValueError(f"{path}: {len(raw)} bytes, shorter than the 40-byte header")
+        code, W, b, k, N = struct.unpack_from("<5q", raw)
+        if code not in _CODE_KINDS:
+            raise ValueError(f"{path}: unknown kind code {code}")
+        held = (len(raw) - 40) // 8
+        if not 0 <= N <= held:
+            raise ValueError(f"{path}: header says N = {N}, file holds {held} weights")
+        values = np.frombuffer(raw, dtype="<f8", count=N, offset=40).astype(np.float64)
         return cls(values=values, kind=_CODE_KINDS[code], W=W, b=b, k=k)
 
     def to_csv(self, path) -> None:

@@ -18,6 +18,7 @@ import numpy as np
 from .bitsets import bits_from, line_power, window_flags
 from .core_arith import FactoredModulus, compute_Rk, require_bytes
 from .majorant import PrimeSubset, WeightedSequence
+from .spectral import _half_spectrum
 
 __all__ = [
     "FFTPrecisionError",
@@ -283,18 +284,21 @@ def transference_gauge(f_list: list[WeightedSequence], epsilon: float = 0.1) -> 
     convolution is zero.  Since sN - lo >= N, the grid also holds each
     padded sequence.
 
-    Works on the normalized transforms (each sequence divided by N) so the
-    pointwise product of s spectra stays O(1); the inverse transform is
-    rescaled back by N^(s-1).  Also records whether the two mean
-    hypotheses hold: every mean above epsilon/2, and the mean sum above
-    s(1+epsilon)/2.  A warning flag is raised when the gauge sits
-    more than six decimal digits below the crude transform-mass bound,
-    sum |P| / grid * N over the spectrum P on that same grid, which bounds
-    every window value of nonnegative sequences; below it the computed
-    digits are mostly cancellation.
-    Its peak, measured at 5.5 to 6.13 float64 grids of transforms and
-    products, is priced at 6.5 grids against MEMORY_BUDGET before anything
-    is allocated.
+    Multiplies the half spectra (spectral._half_spectrum) of the
+    normalized sequences, each divided by N so that the product of s
+    spectra stays O(1), then takes one inverse real FFT, rescaled back by
+    N^(s-1).  A sparse sequence's half spectrum comes from the blocked
+    matrix product, any other's from an rfft.
+
+    Also records whether the two mean hypotheses hold: every mean above
+    epsilon/2, and the mean sum above s(1+epsilon)/2.  A warning flag is
+    raised when the gauge sits more than six decimal digits below the
+    crude transform-mass bound, sum |P| / grid * N over the spectrum P on
+    that same grid, which bounds every window value of nonnegative
+    sequences; below it the computed digits are mostly cancellation.
+    Its peak, measured at 2.5 to 5.3 float64 grids of spectra and products,
+    is priced at 6.5 grids against MEMORY_BUDGET before anything is
+    allocated.
     """
     s = len(f_list)
     if s < 2:
@@ -310,7 +314,7 @@ def transference_gauge(f_list: list[WeightedSequence], epsilon: float = 0.1) -> 
     grid = _smooth_above(max(hi, s * N - lo))
     require_bytes(6.5 * 8 * grid, "transference_gauge")
     # group equal arrays, in first-occurrence order, so repeated factors
-    # cost one FFT each
+    # cost one half spectrum each
     groups: list[list] = []
     for f in f_list:
         for group in groups:
@@ -319,13 +323,10 @@ def transference_gauge(f_list: list[WeightedSequence], epsilon: float = 0.1) -> 
                 break
         else:
             groups.append([f.values, 1])
-    prod = None
+    prod = np.ones(grid // 2 + 1, dtype=complex)
     for arr, mult in groups:
-        padded = np.zeros(grid)
-        padded[1 : N + 1] = arr / N
-        ft = np.fft.rfft(padded)
-        term = ft**mult
-        prod = term if prod is None else prod * term
+        for j0, X in _half_spectrum(arr / N, grid, "transference_gauge"):
+            prod[j0 : j0 + len(X)] *= X**mult
     conv_scaled = np.fft.irfft(prod, grid) * N  # convolution / N^(s-1)
     window_vals = conv_scaled[lo : hi + 1].copy()
     mass_bound = float(np.sum(np.abs(prod)) / grid * N)

@@ -106,14 +106,6 @@ def _cos_sin(p: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(angle), np.sin(angle)
 
 
-def _price_product(S: int, M: int, block_words: int, what: str) -> None:
-    """Refuse a product path before it allocates: its exact int64 phases
-    need 2 M^2 < 2^63, and its peak must fit MEMORY_BUDGET."""
-    if 2 * M * M >= 1 << 63:
-        raise LimitExceededError(f"{what} on M = {M} needs 2M^2 < 2^63 for exact phases")
-    require_bytes(_product_bytes(S, M, block_words), what)
-
-
 def _half_grid_product(c: np.ndarray, w: np.ndarray, M: int):
     """X(j) = sum_s w_s e(-c_s j / 2M) on the bins j = 0..M//2, by blocks.
 
@@ -150,49 +142,58 @@ def _sin_rank_two(numerators, M: int) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([sin_a, cos_a], axis=1), np.stack([cos_b, sin_b])
 
 
-def _gauge_by_product(nu: WeightedSequence, M: int) -> tuple[float, int]:
-    """max_j |X_nu(j) - X_interval(j)| over j <= M//2 and its first argmax.
+def _half_spectrum(values: np.ndarray, M: int, what: str, price=None, interval=False):
+    """X(j) = sum_n values[n - 1] e(-n j / M) on the bins j = 0..M//2, which
+    hold a real sequence's whole spectrum since X(M - j) = conj X(j), as
+    (j0, X) blocks of consecutive bins.  The one path rule for every
+    spectral consumer, from the support size S and M alone:
 
-    Both transforms turn by the separable phase e((N + 1) j / 2M): nu's
-    moves into the product's phases, and the interval's becomes the real
-    Dirichlet kernel sin(pi N j / M) / sin(pi j / M), exactly N at j = 0.
-    Its numerator and denominator are each a rank-two product over (u, t).
+    - M >= 2^15 and 64 S^2 <= min(M, 2^18) (_use_product): many blocks of
+      the matrix product over the S support points (_half_grid_product),
+      whose exact int64 phase numerators refuse M with 2 M^2 >= 2^63;
+    - otherwise one block: one np.fft.rfft of the sequence zero-padded to M.
+
+    Both agree to rounding.  With interval, X is the transform of values - 1
+    on 1..N, up to the unimodular phase e((N + 1) j / 2M) on the product
+    path: it moves into the product's phases and turns the interval's
+    transform into the real Dirichlet kernel sin(pi N j / M) / sin(pi j /
+    M), exactly N at j = 0, whose sines are rank-two products.
+
+    price = (fft_grids, block_words, grids) passes require_bytes, under the
+    name what and before anything is allocated, fft_grids float64 grids of
+    length M on the FFT path, or on the product path _product_bytes with
+    block_words arrays of one block plus grids grids of length M.
     """
-    N = nu.N
-    idx = np.flatnonzero(nu.values)
-    _, T, rows, _ = _half_grid_shape(len(idx), M)
+    N, S = len(values), int(np.count_nonzero(values))
+    product = _use_product(S, M)
+    if product and 2 * M * M >= 1 << 63:
+        raise LimitExceededError(f"{what} on M = {M} needs 2M^2 < 2^63 for exact phases")
+    if price is not None:
+        fft_grids, block_words, grids = price
+        if product:
+            require_bytes(_product_bytes(S, M, block_words) + 8.0 * grids * M, what)
+        else:
+            require_bytes(8.0 * fft_grids * M, what)
+    if not product:
+        yield 0, np.fft.rfft(_zero_padded(values - 1.0 if interval else values, M))
+        return
+    idx = np.flatnonzero(values)
+    if not interval:
+        yield from _half_grid_product(2 * idx + 2, values[idx], M)
+        return
+    _, T, rows, _ = _half_grid_shape(S, M)
     uT = np.arange(0, rows * T, T, dtype=np.int64)
     t = np.arange(T, dtype=np.int64)
     num_u, num_t = _sin_rank_two((N * uT % (2 * M), N * t % (2 * M)), M)
     den_u, den_t = _sin_rank_two((uT, t), M)
-    best, arg = -1.0, 0
-    for j0, X in _half_grid_product(2 * idx + 1 - N, nu.values[idx], M):
+    for j0, X in _half_grid_product(2 * idx + 1 - N, values[idx], M):
         u = slice(j0 // T, -(-(j0 + len(X)) // T))
         top = (num_u[u] @ num_t).ravel()[: len(X)]
         bottom = (den_u[u] @ den_t).ravel()[: len(X)]
         if j0 == 0:
             top[0], bottom[0] = N, 1.0
         X.real -= top / bottom
-        mag = np.abs(X)
-        k = int(mag.argmax())
-        if mag[k] > best:
-            best, arg = float(mag[k]), j0 + k
-    return best, arg
-
-
-def _restriction_sum_by_product(seq: WeightedSequence, exponent: float, M: int) -> float:
-    """sum over the full grid of |X(j)|^exponent from the bins j <= M//2."""
-    idx = np.flatnonzero(seq.values)
-    half = M // 2 + 1
-    total = 0.0
-    for j0, X in _half_grid_product(2 * idx + 2, seq.values[idx], M):
-        mag = np.abs(X) ** exponent
-        total += 2.0 * mag.sum()
-        if j0 == 0:
-            total -= mag[0]
-        if M % 2 == 0 and j0 + len(mag) == half:
-            total -= mag[-1]
-    return total
+        yield j0, X
 
 
 @dataclass
@@ -234,20 +235,25 @@ class Spectrum:
 
 
 def dft_spectrum(seq: WeightedSequence, M: int | None = None) -> Spectrum:
-    """Exact grid samples of the transform via a zero-padded FFT.
+    """Exact grid samples of the transform: the conjugated half spectrum
+    (_half_spectrum), mirrored by X(M - j) = conj X(j).
 
     Requires M >= 2N so arcs of interest are resolved and downstream
-    quadrature is stable.  The peak, five float64 grids of length M, is
-    priced against MEMORY_BUDGET before anything is allocated.
+    quadrature is stable.
     """
     N = seq.N
     if M is None:
         M = default_grid(N)
     if M < 2 * N:
         raise ValueError(f"grid M = {M} must be >= 2N = {2 * N}")
-    require_bytes(5.0 * 8 * M, "dft_spectrum")
-    arr = _zero_padded(seq.values, M)
-    values = np.conj(np.fft.fft(arr))  # conj flips to the e(+n alpha) convention
+    # the grid comes at the first block, after _half_spectrum has priced it
+    # with X (three grids) or with two blocks' X
+    for j0, X in _half_spectrum(seq.values, M, "dft_spectrum", (3, 4, 2)):
+        if j0 == 0:
+            values = np.empty(M, dtype=complex)
+        # conj flips to the e(+n alpha) convention
+        np.conjugate(X, out=values[j0 : j0 + len(X)])
+    np.conjugate(values[(M + 1) // 2 - 1 : 0 : -1], out=values[M // 2 + 1 :])
     source = {"kind": seq.kind, "W": seq.W, "b": seq.b, "k": seq.k, "N": N}
     return Spectrum(M=M, values=values, source=source)
 
@@ -522,26 +528,10 @@ def pseudorandom_gauge(
 ) -> GaugeReport:
     """Grid maximum of |transform(nu) - transform(interval)| / N.
 
-    By linearity this is the transform of nu - 1 at n = 1..N.  Real input
-    has |X(j)| = |X(M - j)|, so the maximum is taken over bins 0..M/2 and
-    the argmax, the first index of the maximum, is canonical: argmax_j <=
-    M/2 and argmax_alpha lies in [0, 1/2].  One of two paths computes it,
-    chosen from the support size S of nu and M alone:
-
-    - M >= 2^15 and 64 S^2 <= min(M, 2^18): a blocked matrix product
-      over the S support points (_half_grid_product).  Both transforms
-      turn by the phase e((N + 1) j / 2M), which moves into the product's
-      phases and makes the interval's transform the real Dirichlet kernel
-      sin(pi N j / M) / sin(pi j / M), exactly N at j = 0; its sines are
-      rank-two products.  Every phase numerator is reduced mod 2M as an
-      exact int64 before any cos or sin, so M with 2 M^2 >= 2^63 is
-      refused.  The peak, E, the rank-two factors and one block of at
-      most 2^14 cells, is priced first.
-    - otherwise one real FFT: nu - 1 zero-padded to M, through
-      np.fft.rfft; its peak of 2.6 float64 grids is priced first.
-
-    Both agree to rounding; prices go to MEMORY_BUDGET before any
-    allocation.
+    By linearity this is the transform of nu - 1 at n = 1..N, read from the
+    half spectrum (_half_spectrum) since real input has |X(j)| = |X(M -
+    j)|.  The argmax, the first index of the maximum, is therefore
+    canonical: argmax_j <= M/2 and argmax_alpha lies in [0, 1/2].
 
     The argmax frequency is classified into major/minor arcs using the
     first exponent in sigma_chain that yields a nondegenerate P < Q; the
@@ -552,18 +542,14 @@ def pseudorandom_gauge(
         M = default_grid(N)
     if M < 2 * N:
         raise ValueError(f"grid M = {M} must be >= 2N = {2 * N}")
-    S = int(np.count_nonzero(nu.values))
-    if _use_product(S, M):
-        # X, the Dirichlet kernel's numerator, denominator and quotient, |X|
-        _price_product(S, M, 6, "pseudorandom_gauge")
-        peak, j = _gauge_by_product(nu, M)
-    else:
-        require_bytes(2.6 * 8 * M, "pseudorandom_gauge")
-        arr = _zero_padded(nu.values, M)
-        arr[1 : N + 1] -= 1.0
-        diff = np.abs(np.fft.rfft(arr))
-        j = int(diff.argmax())
-        peak = float(diff[j])
+    peak, j = -1.0, 0
+    # the padded sequence and X (two grids), or eight words a block: X,
+    # |X| and the Dirichlet kernel's terms, some held over from the last
+    for j0, X in _half_spectrum(nu.values, M, "pseudorandom_gauge", (2, 8, 0), interval=True):
+        mag = np.abs(X)
+        k = int(mag.argmax())
+        if mag[k] > peak:
+            peak, j = float(mag[k]), j0 + k
     D = peak / N
     arc = None
     sigma_used = None
@@ -622,14 +608,8 @@ def restriction_norm(
     """Riemann-grid L^exponent norm of the spectrum, and K = norm/N^(1-1/q).
 
     Real input has |X(j)| = |X(M - j)|, so the full-grid sum counts bin 0
-    once, bin M/2 once when M is even, and every other (interior) bin of
-    the half spectrum twice.  The half spectrum comes from the same rule
-    and paths as pseudorandom_gauge's: for M >= 2^15 and 64 S^2 <= min(M,
-    2^18), with S the support size, the blocked half-grid matrix product
-    with exact phases reduced mod 2M (2 M^2 >= 2^63 refused); otherwise
-    one real FFT of length M through np.fft.rfft, whose peak of two
-    float64 grids is priced against MEMORY_BUDGET first, as is the
-    product's.
+    of the half spectrum (_half_spectrum) once, bin M/2 once when M is
+    even, and every other bin twice.
 
     Exponents below 2 are rejected; exponent exactly 2 is kept as a
     reference mode where the constant is pinned to 1 for the interval by
@@ -639,20 +619,19 @@ def restriction_norm(
         raise ValueError(f"exponent must be >= 2, got {exponent}")
     N = seq.N
     if M is None:
-        M = max(default_grid(N), 4 * N)
+        M = default_grid(N)
     if M < 4 * N:
         raise ValueError(f"grid M = {M} must be >= 4N = {4 * N}")
-    S = int(np.count_nonzero(seq.values))
-    if _use_product(S, M):
-        # X, |X| and its power
-        _price_product(S, M, 4, "restriction_norm")
-        total = _restriction_sum_by_product(seq, exponent, M)
-    else:
-        require_bytes(2.0 * 8 * M, "restriction_norm")
-        mag = np.abs(np.fft.rfft(_zero_padded(seq.values, M))) ** exponent
-        total = mag[0] + 2.0 * mag[1 : (M + 1) // 2].sum()
-        if M % 2 == 0:
-            total += mag[M // 2]
+    total = 0.0
+    # the padded sequence and X (two grids), or five words a block: X,
+    # |X| and its power, some held over from the last
+    for j0, X in _half_spectrum(seq.values, M, "restriction_norm", (2, 5, 0)):
+        mag = np.abs(X) ** exponent
+        total += 2.0 * mag.sum()
+        if j0 == 0:
+            total -= mag[0]
+        if M % 2 == 0 and j0 + len(mag) == M // 2 + 1:
+            total -= mag[-1]
     norm = float((total / M) ** (1.0 / exponent))
     constant = norm / N ** (1.0 - 1.0 / exponent)
     return RestrictionReport(

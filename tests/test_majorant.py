@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -70,6 +71,13 @@ class TestSubsets:
             assert parse_subset_spec(spec.describe()) == spec
         with pytest.raises(ValueError):
             parse_subset_spec("nonsense:1")
+
+
+def test_spike_position_checked():
+    assert WeightedSequence.spike(5, at=5).support().tolist() == [5]
+    for at in (0, 6):
+        with pytest.raises(ValueError, match=f"at = {at} outside 1..5"):
+            WeightedSequence.spike(5, at=at)
 
 
 class TestBuildNu:
@@ -307,6 +315,20 @@ class TestSerialization:
         assert (back.W, back.b, back.k, back.N) == (16, 1, 2, 512)
         assert (back.values == nu.values).all()
         assert path.stat().st_size == 40 + 8 * 512
+
+    def test_unknown_kind_code_names_the_path(self, tmp_path):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(struct.pack("<5q", 9, 0, 0, 0, 2) + np.zeros(2).tobytes())
+        with pytest.raises(ValueError, match="bad.bin: unknown kind code 9"):
+            WeightedSequence.from_binary(path)
+
+    @pytest.mark.parametrize("size", [0, 39, 40 + 8 * 8, 40 + 8 * 10 - 1])
+    def test_truncated_file_names_the_path(self, tmp_path, size):
+        path = tmp_path / "short.bin"
+        WeightedSequence.indicator(10).to_binary(path)
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(ValueError, match="short.bin: "):
+            WeightedSequence.from_binary(path)
 
     def test_csv_export(self, tmp_path):
         nu = build_nu(compute_W(2, 2), 1, 2, 64)

@@ -148,8 +148,16 @@ def test_just_over_budget_refused_before_allocating(name, monkeypatch):
     assert message.endswith("over the memory budget of 4 GiB")
 
 
+def _sparse(N, S, seed):
+    """S random support points among N: sparse enough for the product path."""
+    rng = np.random.default_rng(seed)
+    vals = np.zeros(N)
+    vals[rng.choice(N, S, replace=False)] = 1 + rng.random(S)
+    return WeightedSequence(values=vals, kind="custom", W=0, b=0, k=0)
+
+
 def _small_calls(name):
-    """Two calls of the path at small sizes, set up outside the trace."""
+    """Calls of the path at small sizes, set up outside the trace."""
     if name == "sieve_primes":
         return [lambda: sieve_primes(1 << 20), lambda: sieve_primes(1 << 23)]
     if name == "PrimeSet.bool_mask":
@@ -167,17 +175,20 @@ def _small_calls(name):
                 for _ in range(distinct)
             ]
             calls.append(lambda f_list=(base * s)[:s]: transference_gauge(f_list))
-        return calls
+        # three sparse parts: each half spectrum comes from the product path
+        base = [_sparse(1 << 15, 20, seed) for seed in range(3)]
+        return calls + [lambda f_list=(base * 44)[:44]: transference_gauge(f_list)]
     W = compute_W(3, 2)
     path = {
         "pseudorandom_gauge": pseudorandom_gauge,
         "restriction_norm": lambda nu: restriction_norm(nu, 6.5),
         "dft_spectrum": dft_spectrum,
     }[name]
-    # build_nu at w = 3 is sparse enough for the product path; a dense
-    # sequence keeps the FFT path's estimate under test too
+    # build_nu at w = 3 is sparse enough for the product path, and so is
+    # one point on a grid of 2^18, where the block arrays outweigh every fixed
+    # term; a dense sequence keeps the FFT path's estimate under test too
     calls = [lambda nu=build_nu(W, 1, 2, N): path(nu) for N in (1 << 12, 1 << 14)]
-    return calls + [lambda: path(_dense(1 << 12))]
+    return calls + [lambda seq=_sparse(3 << 13, 1, 0): path(seq), lambda: path(_dense(1 << 12))]
 
 
 @pytest.mark.parametrize("name", list(SIZES))

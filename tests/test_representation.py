@@ -22,6 +22,7 @@ from wglab.representation import (
     theorem_thresholds,
     transference_gauge,
 )
+from wglab.spectral import _use_product
 
 
 def all_primes(limit):
@@ -504,6 +505,51 @@ class TestGaugeGrid:
             n = f_list[0].W * np.arange(lo, hi + 1) + sum(f.b for f in f_list)
             off = ~admissible_filter(n, s, 2)
             assert (prof.values[off] <= 1e-9 * want.max()).all()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(2, 8),
+        st.integers(1 << 15, 1 << 16),
+        st.integers(1, 3),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_sparse_parts_match_the_rfft_code(self, s, N, distinct, share, seed):
+        lo, hi = window_of(s, N)
+        grid = smooth_above(max(hi, s * N - lo))
+        # at least half the rule's bound: with fewer points at s = 8 the
+        # window can hold one sum far below the spectrum's mass, and both
+        # routes then round to about 1e-12 of it
+        bound = max(S for S in range(1, 65) if _use_product(S, grid))
+        S = bound // 2 + int(share * (bound - bound // 2))
+        rng = np.random.default_rng(seed)
+        parts = []
+        for _ in range(distinct):
+            # every part holds n = c, and s c lies in the window
+            pos = rng.choice(N, S, replace=False)
+            pos[0] = (lo + hi) // (2 * s) - 1
+            vals = np.zeros(N)
+            vals[pos] = 1 + rng.random(S)
+            parts.append(WeightedSequence(values=vals, kind="custom", W=0, b=0, k=0))
+        f_list = (parts * s)[:s]
+        prof = transference_gauge(f_list)
+        # the rfft code the shared half spectrum replaced
+        groups = []
+        for f in f_list:
+            for group in groups:
+                if group[0] is f.values:
+                    group[1] += 1
+                    break
+            else:
+                groups.append([f.values, 1])
+        prod = None
+        for arr, mult in groups:
+            padded = np.zeros(grid)
+            padded[1 : N + 1] = arr / N
+            term = np.fft.rfft(padded) ** mult
+            prod = term if prod is None else prod * term
+        want = np.fft.irfft(prod, grid)[lo : hi + 1] * N
+        assert np.abs(prof.values - np.clip(want, 0.0, None)).max() <= 1e-12 * want.max()
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(["indicator", "random"]), st.integers(2, 8), st.integers(1, 2000))

@@ -19,6 +19,7 @@ from wglab.core_arith import (
 )
 from wglab.local_structure import power_residues
 from wglab.majorant import SubsetSpec, WeightedSequence, build_f, build_nu, gen_subset
+from wglab.representation import transference_gauge
 from wglab.spectral import (
     ArcParams,
     arc_decompose,
@@ -415,6 +416,9 @@ class TestHalfGridKernels:
         calls.clear()
         restriction_norm(nu, 6.5, 4001)
         assert calls == [("rfft", 4001)]
+        calls.clear()
+        dft_spectrum(nu, 4001)
+        assert calls == [("rfft", 4001)]
 
     def test_grid_cap_refuses_before_allocating(self):
         # dense stride-0 weights: a sparse input this size takes the product path
@@ -480,6 +484,11 @@ class TestSparseProduct:
         assert _use_product(S, Mr)
         norm = restriction_norm(seq, exponent, Mr).norm
         assert norm == pytest.approx(_rfft_restriction_norm(seq, exponent, Mr), rel=1e-12)
+        # dft_spectrum's old path: the conjugated complex FFT of the whole grid
+        arr = np.zeros(M)
+        arr[1 : seq.N + 1] = seq.values
+        full = np.conj(np.fft.fft(arr))
+        assert np.abs(dft_spectrum(seq, M).values - full).max() <= 1e-12 * np.abs(full).max()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -541,6 +550,21 @@ class TestSparseProduct:
             assert calls == expected
             calls.clear()
             restriction_norm(seq, 6.5, M)
+            assert calls == expected
+            calls.clear()
+            dft_spectrum(seq, M)
+            assert calls == expected
+            calls.clear()
+        # two equal parts of N = 2^15 convolve on the least 5-smooth grid
+        # above the window top 32,870
+        grid = 33_750
+        bound = max(S for S in range(1, 1000) if _use_product(S, grid))
+        for S, expected in ((bound, []), (bound + 1, [grid])):
+            vals = np.zeros(1 << 15)
+            vals[:: (1 << 15) // S][:S] = 1.5
+            f = WeightedSequence(values=vals, kind="custom", W=0, b=0, k=0)
+            assert np.count_nonzero(f.values) == S
+            transference_gauge([f, f])
             assert calls == expected
             calls.clear()
 
