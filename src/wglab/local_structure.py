@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bitsets import bits_from, cyclic_power, cyclic_power_stepwise
+from .bitsets import bit_positions, bits_from, cyclic_power, cyclic_power_stepwise
 from .core_arith import FactoredModulus, LimitExceededError, compute_Rk, tau
 
 __all__ = [
@@ -98,7 +98,7 @@ def power_residues(m: FactoredModulus, k: int, *, cap: int = ENUMERATION_CAP_DEF
     return _power_residues_cached(m, k, cap)
 
 
-def sigma_b(W: FactoredModulus, k: int, b: int, *, cap: int = ENUMERATION_CAP_DEFAULT) -> int:
+def sigma_b(W: FactoredModulus, k: int, b: int) -> int:
     """Number of z in [W] with z^k = b (mod W), for b a unit k-th power.
 
     The one test that b is a unit k-th power residue mod W (b is reduced
@@ -106,7 +106,7 @@ def sigma_b(W: FactoredModulus, k: int, b: int, *, cap: int = ENUMERATION_CAP_DE
     enumerated count against phi(W)/#units, which the k-th power
     homomorphism on the unit group forces exactly.
     """
-    table = power_residues(W, k, cap=cap)
+    table = power_residues(W, k)
     r = b % W.value
     if r not in table.unit_residues:
         raise ValueError(f"b = {b} is not a unit k-th power residue mod {W.value}")
@@ -120,7 +120,7 @@ def sigma_b(W: FactoredModulus, k: int, b: int, *, cap: int = ENUMERATION_CAP_DE
     return count
 
 
-def power_class_count(p: int, k: int, a: int, *, cap: int = ENUMERATION_CAP_DEFAULT) -> int:
+def power_class_count(p: int, k: int, a: int) -> int:
     """Count k-th power residues mod p^(2k) that reduce to a mod p.
 
     a must be a unit k-th power residue mod the odd prime p.  The count is
@@ -132,10 +132,11 @@ def power_class_count(p: int, k: int, a: int, *, cap: int = ENUMERATION_CAP_DEFA
     pm = FactoredModulus.from_value(p)
     if len(pm.factors) != 1 or pm.factors[0][1] != 1:
         raise ValueError(f"p must be prime, got {p}")
-    small = power_residues(pm, k, cap=cap)
+    small = power_residues(pm, k)
     if a % p not in small.unit_residues:
         raise ValueError(f"{a} is not a unit k-th power residue mod {p}")
     big = p ** (2 * k)
+    cap = ENUMERATION_CAP_DEFAULT
     if big > cap:
         raise LimitExceededError(f"p^(2k) = {big} exceeds enumeration cap {cap}")
     residues = np.unique(_vector_pow_mod(big, k))
@@ -167,6 +168,12 @@ def _target_mask(q: int, k: int, s: int, q_factored: FactoredModulus) -> int:
     return mask
 
 
+def _uncovered(q: FactoredModulus, k: int, s: int, mask: int) -> list[int]:
+    """The admissible targets mod q (_target_mask) missing from a sumset
+    bitmask, in increasing order."""
+    return bit_positions(_target_mask(q.value, k, s, q) & ~mask)
+
+
 def sumset_cover_check(q: FactoredModulus, k: int, s: int, B) -> SumsetCover:
     """Does the s-fold sumset of B mod q equal every residue admissible for s?
 
@@ -184,8 +191,8 @@ def sumset_cover_check(q: FactoredModulus, k: int, s: int, B) -> SumsetCover:
     qv = q.value
     sum_mask = cyclic_power(bits_from(Bset), s, qv)
     targets = _target_mask(qv, k, s, q)
-    uncovered = [a for a in range(qv) if (targets >> a) & 1 and not (sum_mask >> a) & 1]
-    extra = [a for a in range(qv) if (sum_mask >> a) & 1 and not (targets >> a) & 1]
+    uncovered = _uncovered(q, k, s, sum_mask)
+    extra = bit_positions(sum_mask & ~targets)
     return SumsetCover(
         covered=not uncovered and not extra,
         uncovered=uncovered,
@@ -229,10 +236,7 @@ def _reverify_violation(q: FactoredModulus, k: int, s: int, B: list[int], n_unit
     """Independent slow re-check of a claimed violation; returns the misses."""
     if not len(B) > n_units / 2:
         raise RuntimeError(f"claimed witness of size {len(B)} is not a majority subset")
-    qv = q.value
-    slow = cyclic_power_stepwise(bits_from(B), s, qv)
-    targets = _target_mask(qv, k, s, q)
-    misses = [a for a in range(qv) if (targets >> a) & 1 and not (slow >> a) & 1]
+    misses = _uncovered(q, k, s, cyclic_power_stepwise(bits_from(B), s, q.value))
     if not misses:
         raise RuntimeError("claimed violation did not re-verify")
     return misses

@@ -1,9 +1,9 @@
 """Counting and coverage for sums of prime k-th powers.
 
-Exact representation counts by nested loops or FFT power of the indicator
-polynomial, bit-parallel reachability for coverage probes over admissible
-windows, the many-fold convolution gauge on its concentration window, and
-the closed-form parameter thresholds.
+Exact representation counts by shifted integer adds or by FFT power of
+the indicator polynomial, bit-parallel reachability for coverage probes
+over admissible windows, the many-fold convolution gauge on its
+concentration window, and the closed-form parameter thresholds.
 """
 
 from __future__ import annotations
@@ -61,16 +61,22 @@ def _prime_powers(subset: PrimeSubset, k: int, hi: int) -> list[int]:
     return out
 
 
+def _reach(powers: list[int], s: int, hi: int) -> int:
+    """Bitmask of every sum of s of the powers up to hi; 0 with no powers."""
+    return line_power(bits_from(powers), s, hi) if powers else 0
+
+
 def count_representations(
     subset: PrimeSubset, k: int, s: int, hi: int, method: str = "fft"
 ) -> np.ndarray:
     """Ordered-tuple representation counts for every n in [0, hi].
 
-    brute: nested loops, capped at s <= 3 and hi <= 1e5.  fft: s-th power
-    of the indicator polynomial with integer recovery by rounding, refused
-    if any count could reach 2^52, and before allocating when its peak of
-    five float64 grids exceeds MEMORY_BUDGET.  bitset: reachability only;
-    the returned array holds 0/1 flags, not counts.
+    brute: s rounds of exact integer shifted adds, one a power, capped at
+    s <= 3 and hi <= 1e5; the FFT-free cross-check.  fft: s-th power of
+    the indicator polynomial by the convolution kernel (_convolve), with
+    integer recovery by rounding, refused if any count could reach 2^52,
+    and before allocating when the kernel's price exceeds MEMORY_BUDGET.
+    bitset: reachability only; the returned array holds 0/1 flags.
     """
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
@@ -80,35 +86,27 @@ def count_representations(
     if method == "brute":
         if s > BRUTE_S_CAP or hi > BRUTE_N_CAP:
             raise ValueError(f"brute method capped at s <= {BRUTE_S_CAP}, hi <= {BRUTE_N_CAP}")
+        # counts[n] holds the ordered j-tuples of powers summing to n, for
+        # j = 0..s: a last term v moves the (j - 1)-tuple counts up by v
         counts = np.zeros(hi + 1, dtype=np.int64)
-        if s == 1:
+        counts[0] = 1
+        for _ in range(s):
+            counts, last = np.zeros_like(counts), counts
             for v in powers:
-                counts[v] += 1
-            return counts
-        if s == 2:
-            for v1 in powers:
-                for v2 in powers:
-                    if v1 + v2 > hi:
-                        break
-                    counts[v1 + v2] += 1
-            return counts
-        for v1 in powers:
-            for v2 in powers:
-                if v1 + v2 > hi:
-                    break
-                for v3 in powers:
-                    if v1 + v2 + v3 > hi:
-                        break
-                    counts[v1 + v2 + v3] += 1
+                counts[v:] += last[: hi + 1 - v]
         return counts
     if method == "fft":
         if not powers:
             return np.zeros(hi + 1, dtype=np.int64)
-        grid = 1 << (s * max(powers) + 1).bit_length()
-        require_bytes(5.0 * 8 * grid, "count_representations(method='fft')")
-        poly = np.zeros(grid)
-        poly[powers] = 1.0
-        conv = np.fft.irfft(np.fft.rfft(poly) ** s, grid)
+
+        def indicator():
+            values = np.zeros(powers[-1])
+            values[np.subtract(powers, 1)] = 1.0  # position v at values[v - 1]
+            yield values, s
+
+        top = s * powers[-1]
+        what = "count_representations(method='fft')"
+        conv, _ = _convolve(indicator(), top, 0, min(hi, top), what)
         if conv.max() >= FFT_EXACT_LIMIT:
             raise FFTPrecisionError(
                 f"count magnitude {conv.max():.3g} >= 2^52; "
@@ -120,15 +118,10 @@ def count_representations(
             raise FFTPrecisionError(f"rounding residual {drift:.3g} too large to trust")
         counts = rounded.astype(np.int64)
         counts[counts < 0] = 0
-        if grid <= hi:
-            # every sum of s powers lies below the grid: the tail counts are 0
-            counts = np.pad(counts, (0, hi + 1 - grid))
-        return counts[: hi + 1]
+        # every sum of s powers lies below the grid: the tail counts are 0
+        return np.pad(counts[: hi + 1], (0, max(0, hi + 1 - len(counts))))
     if method == "bitset":
-        if not powers:
-            return np.zeros(hi + 1, dtype=np.int64)
-        reach = line_power(bits_from(powers), s, hi)
-        return window_flags(reach, 0, hi).astype(np.int64)
+        return window_flags(_reach(powers, s, hi), 0, hi).astype(np.int64)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -186,8 +179,7 @@ def coverage_probe(
     lo, hi = window
     if not 0 <= lo <= hi:
         raise ValueError(f"bad window {window}")
-    powers = _prime_powers(subset, k, hi)
-    reach = line_power(bits_from(powers), s, hi) if powers else 0
+    reach = _reach(_prime_powers(subset, k, hi), s, hi)
     modulus = compute_Rk(k).value
     flags = window_flags(reach, lo, hi)
     ns = np.arange(lo, hi + 1, dtype=np.int64)
@@ -264,6 +256,28 @@ def _smooth_above(n: int) -> int:
     return min(best, p5)
 
 
+def _convolve(parts, top: int, lo: int, hi: int, what: str) -> tuple[np.ndarray, float]:
+    """The one convolution kernel: the product of parts, each (values,
+    multiplicity) with values[n - 1] at position n, exact on [lo, hi].
+
+    The cyclic grid is the least 2^a 3^b 5^c strictly above both hi and
+    top - lo, top the last position the product reaches: a grid above hi
+    keeps the window and folds no negative position onto it, and one above
+    top - lo sends every position that would wrap onto the window past top.
+    The peak, measured at 2.5 to 5.3 float64 grids, is priced at 6.5 grids
+    under the name what before the first part is drawn from parts.
+    Multiplies the parts' half spectra (spectral._half_spectrum), then
+    returns the one irfft of the product and the sum of its |bins|.
+    """
+    grid = _smooth_above(max(hi, top - lo))
+    require_bytes(6.5 * 8 * grid, what)
+    prod = np.ones(grid // 2 + 1, dtype=complex)
+    for values, mult in parts:
+        for j0, X in _half_spectrum(values, grid, what):
+            prod[j0 : j0 + len(X)] *= X**mult
+    return np.fft.irfft(prod, grid), np.sum(np.abs(prod))
+
+
 def transference_gauge(f_list: list[WeightedSequence], epsilon: float = 0.1) -> ConvolutionProfile:
     """Convolve s nonnegative sequences and gauge the window minimum over
     the admissible targets.
@@ -275,20 +289,11 @@ def transference_gauge(f_list: list[WeightedSequence], epsilon: float = 0.1) -> 
     minimum (but kept in values and in the negativity check).  With W = 0
     every window target is admissible.
 
-    The cyclic grid is the least 2^a 3^b 5^c strictly above both hi and
-    sN - lo, for the window [lo, hi], not a grid that holds the whole
-    linear convolution.  The window is still exact: the convolution lives
-    on [s, sN], a grid above hi keeps the window in the array and folds no
-    negative position onto it, and a grid above sN - lo sends every
-    position that would wrap onto the window past sN, where the
-    convolution is zero.  Since sN - lo >= N, the grid also holds each
-    padded sequence.
-
-    Multiplies the half spectra (spectral._half_spectrum) of the
-    normalized sequences, each divided by N so that the product of s
-    spectra stays O(1), then takes one inverse real FFT, rescaled back by
-    N^(s-1).  A sparse sequence's half spectrum comes from the blocked
-    matrix product, any other's from an rfft.
+    The convolution kernel (_convolve) gives the convolution on its window
+    [lo, hi] from a grid that holds the window, not the whole convolution
+    on [s, sN]; since sN - lo >= N, the grid also holds each padded
+    sequence.  Each sequence is divided by N so that the product of s
+    spectra stays O(1), and the result is rescaled back by N^(s-1).
 
     Also records whether the two mean hypotheses hold: every mean above
     epsilon/2, and the mean sum above s(1+epsilon)/2.  A warning flag is
@@ -296,9 +301,6 @@ def transference_gauge(f_list: list[WeightedSequence], epsilon: float = 0.1) -> 
     crude transform-mass bound, sum |P| / grid * N over the spectrum P on
     that same grid, which bounds every window value of nonnegative
     sequences; below it the computed digits are mostly cancellation.
-    Its peak, measured at 2.5 to 5.3 float64 grids of spectra and products,
-    is priced at 6.5 grids against MEMORY_BUDGET before anything is
-    allocated.
     """
     s = len(f_list)
     if s < 2:
@@ -311,25 +313,26 @@ def transference_gauge(f_list: list[WeightedSequence], epsilon: float = 0.1) -> 
     kappa = epsilon / 32.0
     lo = math.floor((1 - kappa**2) * s * N / 2) + 1
     hi = math.ceil((1 + kappa) * s * N / 2) - 1
-    grid = _smooth_above(max(hi, s * N - lo))
-    require_bytes(6.5 * 8 * grid, "transference_gauge")
-    # group equal arrays, in first-occurrence order, so repeated factors
-    # cost one half spectrum each
-    groups: list[list] = []
-    for f in f_list:
-        for group in groups:
-            if group[0] is f.values or np.array_equal(group[0], f.values):
-                group[1] += 1
-                break
-        else:
-            groups.append([f.values, 1])
-    prod = np.ones(grid // 2 + 1, dtype=complex)
-    for arr, mult in groups:
-        for j0, X in _half_spectrum(arr / N, grid, "transference_gauge"):
-            prod[j0 : j0 + len(X)] *= X**mult
-    conv_scaled = np.fft.irfft(prod, grid) * N  # convolution / N^(s-1)
+
+    def parts():
+        # group equal arrays, in first-occurrence order, so repeated
+        # factors cost one half spectrum each
+        groups: list[list] = []
+        for f in f_list:
+            for group in groups:
+                if group[0] is f.values or np.array_equal(group[0], f.values):
+                    group[1] += 1
+                    break
+            else:
+                groups.append([f.values, 1])
+        for arr, mult in groups:
+            yield arr / N, mult
+
+    conv, mass = _convolve(parts(), s * N, lo, hi, "transference_gauge")
+    grid = len(conv)
+    conv_scaled = conv * N  # convolution / N^(s-1)
     window_vals = conv_scaled[lo : hi + 1].copy()
-    mass_bound = float(np.sum(np.abs(prod)) / grid * N)
+    mass_bound = float(mass / grid * N)
     noise_floor = 1e-12 * max(mass_bound, 1.0)
     if window_vals.size and window_vals.min() < -noise_floor:
         raise RuntimeError(

@@ -487,10 +487,12 @@ def major_arc_residual(
     return abs(hat - model) / seq.N, hat, model
 
 
-def _w_of(W: int) -> int:
-    if W <= 1:
-        return 0
-    return max(FactoredModulus.from_value(W).prime_support)
+def _json_row(report, sigma: float | None, value: float) -> str:
+    """The one seven-key row of a gauge or restriction report: the sizes,
+    w (the largest prime of W, 0 for W <= 1), k, b, sigma and the value."""
+    w = max(FactoredModulus.from_value(report.W).prime_support) if report.W > 1 else 0
+    row = dict(N=report.N, M=report.M, w=w, k=report.k, b=report.b, sigma=sigma, value=value)
+    return json.dumps(row, sort_keys=True) + "\n"
 
 
 @dataclass
@@ -509,16 +511,7 @@ class GaugeReport:
     arc: Arc | None
 
     def to_json_row(self) -> str:
-        row = {
-            "N": self.N,
-            "M": self.M,
-            "w": _w_of(self.W),
-            "k": self.k,
-            "b": self.b,
-            "sigma": self.sigma,
-            "value": self.D,
-        }
-        return json.dumps(row, sort_keys=True) + "\n"
+        return _json_row(self, self.sigma, self.D)
 
 
 def pseudorandom_gauge(
@@ -590,16 +583,7 @@ class RestrictionReport:
     k: int
 
     def to_json_row(self) -> str:
-        row = {
-            "N": self.N,
-            "M": self.M,
-            "w": _w_of(self.W),
-            "k": self.k,
-            "b": self.b,
-            "sigma": None,
-            "value": self.constant,
-        }
-        return json.dumps(row, sort_keys=True) + "\n"
+        return _json_row(self, None, self.constant)
 
 
 def restriction_norm(

@@ -425,12 +425,13 @@ class TestMemoryBudget:
     """Runs whose arrays would pass MEMORY_BUDGET exit 2 before allocating."""
 
     def test_fft_count(self, capsys):
-        # s hi just under the former s hi <= 10^9 cap: a 2^30-point grid
+        # s hi just under the former s hi <= 10^9 cap: the top 4 * 15809^2
+        # = 999,697,924 puts the grid at 10^9 = 2^9 5^9 points
         argv = "count --k 2 --s 4 --hi 249999999 --method fft".split()
         assert run_cli(capsys, *argv) == (
             2,
             "",
-            "error: count_representations(method='fft') needs about 40 GiB, "
+            "error: count_representations(method='fft') needs about 48.4 GiB, "
             "over the memory budget of 4 GiB\n",
         )
 

@@ -94,14 +94,15 @@ def sizes_dft_spectrum(monkeypatch):
 
 
 def sizes_count(monkeypatch):
-    # 5791 and 5801 are consecutive primes: 2 * 5791^2 + 1 < 2^26 <= 2 * 5801^2 + 1,
-    # so the FFT grid goes from 2^26 points to 2^27
-    sub = gen_subset(SubsetSpec.all(), 6000)
+    # 6397 and 6421 are consecutive primes: at s = 2 the top 2 p^2 goes from
+    # 81,843,218 to 82,458,482, so the grid, the least 5-smooth integer
+    # above it, goes from 81,920,000 = 2^17 5^4 points to 82,944,000
+    sub = gen_subset(SubsetSpec.all(), 6500)
 
     def count(hi):
         return lambda: count_representations(sub, 2, 2, hi, method="fft")
 
-    return count(1000), count(5791**2), count(5801**2)
+    return count(1000), count(6397**2), count(6421**2)
 
 
 def sizes_transference(monkeypatch):
@@ -165,7 +166,9 @@ def _small_calls(name):
         return [lambda: ps.bool_mask(1 << 20), lambda: ps.bool_mask(1 << 22)]
     if name == "count_representations(method='fft')":
         sub = gen_subset(SubsetSpec.all(), 2000)
-        return [lambda hi=hi: count_representations(sub, 2, 3, hi) for hi in (10**5, 10**6)]
+        calls = [lambda hi=hi: count_representations(sub, 2, 3, hi) for hi in (10**5, 10**6)]
+        # 25 prime cubes on a grid of 1,843,200 points: the product path
+        return calls + [lambda: count_representations(sub, 3, 2, 10**6)]
     if name == "transference_gauge":
         rng = np.random.default_rng(0)
         calls = []

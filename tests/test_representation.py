@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wglab import representation
@@ -58,7 +58,7 @@ class TestCounting:
     @pytest.mark.parametrize("s", [1, 2])
     def test_fft_equals_brute_past_the_grid(self, k, s):
         # at s = 1, k = 2, hi = 120 the powers stop at 49, so the grid has
-        # 64 points and the counts from 64 to 120 are zeros past the grid
+        # 50 points and the counts from 50 to 120 are zeros past the grid
         sub = all_primes(100)
         for hi in (*range(130), 300, 1000):
             brute = count_representations(sub, k, s, hi, method="brute")
@@ -101,6 +101,72 @@ class TestCounting:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             count_representations(all_primes(100), 2, 2, 10, method="magic")
+
+
+def fft_lengths(monkeypatch, call):
+    """call's result, and the length of every np.fft.rfft and irfft it made."""
+    lengths = {"rfft": [], "irfft": []}
+    for name in lengths:
+        real = getattr(np.fft, name)
+
+        def recorded(a, n=None, *args, real=real, name=name, **kwargs):
+            lengths[name].append(np.shape(a)[-1] if n is None else n)
+            return real(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, recorded)
+    return call(), lengths
+
+
+def bernoulli_counts(k, s, hi, delta, seed):
+    """Whether count_representations(method="fft") takes the product path on
+    a Bernoulli subset, with its fft and brute counts."""
+    sub = gen_subset(SubsetSpec.bernoulli(delta, seed), 400)
+    powers = [p**k for p in map(int, sub.primes()) if p**k <= hi]
+    product = bool(powers) and _use_product(len(powers), smooth_above(s * max(powers)))
+    fft = count_representations(sub, k, s, hi, method="fft")
+    return product, fft, count_representations(sub, k, s, hi, method="brute")
+
+
+class TestCountKernel:
+    """count_representations(method="fft") convolves through the shared
+    kernel: equal to brute on either half-spectrum route, with one irfft
+    of the kernel's grid and, on the product path, no rfft."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([2, 3]),
+        st.integers(2, 3),
+        st.integers(1 << 15, 10**5),
+        st.floats(0.2, 0.6),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(3, 2, 10**5, 0.5, 0)
+    def test_fft_equals_brute_on_sparse_subsets(self, k, s, hi, delta, seed):
+        product, fft, brute = bernoulli_counts(k, s, hi, delta, seed)
+        assume(product)
+        assert fft.dtype == np.int64 and (fft == brute).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.integers(0, 10**5),
+        st.floats(0.9, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(3, 10**5, 1.0, 0)
+    def test_fft_equals_brute_on_dense_subsets(self, s, hi, delta, seed):
+        product, fft, brute = bernoulli_counts(2, s, hi, delta, seed)
+        assume(not product)
+        assert fft.dtype == np.int64 and (fft == brute).all()
+
+    @pytest.mark.parametrize("k, product", [(3, True), (2, False)])
+    def test_one_irfft_of_the_kernel_grid(self, monkeypatch, k, product):
+        sub = all_primes(100)
+        powers = [p**k for p in map(int, sub.primes()) if p**k <= 10**5]
+        grid = smooth_above(2 * max(powers))
+        assert _use_product(len(powers), grid) == product
+        _, lengths = fft_lengths(monkeypatch, lambda: count_representations(sub, k, 2, 10**5))
+        assert lengths == {"rfft": [] if product else [grid], "irfft": [grid]}
 
 
 class TestCoverage:
@@ -465,16 +531,7 @@ class TestGaugeGrid:
         f_list = [WeightedSequence(values=arrays[c], kind="custom", W=0, b=0, k=0) for c in parts]
         lo, hi = window_of(s, N)
         grid = smooth_above(max(hi, s * N - lo))
-        lengths = {"rfft": [], "irfft": []}
-        for name in lengths:
-            real = getattr(np.fft, name)
-
-            def recorded(a, n=None, *args, real=real, name=name, **kwargs):
-                lengths[name].append(np.shape(a)[-1] if n is None else n)
-                return real(a, n, *args, **kwargs)
-
-            monkeypatch.setattr(np.fft, name, recorded)
-        prof = transference_gauge(f_list)
+        prof, lengths = fft_lengths(monkeypatch, lambda: transference_gauge(f_list))
         assert prof.window == (lo, hi)
         assert lengths == {"rfft": [grid] * len(set(parts)), "irfft": [grid]}
 

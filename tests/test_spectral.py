@@ -324,10 +324,11 @@ class TestGauge:
         assert rep.arc.classification in ("major", "minor")
 
     def test_json_row_keys(self):
-        rep = pseudorandom_gauge(build_nu(compute_W(2, 2), 1, 2, 512))
-        row = json.loads(rep.to_json_row())
-        assert set(row) == {"N", "M", "w", "k", "b", "sigma", "value"}
-        assert row["w"] == 2 and row["k"] == 2 and row["b"] == 1
+        nu = build_nu(compute_W(2, 2), 1, 2, 512)
+        for rep in (pseudorandom_gauge(nu), restriction_norm(nu, 6.5)):
+            row = json.loads(rep.to_json_row())
+            assert set(row) == {"N", "M", "w", "k", "b", "sigma", "value"}
+            assert row["w"] == 2 and row["k"] == 2 and row["b"] == 1
 
     def test_repeated_runs_bitwise_identical(self):
         nu = build_nu(compute_W(2, 2), 1, 2, 1024)
