@@ -37,6 +37,7 @@ from .majorant import (
     gen_subset,
     mean_g,
     parse_subset_spec,
+    write_csv,
 )
 from .representation import (
     count_representations,
@@ -165,12 +166,13 @@ def _plan(args, line: str) -> None:
         raise Planned(line)
 
 
-def write_csv(path: str, rows: list[str]) -> None:
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
-
-
+# the only JSON serializers: an indented report, a compact gauge_N*.jsonl line
 def _json_report(d: dict) -> str:
     return json.dumps(d, sort_keys=True, indent=2) + "\n"
+
+
+def _json_line(d: dict) -> str:
+    return json.dumps(d, sort_keys=True) + "\n"
 
 
 def _regime(W: int, N: int) -> float:
@@ -269,7 +271,7 @@ def cmd_waring_pair(args, get) -> Outcome:
     failure = None
     if report.verdict == "not-pair":
         failure = f"majority subset {report.witness} misses {report.uncovered}"
-    return Outcome(json.loads(report.to_json()), failure)
+    return Outcome(report.to_dict(), failure)
 
 
 def cmd_majorant(args, get) -> Outcome:
@@ -277,7 +279,7 @@ def cmd_majorant(args, get) -> Outcome:
     W = compute_W(w, k)
     _plan(args, f"plan: majorant means at W={W.value}, k={k}, N={N}")
     subset = _subset_for(get, iroot(W.value * N + W.value, k))
-    body = mean_g(W, k, N, subset, epsilon=get("epsilon")).to_json_dict()
+    body = mean_g(W, k, N, subset, epsilon=get("epsilon")).to_dict()
     body["subset_density"] = subset.density
     body["W_over_log_N"] = _regime(W.value, N)
     if args.save_seq:
@@ -292,7 +294,7 @@ def cmd_spectrum(args, get) -> Outcome:
     nu = build_nu(W, b, k, N)
     M = default_grid(N, factor)
     report = pseudorandom_gauge(nu, M)
-    body = json.loads(report.to_json_row())
+    body = report.to_dict()
     body["argmax_alpha"] = report.argmax_alpha
     body["arc"] = None if report.arc is None else report.arc.classification
     body["W_over_log_N"] = _regime(W.value, N)
@@ -337,7 +339,7 @@ def cmd_restrict(args, get) -> Outcome:
         subset = _subset_for(get, iroot(W.value * N + b, k))
         seq = build_f(W, b, k, N, subset)
     report = restriction_norm(seq, exponent)
-    body = json.loads(report.to_json_row())
+    body = report.to_dict()
     body["exponent"] = exponent
     body["norm"] = report.norm
     return Outcome(body)
@@ -349,11 +351,11 @@ def cmd_count(args, get) -> Outcome:
     _plan(args, f"plan: {args.method} representation counts for n in [{lo}, {hi}]")
     subset = _subset_for(get, iroot(hi, k))
     counts = count_representations(subset, k, s, hi, method=args.method)
-    rows = ["n,count"] + [f"{n},{counts[n]}" for n in range(lo, hi + 1)]
+    rows = (f"{n},{counts[n]}" for n in range(lo, hi + 1))
     if args.csv:
-        write_csv(args.csv, rows)
+        write_csv(args.csv, "n,count", rows)
         return Outcome()
-    return Outcome(echo="\n".join(rows))
+    return Outcome(echo="\n".join(["n,count", *rows]))
 
 
 def cmd_coverage(args, get) -> Outcome:
@@ -363,7 +365,7 @@ def cmd_coverage(args, get) -> Outcome:
     subset = _subset_for(get, iroot(hi, k))
     report, reach = coverage_probe(subset, k, s, (lo, hi), use_filter=not args.no_filter)
     if args.csv:
-        write_csv(args.csv, report.csv_rows(reach))
+        report.to_csv(args.csv, reach)
     if args.exceptions_file:
         Path(args.exceptions_file).write_text(
             "".join(f"{n}\n" for n in report.exceptions), encoding="utf-8"
@@ -371,7 +373,7 @@ def cmd_coverage(args, get) -> Outcome:
     failure = None
     if report.exceptions:
         failure = f"{len(report.exceptions)} admissible integers unrepresented"
-    return Outcome(json.loads(report.to_json()), failure)
+    return Outcome(report.to_dict(), failure)
 
 
 def cmd_transfer(args, get) -> Outcome:
@@ -399,7 +401,7 @@ def cmd_transfer(args, get) -> Outcome:
     failure = None
     if profile.mean_each_ok and profile.mean_sum_ok and profile.gauge <= 0:
         failure = "mean hypotheses hold but the window gauge is not positive"
-    return Outcome(json.loads(profile.to_json()), failure)
+    return Outcome(profile.to_dict(), failure)
 
 
 def cmd_report(args, get) -> Outcome:
@@ -413,28 +415,30 @@ def cmd_report(args, get) -> Outcome:
     bs = None if b_list == "all" else [int(x) for x in b_list.split(",")]
     for b in bs or ():
         sigma_b(W, k, b)  # raises on a b that is not a unit k-th power residue
-    thresholds = theorem_thresholds(k).to_json()
+    thresholds = theorem_thresholds(k).to_dict()
     spec = parse_subset_spec(get("subset"))
     _plan(args, f"plan: batch report for k={k}, w={w}, N in {n_list} into {outdir}")
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "thresholds.json").write_text(thresholds, encoding="utf-8")
-    (out / "rk.json").write_text(_json_report(_rk_body(k)), encoding="utf-8")
-    (out / "sigma.json").write_text(_json_report(_sigma_body(W, k)), encoding="utf-8")
+
+    def write(name: str, text: str) -> None:
+        (out / name).write_text(text, encoding="utf-8")
+
+    write("thresholds.json", _json_report(thresholds))
+    write("rk.json", _json_report(_rk_body(k)))
+    write("sigma.json", _json_report(_sigma_body(W, k)))
     factor = get("grid_factor")
     bs = bs or power_residues(W, k).unit_sorted
     for N in n_list:
         Y = iroot(W.value * N + W.value, k)
         primes = sieve_primes(max(Y, 100))  # covers every b < W as well
         subset = gen_subset(spec, max(Y, 100), primes=primes)
-        body = mean_g(W, k, N, subset).to_json_dict()
+        body = mean_g(W, k, N, subset).to_dict()
         body["W_over_log_N"] = _regime(W.value, N)
-        (out / f"means_N{N}.json").write_text(_json_report(body), encoding="utf-8")
+        write(f"means_N{N}.json", _json_report(body))
         M = default_grid(N, factor)
-        rows = [
-            pseudorandom_gauge(build_nu(W, b, k, N, primes=primes), M).to_json_row() for b in bs
-        ]
-        (out / f"gauge_N{N}.jsonl").write_text("".join(rows), encoding="utf-8")
+        gauges = (pseudorandom_gauge(build_nu(W, b, k, N, primes=primes), M) for b in bs)
+        write(f"gauge_N{N}.jsonl", "".join(_json_line(g.to_dict()) for g in gauges))
     return Outcome(echo=f"report written to {out}")
 
 

@@ -8,10 +8,9 @@ into s weighted unit k-th powers.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -47,7 +46,8 @@ class PowerResidueTable:
     all_residues is the image of t -> t^k over all of Z_m (so it contains
     0^k); unit_residues keeps only the residues coprime to m; multiplicity
     maps each residue in the image to the number of z in [m] with
-    z^k = residue (mod m).
+    z^k = residue (mod m).  powers[t] = t^k mod m for t = 0..m-1, read-only:
+    the one copy of the power map that every reader indexes.
     """
 
     modulus: FactoredModulus
@@ -55,6 +55,7 @@ class PowerResidueTable:
     all_residues: frozenset[int]
     unit_residues: frozenset[int]
     multiplicity: dict[int, int]
+    powers: np.ndarray = field(repr=False, compare=False)
 
     @property
     def unit_sorted(self) -> list[int]:
@@ -71,12 +72,13 @@ def _vector_pow_mod(m: int, k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _power_residues_cached(m: FactoredModulus, k: int, cap: int) -> PowerResidueTable:
-    mv = m.value
+def _power_residues_cached(m: FactoredModulus, k: int) -> PowerResidueTable:
+    mv, cap = m.value, ENUMERATION_CAP_DEFAULT
     if mv > cap:
         raise LimitExceededError(f"modulus {mv} exceeds enumeration cap {cap}")
-    residues = _vector_pow_mod(mv, k)
-    counts = np.bincount(residues, minlength=mv)
+    powers = _vector_pow_mod(mv, k)
+    powers.flags.writeable = False
+    counts = np.bincount(powers, minlength=mv)
     present = np.flatnonzero(counts)
     multiplicity = {int(r): int(counts[r]) for r in present}
     units = frozenset(int(r) for r in present if math.gcd(int(r), mv) == 1)
@@ -86,16 +88,17 @@ def _power_residues_cached(m: FactoredModulus, k: int, cap: int) -> PowerResidue
         all_residues=frozenset(int(r) for r in present),
         unit_residues=units,
         multiplicity=multiplicity,
+        powers=powers,
     )
 
 
-def power_residues(m: FactoredModulus, k: int, *, cap: int = ENUMERATION_CAP_DEFAULT) -> PowerResidueTable:
+def power_residues(m: FactoredModulus, k: int) -> PowerResidueTable:
     """Exact k-th power residue table of m by full enumeration of Z_m."""
     if m.value < 2:
         raise ValueError(f"modulus must be >= 2, got {m.value}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return _power_residues_cached(m, k, cap)
+    return _power_residues_cached(m, k)
 
 
 def sigma_b(W: FactoredModulus, k: int, b: int) -> int:
@@ -217,19 +220,14 @@ class WaringPairReport:
     uncovered: list[int] | None
     trials: int
 
-    def to_json(self) -> str:
-        d = {
-            "q": self.q,
+    def to_dict(self) -> dict:
+        """Every field, the factors as lists and the subsets sorted."""
+        return {
+            **vars(self),
             "q_factors": [list(f) for f in self.q_factors],
-            "k": self.k,
-            "s": self.s,
-            "strategy": self.strategy,
-            "verdict": self.verdict,
             "witness": sorted(self.witness) if self.witness is not None else None,
             "uncovered": sorted(self.uncovered) if self.uncovered is not None else None,
-            "trials": self.trials,
         }
-        return json.dumps(d, sort_keys=True, indent=2) + "\n"
 
 
 def _reverify_violation(q: FactoredModulus, k: int, s: int, B: list[int], n_units: int) -> list[int]:

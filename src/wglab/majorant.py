@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_arith import FactoredModulus, PrimeSet, iroot, sieve_primes
-from .local_structure import _vector_pow_mod, power_residues, sigma_b
+from .local_structure import power_residues, sigma_b
 
 __all__ = [
     "SubsetSpec",
@@ -32,6 +32,24 @@ __all__ = [
 
 KIND_CODES = {"nu": 0, "f": 1, "bold-f": 2, "mu": 3, "psi": 4, "indicator": 5, "custom": 6}
 _CODE_KINDS = {v: k for k, v in KIND_CODES.items()}
+
+
+def write_binary(path, kind: str, W: int, b: int, k: int, length: int, payload) -> None:
+    """The one binary file layout: five little-endian int64 (the code of
+    kind, custom for an unknown kind; W, b, k, length), then payload as
+    little-endian float64."""
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<5q", KIND_CODES.get(kind, KIND_CODES["custom"]), W, b, k, length))
+        fh.write(np.ascontiguousarray(payload, dtype="<f8"))
+
+
+def write_csv(path, header: str, rows) -> None:
+    """The one CSV layout: the header row, then each row, every line ended
+    by LF.  Rows are written as they come, never joined in memory: a
+    spectrum has M of them."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.writelines(row + "\n" for row in rows)
 
 
 @dataclass(frozen=True)
@@ -279,11 +297,8 @@ class WeightedSequence:
         return cls(values=v, kind="custom", W=0, b=0, k=0)
 
     def to_binary(self, path) -> None:
-        """Header of five little-endian int64 (kind code, W, b, k, N), then
-        N little-endian float64 weights."""
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<5q", KIND_CODES[self.kind], self.W, self.b, self.k, self.N))
-            fh.write(self.values.astype("<f8").tobytes())
+        """write_binary's header (kind code, W, b, k, N), then the N weights."""
+        write_binary(path, self.kind, self.W, self.b, self.k, self.N, self.values)
 
     @classmethod
     def from_binary(cls, path) -> "WeightedSequence":
@@ -303,10 +318,7 @@ class WeightedSequence:
         return cls(values=values, kind=_CODE_KINDS[code], W=W, b=b, k=k)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("n,value\n")
-            for i, v in enumerate(self.values):
-                fh.write(f"{i + 1},{v:.12g}\n")
+        write_csv(path, "n,value", (f"{n},{v:.12g}" for n, v in enumerate(self.values, 1)))
 
 
 def _primes_to(Y: int, primes: PrimeSet | None) -> PrimeSet:
@@ -428,18 +440,10 @@ class MeanReport:
     margin: float | None  # k * delta - (k - 1) for the intended density
     floor: float | None  # (1 - epsilon) * delta
 
-    def to_json_dict(self) -> dict:
-        return {
-            "W": self.W,
-            "k": self.k,
-            "N": self.N,
-            "subset": self.subset.describe(),
-            "epsilon": self.epsilon,
-            "per_b": {str(b): v for b, v in sorted(self.per_b.items())},
-            "aggregate": self.aggregate,
-            "margin": self.margin,
-            "floor": self.floor,
-        }
+    def to_dict(self) -> dict:
+        """Every field, the subset by its description and per_b by string keys."""
+        per_b = {str(b): v for b, v in sorted(self.per_b.items())}
+        return {**vars(self), "subset": self.subset.describe(), "per_b": per_b}
 
 
 def mean_g(
@@ -464,7 +468,7 @@ def mean_g(
         raise ValueError(f"subset realized to {subset.limit} but Y = {Ymax} needed")
     ps = np.flatnonzero(subset.members[: Ymax + 1]).astype(np.int64)
     ps = ps[np.gcd(ps, Wv) == 1]
-    bs = _vector_pow_mod(Wv, k)[ps % Wv]  # the class p^k mod W of each p
+    bs = table.powers[ps % Wv]  # the class p^k mod W of each p
     _, hit = _hits(ps, k, Wv, bs, N)
     units = table.unit_sorted
     # every unit k-th power residue has the same root count sigma

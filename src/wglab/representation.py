@@ -8,7 +8,6 @@ concentration window, and the closed-form parameter thresholds.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +16,7 @@ import numpy as np
 
 from .bitsets import bits_from, line_power, window_flags
 from .core_arith import FactoredModulus, compute_Rk, require_bytes
-from .majorant import PrimeSubset, WeightedSequence
+from .majorant import PrimeSubset, WeightedSequence, write_csv
 from .spectral import _half_spectrum
 
 __all__ = [
@@ -76,6 +75,7 @@ def count_representations(
     the indicator polynomial by the convolution kernel (_convolve), with
     integer recovery by rounding, refused if any count could reach 2^52,
     and before allocating when the kernel's price exceeds MEMORY_BUDGET.
+    The kernel's price includes the 8 (hi + 1) bytes of the padded result.
     bitset: reachability only; the returned array holds 0/1 flags.
     """
     if s < 1:
@@ -106,7 +106,7 @@ def count_representations(
 
         top = s * powers[-1]
         what = "count_representations(method='fft')"
-        conv, _ = _convolve(indicator(), top, 0, min(hi, top), what)
+        conv, _ = _convolve(indicator(), top, 0, min(hi, top), what, 8 * (hi + 1))
         if conv.max() >= FFT_EXACT_LIMIT:
             raise FFTPrecisionError(
                 f"count magnitude {conv.max():.3g} >= 2^52; "
@@ -139,27 +139,27 @@ class CoverageReport:
     represented_count: int
     exceptions: list[int]
 
-    def to_json(self) -> str:
-        d = {
-            "k": self.k,
-            "s": self.s,
-            "subset": self.subset,
-            "window": list(self.window),
-            "modulus": self.modulus,
-            "filtered": self.filtered,
-            "admissible_count": self.admissible_count,
-            "represented_count": self.represented_count,
-            "exception_count": len(self.exceptions),
-            "exceptions": self.exceptions,
-        }
-        return json.dumps(d, sort_keys=True, indent=2) + "\n"
+    def to_dict(self) -> dict:
+        """Every field, the window as a list, and the exception count."""
+        return {**vars(self), "window": list(self.window), "exception_count": len(self.exceptions)}
 
-    def csv_rows(self, reach) -> list[str]:
-        lo, hi = self.window
-        ns = np.arange(lo, hi + 1, dtype=np.int64)
-        adm = admissible_filter(ns, self.s, self.k) if self.filtered else np.ones(ns.size, bool)
-        flags = zip(ns.tolist(), adm.tolist(), window_flags(reach, lo, hi).tolist())
-        return ["n,admissible,represented"] + [f"{n},{int(a)},{int(r)}" for n, a, r in flags]
+    def csv_rows(self, reach):
+        """One row "n,admissible,represented" per n in the window, as 0/1 flags."""
+        readout = _window_readout(reach, self.window, self.s, self.k, self.filtered)
+        for n, a, r in zip(*(column.tolist() for column in readout)):
+            yield f"{n},{int(a)},{int(r)}"
+
+    def to_csv(self, path, reach) -> None:
+        write_csv(path, "n,admissible,represented", self.csv_rows(reach))
+
+
+def _window_readout(reach: int, window, s: int, k: int, filtered: bool):
+    """(ns, admissible, represented) over the window [lo, hi]: each n, its
+    admissible_filter flag (every n when not filtered) and its reach bit."""
+    lo, hi = window
+    ns = np.arange(lo, hi + 1, dtype=np.int64)
+    adm = admissible_filter(ns, s, k) if filtered else np.ones(ns.size, dtype=bool)
+    return ns, adm, window_flags(reach, lo, hi)
 
 
 def coverage_probe(
@@ -180,16 +180,13 @@ def coverage_probe(
     if not 0 <= lo <= hi:
         raise ValueError(f"bad window {window}")
     reach = _reach(_prime_powers(subset, k, hi), s, hi)
-    modulus = compute_Rk(k).value
-    flags = window_flags(reach, lo, hi)
-    ns = np.arange(lo, hi + 1, dtype=np.int64)
-    adm = admissible_filter(ns, s, k) if use_filter else np.ones(ns.size, dtype=bool)
+    ns, adm, flags = _window_readout(reach, window, s, k, use_filter)
     report = CoverageReport(
         k=k,
         s=s,
         subset=subset.spec.describe(),
         window=(lo, hi),
-        modulus=modulus,
+        modulus=compute_Rk(k).value,
         filtered=use_filter,
         admissible_count=int(adm.sum()),
         represented_count=int((adm & flags).sum()),
@@ -225,20 +222,10 @@ class ConvolutionProfile:
     mean_sum_ok: bool
     numeric_warning: bool
 
-    def to_json(self) -> str:
-        d = {
-            "s": self.s,
-            "N": self.N,
-            "epsilon": self.epsilon,
-            "kappa": self.kappa,
-            "window": list(self.window),
-            "gauge": self.gauge,
-            "means": self.means,
-            "mean_each_ok": self.mean_each_ok,
-            "mean_sum_ok": self.mean_sum_ok,
-            "numeric_warning": self.numeric_warning,
-        }
-        return json.dumps(d, sort_keys=True, indent=2) + "\n"
+    def to_dict(self) -> dict:
+        """Every field but the window's values, the window as a list."""
+        d = {key: v for key, v in vars(self).items() if key != "values"}
+        return {**d, "window": list(self.window)}
 
 
 def _smooth_above(n: int) -> int:
@@ -256,7 +243,9 @@ def _smooth_above(n: int) -> int:
     return min(best, p5)
 
 
-def _convolve(parts, top: int, lo: int, hi: int, what: str) -> tuple[np.ndarray, float]:
+def _convolve(
+    parts, top: int, lo: int, hi: int, what: str, result_bytes: int = 0
+) -> tuple[np.ndarray, float]:
     """The one convolution kernel: the product of parts, each (values,
     multiplicity) with values[n - 1] at position n, exact on [lo, hi].
 
@@ -264,13 +253,14 @@ def _convolve(parts, top: int, lo: int, hi: int, what: str) -> tuple[np.ndarray,
     top - lo, top the last position the product reaches: a grid above hi
     keeps the window and folds no negative position onto it, and one above
     top - lo sends every position that would wrap onto the window past top.
-    The peak, measured at 2.5 to 5.3 float64 grids, is priced at 6.5 grids
-    under the name what before the first part is drawn from parts.
+    The peak, measured at 2.5 to 5.3 float64 grids, is priced at 6.5 grids,
+    plus the result_bytes the caller allocates afterwards, under the name
+    what before the first part is drawn from parts.
     Multiplies the parts' half spectra (spectral._half_spectrum), then
     returns the one irfft of the product and the sum of its |bins|.
     """
     grid = _smooth_above(max(hi, top - lo))
-    require_bytes(6.5 * 8 * grid, what)
+    require_bytes(6.5 * 8 * grid + result_bytes, what)
     prod = np.ones(grid // 2 + 1, dtype=complex)
     for values, mult in parts:
         for j0, X in _half_spectrum(values, grid, what):
@@ -373,14 +363,10 @@ class ThresholdReport:
     s_min_local: int
     delta_threshold: Fraction
 
-    def to_json(self) -> str:
-        d = {
-            "k": self.k,
-            "s_min_theorem": self.s_min_theorem,
-            "s_min_local": self.s_min_local,
-            "delta_threshold": [self.delta_threshold.numerator, self.delta_threshold.denominator],
-        }
-        return json.dumps(d, sort_keys=True, indent=2) + "\n"
+    def to_dict(self) -> dict:
+        """Every field, delta_threshold as [numerator, denominator]."""
+        delta = self.delta_threshold
+        return {**vars(self), "delta_threshold": [delta.numerator, delta.denominator]}
 
 
 def theorem_thresholds(k: int) -> ThresholdReport:

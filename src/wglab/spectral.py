@@ -8,16 +8,14 @@ term, a uniform pseudorandomness gauge, and restriction-norm constants.
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core_arith import FactoredModulus, LimitExceededError, rational_approx, require_bytes
-from .local_structure import _vector_pow_mod, sigma_b
-from .majorant import KIND_CODES, WeightedSequence
+from .local_structure import power_residues, sigma_b
+from .majorant import WeightedSequence, write_binary, write_csv
 
 __all__ = [
     "Spectrum",
@@ -209,29 +207,15 @@ class Spectrum:
     source: dict
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("j,re,im\n")
-            for j, v in enumerate(self.values):
-                fh.write(f"{j},{v.real:.12g},{v.imag:.12g}\n")
+        rows = (f"{j},{v.real:.12g},{v.imag:.12g}" for j, v in enumerate(self.values))
+        write_csv(path, "j,re,im", rows)
 
     def to_binary(self, path) -> None:
-        """Same header layout as a weighted sequence (kind, W, b, k, M),
-        then 2M float64: interleaved re, im."""
-        code = KIND_CODES.get(self.source.get("kind", "custom"), 6)
-        header = struct.pack(
-            "<5q",
-            code,
-            self.source.get("W", 0),
-            self.source.get("b", 0),
-            self.source.get("k", 0),
-            self.M,
-        )
-        inter = np.empty(2 * self.M)
-        inter[0::2] = self.values.real
-        inter[1::2] = self.values.imag
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(inter.astype("<f8").tobytes())
+        """write_binary's header (kind code, W, b, k, M), then the complex
+        grid viewed as 2M float64: interleaved re, im."""
+        get = self.source.get
+        header = (get("kind", "custom"), get("W", 0), get("b", 0), get("k", 0), self.M)
+        write_binary(path, *header, self.values.view(np.float64))
 
 
 def dft_spectrum(seq: WeightedSequence, M: int | None = None) -> Spectrum:
@@ -468,7 +452,7 @@ def major_arc_model(
     sigma = sigma_b(W, k, b)
     # the roots of the unit b are units, and 0 is never one; sigma_b counts
     # the same power table, so the assert guards only this extraction
-    zs = np.flatnonzero(_vector_pow_mod(Wv, k) == b % Wv).tolist()
+    zs = np.flatnonzero(power_residues(W, k).powers == b % Wv).tolist()
     assert len(zs) == sigma
     Wq = W.scaled_by(FactoredModulus.from_value(q))
     coef = W.euler_phi / (Wq.euler_phi * sigma)
@@ -487,12 +471,15 @@ def major_arc_residual(
     return abs(hat - model) / seq.N, hat, model
 
 
-def _json_row(report, sigma: float | None, value: float) -> str:
+def _json_row(report, sigma: float | None, value: float) -> dict:
     """The one seven-key row of a gauge or restriction report: the sizes,
     w (the largest prime of W, 0 for W <= 1), k, b, sigma and the value."""
     w = max(FactoredModulus.from_value(report.W).prime_support) if report.W > 1 else 0
-    row = dict(N=report.N, M=report.M, w=w, k=report.k, b=report.b, sigma=sigma, value=value)
-    return json.dumps(row, sort_keys=True) + "\n"
+    return dict(N=report.N, M=report.M, w=w, k=report.k, b=report.b, sigma=sigma, value=value)
+
+
+# the arc exponents pseudorandom_gauge tries at its argmax, in order
+_SIGMA_CHAIN = (4.0, 3.0, 2.0, 1.5, 1.0)
 
 
 @dataclass
@@ -510,15 +497,11 @@ class GaugeReport:
     sigma: float | None
     arc: Arc | None
 
-    def to_json_row(self) -> str:
+    def to_dict(self) -> dict:
         return _json_row(self, self.sigma, self.D)
 
 
-def pseudorandom_gauge(
-    nu: WeightedSequence,
-    M: int | None = None,
-    sigma_chain: tuple[float, ...] = (4.0, 3.0, 2.0, 1.5, 1.0),
-) -> GaugeReport:
+def pseudorandom_gauge(nu: WeightedSequence, M: int | None = None) -> GaugeReport:
     """Grid maximum of |transform(nu) - transform(interval)| / N.
 
     By linearity this is the transform of nu - 1 at n = 1..N, read from the
@@ -527,7 +510,7 @@ def pseudorandom_gauge(
     canonical: argmax_j <= M/2 and argmax_alpha lies in [0, 1/2].
 
     The argmax frequency is classified into major/minor arcs using the
-    first exponent in sigma_chain that yields a nondegenerate P < Q; the
+    first exponent in _SIGMA_CHAIN that yields a nondegenerate P < Q; the
     exponent actually used is recorded in the report.
     """
     N = nu.N
@@ -547,7 +530,7 @@ def pseudorandom_gauge(
     arc = None
     sigma_used = None
     if nu.W > 1:
-        for sigma in sigma_chain:
+        for sigma in _SIGMA_CHAIN:
             try:
                 params = ArcParams.for_sequence(nu.W, N, nu.k, sigma=sigma)
             except ValueError:
@@ -582,7 +565,7 @@ class RestrictionReport:
     b: int
     k: int
 
-    def to_json_row(self) -> str:
+    def to_dict(self) -> dict:
         return _json_row(self, None, self.constant)
 
 

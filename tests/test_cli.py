@@ -3,7 +3,12 @@ from pathlib import Path
 
 import pytest
 
-from wglab.cli import build_parser, main
+from wglab.cli import _json_line, _json_report, build_parser, main
+from wglab.core_arith import FactoredModulus, compute_W
+from wglab.local_structure import waring_pair_check
+from wglab.majorant import SubsetSpec, WeightedSequence, build_nu, gen_subset, mean_g
+from wglab.representation import coverage_probe, theorem_thresholds, transference_gauge
+from wglab.spectral import pseudorandom_gauge, restriction_norm
 
 
 def run_cli(capsys, *argv):
@@ -426,12 +431,13 @@ class TestMemoryBudget:
 
     def test_fft_count(self, capsys):
         # s hi just under the former s hi <= 10^9 cap: the top 4 * 15809^2
-        # = 999,697,924 puts the grid at 10^9 = 2^9 5^9 points
+        # = 999,697,924 puts the grid at 10^9 = 2^9 5^9 points, priced at
+        # 6.5 grids, plus the 8 (hi + 1) bytes of the result
         argv = "count --k 2 --s 4 --hi 249999999 --method fft".split()
         assert run_cli(capsys, *argv) == (
             2,
             "",
-            "error: count_representations(method='fft') needs about 48.4 GiB, "
+            "error: count_representations(method='fft') needs about 50.3 GiB, "
             "over the memory budget of 4 GiB\n",
         )
 
@@ -528,3 +534,52 @@ class TestValidatedBeforeWork:
         path.write_text("w=2\n")
         code, out, _ = run_cli(capsys, "--config", str(path), "local", "sigma")
         assert code == 0 and json.loads(out)["sigma"] == {"1": 4, "9": 4}
+
+
+def _reports():
+    """One small instance of each report the CLI serializes, by name."""
+    W = compute_W(2, 2)
+    sub = gen_subset(SubsetSpec.all(), 200)
+    nu = build_nu(W, 1, 2, 512)
+    return {
+        "WaringPairReport": lambda: waring_pair_check(FactoredModulus.from_value(5), 2, 2),
+        "MeanReport": lambda: mean_g(W, 2, 512, sub),
+        "CoverageReport": lambda: coverage_probe(sub, 2, 5, (100, 400))[0],
+        "ConvolutionProfile": lambda: transference_gauge([WeightedSequence.indicator(64)] * 2),
+        "ThresholdReport": lambda: theorem_thresholds(2),
+        "GaugeReport": lambda: pseudorandom_gauge(nu),
+        "RestrictionReport": lambda: restriction_norm(nu, 6.5),
+    }
+
+
+ROW_KEYS = {"N", "M", "w", "k", "b", "sigma", "value"}
+REPORT_KEYS = {
+    "WaringPairReport": {
+        "q", "q_factors", "k", "s", "strategy", "verdict", "witness", "uncovered", "trials"
+    },
+    "MeanReport": {
+        "W", "k", "N", "subset", "epsilon", "per_b", "aggregate", "margin", "floor"
+    },
+    "CoverageReport": {
+        "k", "s", "subset", "window", "modulus", "filtered", "admissible_count",
+        "represented_count", "exception_count", "exceptions",
+    },
+    "ConvolutionProfile": {
+        "s", "N", "epsilon", "kappa", "window", "gauge", "means", "mean_each_ok",
+        "mean_sum_ok", "numeric_warning",
+    },
+    "ThresholdReport": {"k", "s_min_theorem", "s_min_local", "delta_threshold"},
+    "GaugeReport": ROW_KEYS,
+    "RestrictionReport": ROW_KEYS,
+}
+
+
+@pytest.mark.parametrize("name", list(REPORT_KEYS))
+def test_report_dict_keys(name):
+    """Each report's to_dict holds its JSON keys, already in JSON's shapes:
+    serializing and reading it back gives the same dict."""
+    report = _reports()[name]()
+    assert type(report).__name__ == name
+    d = report.to_dict()
+    assert set(d) == REPORT_KEYS[name]
+    assert json.loads(_json_report(d)) == d == json.loads(_json_line(d))

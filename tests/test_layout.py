@@ -1,0 +1,66 @@
+"""Module ownership rules of src/wglab, checked on each file's syntax tree.
+
+Only cli serializes JSON, and nothing in the package parses it back; only
+majorant packs binary layouts; only local_structure computes the power
+map t^k mod m, which every other reader takes from power_residues.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "wglab"
+MODULES = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+
+
+def _imported(tree) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return names
+
+
+def _names(tree) -> set[str]:
+    """Every identifier the module names: variables, attributes, imported
+    names and definitions."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def test_modules_found():
+    assert {"cli", "majorant", "local_structure", "spectral"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("module, owner", [("json", "cli"), ("struct", "majorant")])
+def test_one_importer(module, owner):
+    assert [name for name, tree in MODULES.items() if module in _imported(tree)] == [owner]
+
+
+def test_power_map_named_only_by_its_owner():
+    named = [name for name, tree in MODULES.items() if "_vector_pow_mod" in _names(tree)]
+    assert named == ["local_structure"]
+
+
+def _parses_json(node) -> bool:
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return node.value.id == "json" and node.attr in ("load", "loads")
+    if isinstance(node, ast.ImportFrom) and node.module == "json":
+        return bool({"load", "loads"} & {alias.name for alias in node.names})
+    return False
+
+
+def test_no_json_parsing():
+    assert [name for name, tree in MODULES.items() if any(map(_parses_json, ast.walk(tree)))] == []

@@ -94,15 +94,17 @@ def sizes_dft_spectrum(monkeypatch):
 
 
 def sizes_count(monkeypatch):
-    # 6397 and 6421 are consecutive primes: at s = 2 the top 2 p^2 goes from
-    # 81,843,218 to 82,458,482, so the grid, the least 5-smooth integer
-    # above it, goes from 81,920,000 = 2^17 5^4 points to 82,944,000
+    # 6173 and 6197 are consecutive primes: at s = 2 and hi = p^2 the top
+    # 2 p^2 goes from 76,211,858 to 76,805,618, so the grid, the least
+    # 5-smooth integer above it, goes from 76,527,504 = 2^4 3^14 points
+    # to 77,760,000; with the 8 (hi + 1) bytes of the result the estimate
+    # crosses the budget there
     sub = gen_subset(SubsetSpec.all(), 6500)
 
     def count(hi):
         return lambda: count_representations(sub, 2, 2, hi, method="fft")
 
-    return count(1000), count(6397**2), count(6421**2)
+    return count(1000), count(6173**2), count(6197**2)
 
 
 def sizes_transference(monkeypatch):
@@ -167,8 +169,13 @@ def _small_calls(name):
     if name == "count_representations(method='fft')":
         sub = gen_subset(SubsetSpec.all(), 2000)
         calls = [lambda hi=hi: count_representations(sub, 2, 3, hi) for hi in (10**5, 10**6)]
-        # 25 prime cubes on a grid of 1,843,200 points: the product path
-        return calls + [lambda: count_representations(sub, 3, 2, 10**6)]
+        # 25 prime cubes on a grid of 1,843,200 points: the product path;
+        # then hi far above the top 2 * 97^2, where the result outweighs the grid
+        small = gen_subset(SubsetSpec.all(), 100)
+        return calls + [
+            lambda: count_representations(sub, 3, 2, 10**6),
+            lambda: count_representations(small, 2, 2, 10**6),
+        ]
     if name == "transference_gauge":
         rng = np.random.default_rng(0)
         calls = []

@@ -1,5 +1,4 @@
 import cmath
-import json
 import math
 import random
 import struct
@@ -10,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wglab.cli import _json_line
 from wglab.core_arith import (
     MEMORY_BUDGET,
     FactoredModulus,
@@ -93,6 +93,16 @@ class TestSpectrum:
         binp = tmp_path / "spec.bin"
         sp.to_binary(binp)
         assert binp.stat().st_size == 40 + 16 * 64
+
+    def test_binary_bytes(self, tmp_path):
+        """The header (kind code, W, b, k, M) as little-endian int64, then
+        re and im of each grid value, interleaved, as little-endian float64."""
+        seq = build_nu(compute_W(2, 2), 1, 2, 100)
+        sp = dft_spectrum(seq, 256)
+        path = tmp_path / "spec.bin"
+        sp.to_binary(path)
+        pairs = (struct.pack("<dd", v.real, v.imag) for v in sp.values.tolist())
+        assert path.read_bytes() == struct.pack("<5q", 0, 16, 1, 2, 256) + b"".join(pairs)
 
 
 class TestArcs:
@@ -326,7 +336,7 @@ class TestGauge:
     def test_json_row_keys(self):
         nu = build_nu(compute_W(2, 2), 1, 2, 512)
         for rep in (pseudorandom_gauge(nu), restriction_norm(nu, 6.5)):
-            row = json.loads(rep.to_json_row())
+            row = rep.to_dict()
             assert set(row) == {"N", "M", "w", "k", "b", "sigma", "value"}
             assert row["w"] == 2 and row["k"] == 2 and row["b"] == 1
 
@@ -335,7 +345,7 @@ class TestGauge:
         a = pseudorandom_gauge(nu, 4096)
         b = pseudorandom_gauge(nu, 4096)
         assert a.D == b.D and a.argmax_j == b.argmax_j
-        assert a.to_json_row() == b.to_json_row()
+        assert _json_line(a.to_dict()) == _json_line(b.to_dict())
 
 
 class TestRestriction:
@@ -366,7 +376,7 @@ class TestRestriction:
         W = compute_W(2, 2)
         sub = gen_subset(SubsetSpec.all(), math.isqrt(16 * N + 16) + 1)
         rep = restriction_norm(build_f(W, 1, 2, N, sub), 6.5)
-        row = json.loads(rep.to_json_row())
+        row = rep.to_dict()
         assert row["value"] == pytest.approx(rep.constant)
         assert row["sigma"] is None
 
@@ -575,7 +585,7 @@ class TestSparseProduct:
         a = pseudorandom_gauge(nu, M)
         b = pseudorandom_gauge(nu, M)
         assert a.D == b.D and a.argmax_j == b.argmax_j
-        assert a.to_json_row() == b.to_json_row()
+        assert _json_line(a.to_dict()) == _json_line(b.to_dict())
         assert restriction_norm(nu, 6.5, M).norm == restriction_norm(nu, 6.5, M).norm
 
     def test_blocks_cover_the_half_grid_in_serial_products(self):
