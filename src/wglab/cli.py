@@ -27,6 +27,7 @@ from .local_structure import (
     DecompositionFailure,
     local_decompose,
     power_residues,
+    require_enumerable,
     sigma_b,
     waring_pair_check,
 )
@@ -95,7 +96,9 @@ DEFAULTS = {
 
 # the smallest value each checked setting accepts; q, modulus, lo and hi
 # come from flags only
-MINIMA = {"k": 1, "w": 2, "s": 1, "n": 1, "q": 2, "modulus": 2, "lo": 0, "hi": 1}
+MINIMA = {
+    "k": 1, "w": 2, "s": 1, "n": 1, "q": 2, "modulus": 2, "lo": 0, "hi": 1, "grid_factor": 2,
+}
 
 
 class ConfigError(Exception):
@@ -226,6 +229,7 @@ def cmd_local(args, get) -> Outcome:
         return Outcome({**_sigma_body(W, k), "w": w})
     if args.local_op == "residues":
         m = get("modulus")
+        require_enumerable(m)
         _plan(args, f"plan: k-th power residues mod {m}")
         table = power_residues(FactoredModulus.from_value(m), k)
         body = {
@@ -257,6 +261,7 @@ def cmd_local(args, get) -> Outcome:
 
 def cmd_waring_pair(args, get) -> Outcome:
     k, s, q = get("k"), get("s"), get("q")
+    require_enumerable(q)
     _plan(args, f"plan: {args.strategy} covering scan at q={q}, k={k}, s={s}")
     report = waring_pair_check(
         FactoredModulus.from_value(q),
@@ -417,6 +422,7 @@ def cmd_report(args, get) -> Outcome:
         sigma_b(W, k, b)  # raises on a b that is not a unit k-th power residue
     thresholds = theorem_thresholds(k).to_dict()
     spec = parse_subset_spec(get("subset"))
+    factor = get("grid_factor")
     _plan(args, f"plan: batch report for k={k}, w={w}, N in {n_list} into {outdir}")
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
@@ -427,7 +433,6 @@ def cmd_report(args, get) -> Outcome:
     write("thresholds.json", _json_report(thresholds))
     write("rk.json", _json_report(_rk_body(k)))
     write("sigma.json", _json_report(_sigma_body(W, k)))
-    factor = get("grid_factor")
     bs = bs or power_residues(W, k).unit_sorted
     for N in n_list:
         Y = iroot(W.value * N + W.value, k)

@@ -1,6 +1,6 @@
 """Exact integer arithmetic shared by the whole lab.
 
-Prime sieving (segmented, bit-packed), factored moduli with exact phi and
+Prime sieving (one segmented byte mask), factored moduli with exact phi and
 gcd, the classical congruence modulus for sums of prime k-th powers, and
 best rational approximation by continued fractions.
 """
@@ -34,7 +34,7 @@ __all__ = [
 # scanned), ENUMERATION_CAP_DEFAULT (Python dicts), _ARC_SCAN_CAP and the
 # brute caps (Python loops).
 MEMORY_BUDGET = 4 << 30
-_SEGMENT = 1 << 22  # multiple of 8 so segments pack cleanly
+_SEGMENT = 1 << 22  # integers crossed off per slice of the sieve
 
 
 class LimitExceededError(RuntimeError):
@@ -153,36 +153,27 @@ class FactoredModulus:
 
 
 class PrimeSet:
-    """Bit-packed prime membership for 0..limit, immutable after construction."""
+    """Prime membership for 0..limit as one read-only bool mask."""
 
-    __slots__ = ("limit", "_bits", "_count")
+    __slots__ = ("limit", "mask")
 
-    def __init__(self, limit: int, packed_bits: np.ndarray, count: int):
-        self.limit = limit
-        self._bits = packed_bits
-        self._bits.flags.writeable = False
-        self._count = count
+    def __init__(self, mask: np.ndarray):
+        mask.flags.writeable = False
+        self.mask = mask
+        self.limit = len(mask) - 1
 
     def __contains__(self, n: int) -> bool:
-        if n < 0 or n > self.limit:
-            return False
-        return bool((self._bits[n >> 3] >> (7 - (n & 7))) & 1)
+        return 0 <= n <= self.limit and bool(self.mask[n])
 
     @property
     def count(self) -> int:
-        return self._count
-
-    def bool_mask(self, hi: int | None = None) -> np.ndarray:
-        """Unpacked boolean membership for 0..hi (inclusive), a fresh array
-        unpacked from the packed bytes that hold 0..hi only."""
-        hi = self.limit if hi is None else max(min(hi, self.limit), -1)
-        require_bytes(hi + 1, "PrimeSet.bool_mask")
-        return np.unpackbits(self._bits[: (hi >> 3) + 1], count=hi + 1).view(bool)
+        return int(np.count_nonzero(self.mask))
 
     def primes(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """All primes in [lo, hi] as an int64 array."""
         lo = max(lo, 0)
-        return np.flatnonzero(self.bool_mask(hi)[lo:]).astype(np.int64) + lo
+        top = self.limit if hi is None else max(hi, -1)
+        return np.flatnonzero(self.mask[lo : top + 1]) + lo
 
 
 def _simple_bool_sieve(limit: int) -> np.ndarray:
@@ -195,50 +186,44 @@ def _simple_bool_sieve(limit: int) -> np.ndarray:
 
 
 def sieve_primes(limit: int) -> PrimeSet:
-    """Exact prime bit array for 0..limit, sieved in segments.
+    """Exact prime membership for 0..limit: one bool mask, crossed off by
+    the primes up to sqrt(limit) one _SEGMENT-sized slice at a time.
 
-    Priced at the byte-per-integer mask that every consumer unpacks, plus
-    one working segment.  Membership agrees with trial division.
+    Priced at the mask plus the base sieve and its primes.  Membership
+    agrees with trial division.
     """
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
-    require_bytes(limit + 1 + _SEGMENT, "sieve_primes")
-    if limit < _SEGMENT:
-        mask = _simple_bool_sieve(limit)
-        return PrimeSet(limit, np.packbits(mask), int(mask.sum()))
-
-    base = _simple_bool_sieve(math.isqrt(limit))
-    base_primes = np.flatnonzero(base)
-    pieces = []
-    count = 0
+    root = math.isqrt(limit)
+    require_bytes(limit + 1 + 9 * (root + 1), "sieve_primes")
+    base_primes = np.flatnonzero(_simple_bool_sieve(root)).tolist()
+    mask = np.ones(limit + 1, dtype=bool)
+    mask[:2] = False
     for lo in range(0, limit + 1, _SEGMENT):
-        hi = min(lo + _SEGMENT, limit + 1)  # exclusive
-        seg = np.ones(hi - lo, dtype=bool)
-        if lo == 0:
-            seg[:2] = False
+        seg = mask[lo : lo + _SEGMENT]
+        hi = lo + len(seg)  # exclusive
         for p in base_primes:
-            p = int(p)
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start < hi:
-                seg[start - lo :: p] = False
-        # keep base primes themselves when the segment covers them
-        count += int(seg.sum())
-        pieces.append(np.packbits(seg))
-    return PrimeSet(limit, np.concatenate(pieces), count)
+            if p * p >= hi:
+                break
+            seg[max(p * p, -(-lo // p) * p) - lo :: p] = False
+    return PrimeSet(mask)
 
 
 def iroot(x: int, k: int) -> int:
-    """Exact floor of the integer k-th root."""
+    """Exact floor of the integer k-th root, by Newton's method in integers
+    from 2^ceil(bits/k), which is at or above the root."""
     if x < 0:
         raise ValueError("negative radicand")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    r = int(round(x ** (1.0 / k)))
-    while r > 0 and r**k > x:
-        r -= 1
-    while (r + 1) ** k <= x:
-        r += 1
-    return r
+    if x < 2:
+        return x
+    r = 1 << -(-x.bit_length() // k)
+    while True:
+        nxt = ((k - 1) * r + x // r ** (k - 1)) // k
+        if nxt >= r:
+            return r
+        r = nxt
 
 
 def tau(k: int, p: int) -> int:

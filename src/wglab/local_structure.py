@@ -71,11 +71,17 @@ def _vector_pow_mod(m: int, k: int) -> np.ndarray:
     return r
 
 
+def require_enumerable(mv: int) -> None:
+    """Refuse a modulus over ENUMERATION_CAP_DEFAULT, the most power_residues
+    enumerates; cheap, so callers check a bare value before factoring it."""
+    if mv > ENUMERATION_CAP_DEFAULT:
+        raise LimitExceededError(f"modulus {mv} exceeds enumeration cap {ENUMERATION_CAP_DEFAULT}")
+
+
 @lru_cache(maxsize=64)
 def _power_residues_cached(m: FactoredModulus, k: int) -> PowerResidueTable:
-    mv, cap = m.value, ENUMERATION_CAP_DEFAULT
-    if mv > cap:
-        raise LimitExceededError(f"modulus {mv} exceeds enumeration cap {cap}")
+    mv = m.value
+    require_enumerable(mv)
     powers = _vector_pow_mod(mv, k)
     powers.flags.writeable = False
     counts = np.bincount(powers, minlength=mv)
@@ -132,16 +138,14 @@ def power_class_count(p: int, k: int, a: int) -> int:
     """
     if p <= 2:
         raise ValueError(f"p must be an odd prime, got {p}")
+    big = p ** (2 * k)
+    require_enumerable(big)  # before p is factored
     pm = FactoredModulus.from_value(p)
     if len(pm.factors) != 1 or pm.factors[0][1] != 1:
         raise ValueError(f"p must be prime, got {p}")
     small = power_residues(pm, k)
     if a % p not in small.unit_residues:
         raise ValueError(f"{a} is not a unit k-th power residue mod {p}")
-    big = p ** (2 * k)
-    cap = ENUMERATION_CAP_DEFAULT
-    if big > cap:
-        raise LimitExceededError(f"p^(2k) = {big} exceeds enumeration cap {cap}")
     residues = np.unique(_vector_pow_mod(big, k))
     count = int(np.count_nonzero(residues % p == a % p))
     expected = p ** (2 * k - 1 - tau(k, p))

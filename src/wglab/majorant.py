@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_arith import FactoredModulus, PrimeSet, iroot, sieve_primes
+from .core_arith import FactoredModulus, PrimeSet, iroot, require_bytes, sieve_primes
 from .local_structure import power_residues, sigma_b
 
 __all__ = [
@@ -74,12 +74,21 @@ class SubsetSpec:
             raise ValueError(f"unknown subset kind {self.kind!r}")
         if self.kind == "bernoulli" and not (self.delta is not None and 0 <= self.delta <= 1):
             raise ValueError("bernoulli subset needs delta in [0, 1]")
-        if self.kind == "residue-classes" and (self.modulus is None or self.allowed is None):
-            raise ValueError("residue-classes subset needs modulus and allowed set")
-        if self.kind == "prefix-drop" and self.cutoff is None:
-            raise ValueError("prefix-drop subset needs a cutoff")
+        if self.kind == "residue-classes":
+            if self.modulus is None or self.allowed is None:
+                raise ValueError("residue-classes subset needs modulus and allowed set")
+            if self.modulus < 1:
+                raise ValueError(f"modulus must be >= 1, got {self.modulus}")
+            outside = sorted(c for c in self.allowed if not 0 <= c < self.modulus)
+            if outside:
+                raise ValueError(f"classes {outside} outside [0, {self.modulus})")
+        if self.kind == "prefix-drop" and (self.cutoff is None or self.cutoff < 0):
+            raise ValueError(f"prefix-drop subset needs a cutoff >= 0, got {self.cutoff}")
         if self.kind == "window-drop" and not self.windows:
             raise ValueError("window-drop subset needs at least one interval")
+        for lo, hi in self.windows:
+            if not 0 <= lo <= hi:
+                raise ValueError(f"window {lo}-{hi} needs 0 <= lo <= hi")
 
     @classmethod
     def all(cls) -> "SubsetSpec":
@@ -95,7 +104,9 @@ class SubsetSpec:
 
     @classmethod
     def drop_classes(cls, modulus: int, dropped) -> "SubsetSpec":
-        allowed = frozenset(range(modulus)) - frozenset(c % modulus for c in dropped)
+        # a modulus below 1 reaches __post_init__ unreduced, which refuses it
+        dropped = {c % modulus for c in dropped} if modulus >= 1 else set()
+        allowed = frozenset(range(modulus)) - dropped
         return cls(kind="residue-classes", modulus=modulus, allowed=allowed)
 
     @classmethod
@@ -113,10 +124,8 @@ class SubsetSpec:
         if self.kind == "bernoulli":
             return self.delta
         if self.kind == "residue-classes":
-            m = self.modulus
-            coprime = [c for c in range(m) if math.gcd(c, m) == 1]
-            kept = [c for c in coprime if c in self.allowed]
-            return len(kept) / len(coprime) if coprime else 0.0
+            coprime = [c for c in range(self.modulus) if math.gcd(c, self.modulus) == 1]
+            return sum(c in self.allowed for c in coprime) / len(coprime)
         return None
 
     def describe(self) -> str:
@@ -191,47 +200,44 @@ def gen_subset(spec: SubsetSpec, limit: int, primes: PrimeSet | None = None) -> 
     """
     if limit < 100:
         raise ValueError(f"limit must be >= 100, got {limit}")
-    mask = _primes_to(limit, primes).bool_mask(limit)
-    plist = np.flatnonzero(mask)
+    prime_mask = _primes_to(limit, primes).mask[: limit + 1]
+    # the writable copy; a recipe that tests each prime adds its int64
+    # index, one int64 and one bool temporary, and the class table
+    tested = spec.kind in ("bernoulli", "residue-classes")
+    extra = 17 * int(np.count_nonzero(prime_mask)) + (spec.modulus or 0) if tested else 0
+    require_bytes(limit + 1 + extra, "gen_subset")
+    mask = prime_mask.copy()
     if spec.kind == "bernoulli":
-        keep = np.array([_bernoulli_keep(spec.seed, int(p), spec.delta) for p in plist])
-        mask[plist[~keep]] = False
+        plist = np.flatnonzero(mask)
+        keep = (_bernoulli_keep(spec.seed, int(p), spec.delta) for p in plist)
+        mask[plist] = np.fromiter(keep, bool, len(plist))
     elif spec.kind == "residue-classes":
+        plist = np.flatnonzero(mask)
         allowed = np.zeros(spec.modulus, dtype=bool)
         allowed[list(spec.allowed)] = True
-        keep = allowed[plist % spec.modulus]
-        mask[plist[~keep]] = False
+        mask[plist] = allowed[plist % spec.modulus]
     elif spec.kind == "prefix-drop":
-        mask[: min(spec.cutoff, limit) + 1] = False
+        mask[: spec.cutoff + 1] = False
     elif spec.kind == "window-drop":
         for lo, hi in spec.windows:
-            if lo <= limit:
-                mask[lo : min(hi, limit) + 1] = False
-    prime_count = len(plist)
-    kept = int(mask.sum())
-    density = kept / prime_count if prime_count else 0.0
+            mask[lo : hi + 1] = False
+    # limit >= 100, so every prefix below counts the 25 primes up to 100
+    prime_count = int(np.count_nonzero(prime_mask))
+    kept = int(np.count_nonzero(mask))
     min_prefix = None
     if spec.kind == "window-drop":
-        checkpoints = []
-        x = 100
-        while x < limit:
-            checkpoints.append(x)
-            x *= 2
-        checkpoints.append(limit)
-        ratios = []
-        for x in checkpoints:
-            total = int(np.count_nonzero(plist <= x))
-            keep_x = int(np.count_nonzero(mask[: x + 1]))
-            if total:
-                ratios.append(keep_x / total)
-        min_prefix = min(ratios) if ratios else None
+        # at 100, 200, 400, ... below limit, then at limit
+        xs = [x for x in (100 << i for i in range(limit.bit_length())) if x < limit] + [limit]
+        min_prefix = min(
+            np.count_nonzero(mask[: x + 1]) / np.count_nonzero(prime_mask[: x + 1]) for x in xs
+        )
     return PrimeSubset(
         spec=spec,
         limit=limit,
         members=mask,
         prime_count=prime_count,
         kept_count=kept,
-        density=density,
+        density=kept / prime_count,
         density_min_prefix=min_prefix,
     )
 
@@ -354,12 +360,10 @@ def _prime_power_sequence(
     subset.members keeps (every prime when subset is None)."""
     sigma = sigma_b(W, k, b)
     Y = iroot(W.value * N + b, k)
-    if subset is None:
-        ps = _primes_to(Y, primes).primes(2, Y)
-    elif subset.limit < Y:
+    if subset is not None and subset.limit < Y:
         raise ValueError(f"subset realized to {subset.limit} but Y = {Y} needed")
-    else:
-        ps = np.flatnonzero(subset.members[: Y + 1]).astype(np.int64)
+    members = _primes_to(Y, primes).mask if subset is None else subset.members
+    ps = np.flatnonzero(members[: Y + 1]).astype(np.int64)
     ns, hit = _hits(ps, k, W.value, b, N)
     values = np.zeros(N)
     values[ns - 1] = _weights(W, sigma, k, ps[hit])

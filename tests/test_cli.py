@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -451,6 +452,16 @@ class TestMemoryBudget:
             "error: transference_gauge needs about 4.52 GiB, over the memory budget of 4 GiB\n",
         )
 
+    def test_count_past_float_range(self, capsys):
+        # hi = 10^400 overflows a float; its exact square root 10^200 is
+        # the sieve limit
+        argv = ["count", "--k", "2", "--s", "2", "--hi", str(10**400)]
+        assert run_cli(capsys, *argv) == (
+            2,
+            "",
+            "error: sieve_primes needs about 9.31e+190 GiB, over the memory budget of 4 GiB\n",
+        )
+
 
 class TestRejectedInputs:
     """Inputs that once ran (or half ran) now exit 2 before any work."""
@@ -465,6 +476,26 @@ class TestRejectedInputs:
     )
     def test_count_window(self, capsys, argv, err):
         assert run_cli(capsys, *argv.split()) == (2, "", err)
+
+    def test_subset_class_out_of_range(self, capsys):
+        argv = "majorant --n 64 --w 2 --subset classes:8:1,9".split()
+        assert run_cli(capsys, *argv) == (
+            2,
+            "",
+            "error: cannot parse subset spec 'classes:8:1,9': classes [9] outside [0, 8)\n",
+        )
+
+    @pytest.mark.parametrize("argv", ["local residues --modulus", "waring-pair --s 2 --q"])
+    def test_modulus_over_cap_refused_before_factoring(self, capsys, argv):
+        # the Mersenne prime 2^61 - 1 would take minutes of trial division
+        m = 2**61 - 1
+        t0 = time.perf_counter()
+        assert run_cli(capsys, *argv.split(), str(m)) == (
+            2,
+            "",
+            f"error: modulus {m} exceeds enumeration cap 10000000\n",
+        )
+        assert time.perf_counter() - t0 < 1
 
     @pytest.mark.parametrize(
         "cfg, err",
@@ -493,8 +524,10 @@ class TestValidatedBeforeWork:
         [
             (["--k", "1"], "", "error: k must be >= 2, got 1\n"),
             ([], "subset=nonsense\n", "error: cannot parse subset spec 'nonsense'\n"),
+            # default_grid(N, f) >= 2N needs f >= 2
+            ([], "grid_factor=1\n", "error: grid_factor must be >= 2, got 1\n"),
         ],
-        ids=["k-one", "bad-subset"],
+        ids=["k-one", "bad-subset", "grid-factor-one"],
     )
     def test_report_writes_nothing(self, capsys, tmp_path, flags, cfg, err):
         path = tmp_path / "lab.cfg"

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wglab.core_arith import (
+    _SEGMENT,
     MEMORY_BUDGET,
     FactoredModulus,
     LimitExceededError,
+    _simple_bool_sieve,
     compute_Rk,
     compute_W,
     gamma,
@@ -157,22 +159,28 @@ class TestSieve:
             99999931, 99999941, 99999959, 99999971, 99999989,
         ]
 
+    def test_mask_equals_simple_sieve(self):
+        # every small limit, then one segment either side of each boundary
+        limits = [*range(2, 3001), _SEGMENT - 1, _SEGMENT, _SEGMENT + 1, 2 * _SEGMENT + 7]
+        for limit in limits:
+            mask = sieve_primes(limit).mask
+            assert mask.dtype == bool and np.array_equal(mask, _simple_bool_sieve(limit)), limit
+
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(2, 3000), st.integers(-5, 3100), st.integers(-1, 3100) | st.none())
-    def test_sliced_unpack_equals_full_unpack(self, limit, lo, hi):
-        """bool_mask and primes read the bytes up to hi only, and agree with
-        unpacking the whole bit array; the mask is a fresh writable copy."""
+    @given(st.integers(2, 3000), st.integers(-5, 3100), st.integers(-5, 3100) | st.none())
+    def test_readers_agree_with_mask(self, limit, lo, hi):
+        """count, membership and primes(lo, hi) read the one mask, which
+        nobody can write to."""
         ps = sieve_primes(limit)
-        top = limit if hi is None else min(hi, limit)
-        full = np.unpackbits(ps._bits)[: top + 1].astype(bool)
-        mask = ps.bool_mask(hi)
-        assert mask.dtype == bool and np.array_equal(mask, full)
-        mask[:] = True
-        assert np.array_equal(ps.bool_mask(hi), full)
-        expected = np.flatnonzero(full).astype(np.int64)
+        expected = np.flatnonzero(_simple_bool_sieve(limit))
+        assert ps.limit == limit and ps.count == len(expected)
+        assert [n for n in range(-3, limit + 4) if n in ps] == expected.tolist()
         got = ps.primes(lo, hi)
+        top = limit if hi is None else hi
         assert got.dtype == np.int64
-        assert np.array_equal(got, expected[expected >= lo])
+        assert np.array_equal(got, expected[(expected >= lo) & (expected <= top)])
+        with pytest.raises(ValueError):
+            ps.mask[lo % (limit + 1)] = True
 
     def test_cap_refusal(self):
         with pytest.raises(LimitExceededError):
@@ -181,6 +189,17 @@ class TestSieve:
     def test_rejects_tiny_limit(self):
         with pytest.raises(ValueError):
             sieve_primes(1)
+
+
+def _bisected_root(x, k):
+    """The largest r with r^k <= x, by integer bisection."""
+    lo, hi = 0, 1
+    while hi**k <= x:
+        hi *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid**k <= x else (lo, mid)
+    return lo
 
 
 class TestIntegerRoot:
@@ -195,6 +214,16 @@ class TestIntegerRoot:
         r = 10**8 + 7
         assert iroot(r**2, 2) == r
         assert iroot(r**2 - 1, 2) == r - 1
+
+    def test_exact_past_float_range(self):
+        """10^400 overflows a float; the root is exact at any size."""
+        assert iroot(10**400, 2) == 10**200
+        rng = random.Random(20261019)
+        for _ in range(300):
+            x = rng.randrange(10 ** rng.randint(1, 600))
+            assert iroot(x, 2) == math.isqrt(x)
+            for k in (3, 4, 5):
+                assert iroot(x, k) == _bisected_root(x, k)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,8 @@
 
 Only cli serializes JSON, and nothing in the package parses it back; only
 majorant packs binary layouts; only local_structure computes the power
-map t^k mod m, which every other reader takes from power_residues.
+map t^k mod m, which every other reader takes from power_residues; only
+bitsets packs bits, so the primes stay one byte mask.
 """
 
 import ast
@@ -52,6 +53,11 @@ def test_one_importer(module, owner):
 def test_power_map_named_only_by_its_owner():
     named = [name for name, tree in MODULES.items() if "_vector_pow_mod" in _names(tree)]
     assert named == ["local_structure"]
+
+
+def test_bit_packing_only_in_bitsets():
+    calls = {"packbits", "unpackbits"}
+    assert [name for name, tree in MODULES.items() if calls & _names(tree)] == ["bitsets"]
 
 
 def _parses_json(node) -> bool:

@@ -72,6 +72,29 @@ class TestSubsets:
         with pytest.raises(ValueError):
             parse_subset_spec("nonsense:1")
 
+    @pytest.mark.parametrize(
+        "text, why",
+        [
+            ("classes:8:1,-1", r"classes \[-1\] outside \[0, 8\)"),
+            ("classes:8:1,9", r"classes \[9\] outside \[0, 8\)"),
+            ("classes:0:1", "modulus must be >= 1, got 0"),
+            ("drop-class:0:1", "modulus must be >= 1, got 0"),
+            ("drop-class:-4:1", "modulus must be >= 1, got -4"),
+            ("prefix-drop:-5", "cutoff >= 0, got -5"),
+            ("window-drop:50-10", "window 50-10 needs 0 <= lo <= hi"),
+            (None, "window -3-10 needs 0 <= lo <= hi"),  # no text form has lo < 0
+        ],
+    )
+    def test_out_of_range_fields_rejected(self, text, why):
+        """Fields that once kept the wrong primes (a class read through a
+        negative index, a negative cutoff, an inverted window) or raised
+        IndexError are refused when the recipe is made."""
+        with pytest.raises(ValueError, match=why):
+            if text is None:
+                SubsetSpec.window_drop([(-3, 10)])
+            else:
+                parse_subset_spec(text)
+
 
 def test_spike_position_checked():
     assert WeightedSequence.spike(5, at=5).support().tolist() == [5]

@@ -12,9 +12,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wglab import core_arith, representation, spectral
+from wglab import core_arith, majorant, representation, spectral
 from wglab.core_arith import (
-    _SEGMENT,
     MEMORY_BUDGET,
     LimitExceededError,
     PrimeSet,
@@ -27,7 +26,7 @@ from wglab.spectral import dft_spectrum, pseudorandom_gauge, restriction_norm
 
 # interpreter objects and prime lists, which do not grow with the arrays
 OBJECT_BYTES = 16 << 10
-BUDGETED = (core_arith, spectral, representation)
+BUDGETED = (core_arith, majorant, spectral, representation)
 
 
 class _Probe(Exception):
@@ -67,18 +66,23 @@ def _spectral_sizes(monkeypatch, path):
 
 
 def sizes_sieve(monkeypatch):
-    # the estimate is limit + 1 + one segment
-    over = MEMORY_BUDGET - _SEGMENT
+    # the estimate is limit + 1 + 9 (isqrt(limit) + 1): at 4,294,377,508,
+    # whose root is 65,531, it is the budget plus one
+    over = 4_294_377_508
     return tuple((lambda n=n: sieve_primes(n)) for n in (1000, over - 1, over))
 
 
-def sizes_bool_mask(monkeypatch):
-    # a prime set of 2^32 + 1 integers whose packed bytes are one stride-0 byte
-    bits = np.lib.stride_tricks.as_strided(
-        np.zeros(1, np.uint8), shape=(MEMORY_BUDGET // 8 + 1,), strides=(0,)
+def sizes_gen_subset(monkeypatch):
+    # a prime set of 2^32 + 1 integers whose mask is one stride-0 byte; the
+    # recipe all is priced at its copy of the mask alone
+    mask = np.lib.stride_tricks.as_strided(
+        np.zeros(1, bool), shape=(MEMORY_BUDGET + 1,), strides=(0,)
     )
-    ps = PrimeSet(MEMORY_BUDGET, bits, 0)
-    return tuple((lambda hi=hi: ps.bool_mask(hi)) for hi in (1000, MEMORY_BUDGET - 1, MEMORY_BUDGET))
+    ps = PrimeSet(mask)
+    return tuple(
+        (lambda n=n: gen_subset(SubsetSpec.all(), n, ps))
+        for n in (1000, MEMORY_BUDGET - 1, MEMORY_BUDGET)
+    )
 
 
 def sizes_pseudorandom_gauge(monkeypatch):
@@ -120,7 +124,7 @@ def sizes_transference(monkeypatch):
 
 SIZES = {
     "sieve_primes": sizes_sieve,
-    "PrimeSet.bool_mask": sizes_bool_mask,
+    "gen_subset": sizes_gen_subset,
     "pseudorandom_gauge": sizes_pseudorandom_gauge,
     "restriction_norm": sizes_restriction_norm,
     "dft_spectrum": sizes_dft_spectrum,
@@ -163,9 +167,16 @@ def _small_calls(name):
     """Calls of the path at small sizes, set up outside the trace."""
     if name == "sieve_primes":
         return [lambda: sieve_primes(1 << 20), lambda: sieve_primes(1 << 23)]
-    if name == "PrimeSet.bool_mask":
+    if name == "gen_subset":
         ps = sieve_primes(1 << 22)
-        return [lambda: ps.bool_mask(1 << 20), lambda: ps.bool_mask(1 << 22)]
+        specs = [
+            SubsetSpec.all(),
+            SubsetSpec.bernoulli(0.5, 3),
+            SubsetSpec.residue_classes(10, {1, 3, 7}),
+            SubsetSpec.window_drop([(10, 1 << 19)]),
+        ]
+        sizes = (1 << 16, 1 << 20)
+        return [lambda spec=spec, n=n: gen_subset(spec, n, ps) for spec in specs for n in sizes]
     if name == "count_representations(method='fft')":
         sub = gen_subset(SubsetSpec.all(), 2000)
         calls = [lambda hi=hi: count_representations(sub, 2, 3, hi) for hi in (10**5, 10**6)]
