@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -44,8 +45,12 @@ class LimitExceededError(RuntimeError):
 def require_bytes(estimate: float, what: str) -> None:
     """Refuse, before it allocates, a path whose peak estimate exceeds MEMORY_BUDGET."""
     if estimate > MEMORY_BUDGET:
+        try:
+            gib = f"{estimate / 2**30:.3g}"
+        except OverflowError:  # an int estimate past the float range
+            gib = f"{Decimal(estimate) / 2**30:.3g}"
         raise LimitExceededError(
-            f"{what} needs about {estimate / 2**30:.3g} GiB, "
+            f"{what} needs about {gib} GiB, "
             f"over the memory budget of {MEMORY_BUDGET / 2**30:g} GiB"
         )
 

@@ -32,6 +32,9 @@ __all__ = [
 
 KIND_CODES = {"nu": 0, "f": 1, "bold-f": 2, "mu": 3, "psi": 4, "indicator": 5, "custom": 6}
 _CODE_KINDS = {v: k for k, v in KIND_CODES.items()}
+# traced peak of frozenset(range(m)) less a few classes, per class: the
+# Python ints and two hash tables, at most 190 bytes from m = 10^2 to 2 10^6
+_SET_BYTES = 200
 
 
 def write_binary(path, kind: str, W: int, b: int, k: int, length: int, payload) -> None:
@@ -104,7 +107,9 @@ class SubsetSpec:
 
     @classmethod
     def drop_classes(cls, modulus: int, dropped) -> "SubsetSpec":
-        # a modulus below 1 reaches __post_init__ unreduced, which refuses it
+        # a modulus below 1 reaches __post_init__ unreduced, which refuses it;
+        # the kept classes are a frozenset of Python ints, priced first
+        require_bytes(_SET_BYTES * modulus, "drop_classes")
         dropped = {c % modulus for c in dropped} if modulus >= 1 else set()
         allowed = frozenset(range(modulus)) - dropped
         return cls(kind="residue-classes", modulus=modulus, allowed=allowed)
@@ -124,8 +129,13 @@ class SubsetSpec:
         if self.kind == "bernoulli":
             return self.delta
         if self.kind == "residue-classes":
-            coprime = [c for c in range(self.modulus) if math.gcd(c, self.modulus) == 1]
-            return sum(c in self.allowed for c in coprime) / len(coprime)
+            # one gcd pass over the classes; its int64 input and output, the
+            # allowed classes as int64 and the bools are priced first
+            m = self.modulus
+            require_bytes(17 * m + 9 * len(self.allowed), "intended_density")
+            coprime = np.gcd(np.arange(m, dtype=np.int64), m) == 1
+            kept = coprime[np.fromiter(self.allowed, np.int64, len(self.allowed))]
+            return np.count_nonzero(kept) / np.count_nonzero(coprime)
         return None
 
     def describe(self) -> str:

@@ -78,9 +78,13 @@ def _half_grid_shape(S: int, M: int) -> tuple[int, int, int, int]:
     count, T, the row count and the rows of one block.  A block holds at
     most min(_PRODUCT_BLOCK, _SERIAL_MACS / 4S) cells, so that its real
     product, 4 S multiply-adds a cell, stays on the calling thread.  T is
-    the power of two at or above the bin count's square root, halved
-    until a block holds 16 rows: products of one or two rows ran 2-4 times
-    slower per multiply-add."""
+    the power of two at or above the bin count's square root, which keeps
+    R + T near its least: the S (R + T) complex products that form A and
+    E, and the kernel's tables of R + T phases.  It no longer sets the
+    cos/sin count, which the factored tables (_phase_table) hold to the
+    order of S sqrt(R + T); gauges at T / 8 to T ran within host noise of
+    each other.  T is halved until a block holds 16 rows: products of one
+    or two rows ran 2-4 times slower per multiply-add."""
     half = M // 2 + 1
     block = min(_PRODUCT_BLOCK, _SERIAL_MACS // max(4 * S, 1))
     T = 1 << ((half - 1).bit_length() + 1) // 2
@@ -90,54 +94,88 @@ def _half_grid_shape(S: int, M: int) -> tuple[int, int, int, int]:
 
 
 def _product_bytes(S: int, M: int, block_words: int) -> float:
-    """Peak of the product path: E with its int64 phases, cos, sin and
-    real form (48 bytes a cell), one block's A likewise, the rank-two
-    factors, then block_words float64 arrays the size of one block."""
+    """Peak of the product path: E with its complex phase table (48 bytes a
+    cell), the within-block phases with one block's A likewise, the
+    w-weighted phase of each block's first row, the kernel's phase tables,
+    then block_words float64 arrays the size of one block."""
     _, T, rows, step = _half_grid_shape(S, M)
-    return 48.0 * S * (step + T) + 64.0 * (rows + T) + 8.0 * block_words * step * T
+    blocks = -(-rows // step)
+    return (
+        48.0 * S * (step + T)
+        + 16.0 * S * blocks
+        + 64.0 * (rows + T)
+        + 8.0 * block_words * step * T
+    )
 
 
 def _cos_sin(p: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
     """cos and sin of pi p / M, the phase e(-p / 2M) = cos - i sin, for
-    exact integer numerators p in [0, 2M)."""
+    exact integer numerators p in [0, 2M).  The package's one call of
+    np.cos and np.sin."""
     angle = p * (math.pi / M)
     return np.cos(angle), np.sin(angle)
+
+
+def _phase_table(c, count: int, step: int, M: int) -> np.ndarray:
+    """The phases e(-c_s m step / 2M) for m < count, complex of shape
+    (count, S), from 2 S sqrt(count) cos/sin evaluations or fewer.
+
+    With Q = ceil(sqrt(count)) and m = a Q + b, the phase is the a-table at
+    step Q step times the b-table at step step, one broadcast complex
+    product.  Both tables take _cos_sin of exact int64 numerators c_s i g
+    mod 2M; with i g and g reduced to residues nearest 0, no product
+    reaches 2 M^2, so all are exact whenever 2 M^2 < 2^63, the condition
+    the product path checks.  The product of the two rounded tables is
+    within a few ulps of the directly computed phase.
+    """
+    mod = 2 * M
+    c = np.asarray(c, dtype=np.int64) % mod
+    Q = 1 + math.isqrt(count - 1)
+    rows = -(-count // Q)
+
+    def residues(n: int, g: int) -> np.ndarray:
+        g = (g + M) % mod - M
+        return (np.arange(n, dtype=np.int64) % mod * g + M) % mod - M
+
+    x = np.concatenate([residues(rows, Q * step), residues(Q, step)])
+    cos, sin = _cos_sin(np.multiply.outer(x, c) % mod, M)
+    table = np.empty(cos.shape, dtype=complex)
+    table.real = cos
+    np.negative(sin, out=table.imag)
+    return (table[:rows, None] * table[rows:]).reshape(-1, len(c))[:count]
 
 
 def _half_grid_product(c: np.ndarray, w: np.ndarray, M: int):
     """X(j) = sum_s w_s e(-c_s j / 2M) on the bins j = 0..M//2, by blocks.
 
     With j = u T + t, X is the matrix product of A[u, s] = w_s e(-c_s u T /
-    2M) and E[s, t] = e(-c_s t / 2M); each block forms its own rows of A.
-    Every phase numerator is reduced mod 2M as an exact int64 before any
-    cos or sin.  A block is one real product on the calling thread (see
-    _SERIAL_MACS): [Re A | Im A] times the 2S x 2T matrix whose columns 2t
-    and 2t + 1 give Re X and Im X, so the result reads as complex X with
-    no copy.  Yields (j0, X) with X the bins j0, j0 + 1, ... of one block,
-    flattened and cut at M//2.
+    2M) and E[s, t] = e(-c_s t / 2M).  Block i holds rows u = i R_b + r,
+    so its rows of A are w times the block's phase at r = 0 times the
+    within-block phases at r, which every block shares; all three tables
+    come from _phase_table.  A block is one real product on the calling
+    thread (see _SERIAL_MACS): A viewed as real, Re and Im of each point
+    side by side, times the 2S x 2T matrix whose columns 2t and 2t + 1 give
+    Re X and Im X, so the result reads as complex X with no copy.  Yields
+    (j0, X) with X the bins j0, j0 + 1, ... of one block, flattened and cut
+    at M//2.
     """
     S = len(c)
     half, T, rows, step = _half_grid_shape(S, M)
-    c = np.asarray(c, dtype=np.int64) % (2 * M)
-    cos_t, sin_t = _cos_sin(np.outer(c, np.arange(T, dtype=np.int64)) % (2 * M), M)
-    E = np.empty((2 * S, 2 * T))
-    E[:S, 0::2], E[S:, 0::2] = cos_t, sin_t
-    E[:S, 1::2], E[S:, 1::2] = -sin_t, cos_t
-    del cos_t, sin_t
-    for u0 in range(0, rows, step):
-        uT = np.arange(u0 * T, min(u0 + step, rows) * T, T, dtype=np.int64)
-        cos_u, sin_u = _cos_sin(np.outer(uT, c) % (2 * M), M)
-        A = np.concatenate([w * cos_u, -w * sin_u], axis=1)
+    # rows 2s and 2s + 1 of E take Re A_s and Im A_s: (a + ib) e = a e + b (i e)
+    phases = _phase_table(c, T, 1, M).T
+    E = np.empty((2 * S, T), dtype=complex)
+    E[0::2] = phases
+    np.negative(phases.imag, out=E[1::2].real)
+    E[1::2].imag = phases.real
+    E = E.view(float)
+    del phases
+    blocks = _phase_table(c, -(-rows // step), step * T, M)
+    blocks *= w
+    within = _phase_table(c, step, T, M)
+    for i, u0 in enumerate(range(0, rows, step)):
+        A = (blocks[i] * within[: rows - u0]).view(float)
         j0 = u0 * T
         yield j0, (A @ E).view(complex).ravel()[: half - j0]
-
-
-def _sin_rank_two(numerators, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """sin(pi (p_u + q_t) / M) over j = u T + t as L @ R, with L of shape
-    (rows, 2) and R of shape (2, T): sin(a + b) = sin a cos b + cos a sin b.
-    numerators are the exact integers (p_u, q_t), each reduced mod 2M."""
-    (cos_a, sin_a), (cos_b, sin_b) = (_cos_sin(p, M) for p in numerators)
-    return np.stack([sin_a, cos_a], axis=1), np.stack([cos_b, sin_b])
 
 
 def _half_spectrum(values: np.ndarray, M: int, what: str, price=None, interval=False):
@@ -180,14 +218,17 @@ def _half_spectrum(values: np.ndarray, M: int, what: str, price=None, interval=F
         yield from _half_grid_product(2 * idx + 2, values[idx], M)
         return
     _, T, rows, _ = _half_grid_shape(S, M)
-    uT = np.arange(0, rows * T, T, dtype=np.int64)
-    t = np.arange(T, dtype=np.int64)
-    num_u, num_t = _sin_rank_two((N * uT % (2 * M), N * t % (2 * M)), M)
-    den_u, den_t = _sin_rank_two((uT, t), M)
+    # the kernel's sines sin(a + b), a = pi c u T / M and b = pi c t / M at
+    # c = N and c = 1, as rank-two products: with e(-a) = cos a - i sin a,
+    # sin(a + b) = -(Re e(-a) Im e(-b) + Im e(-a) Re e(-b))
+    u_ri = _phase_table((N, 1), rows, T, M).view(float)  # Re, Im at N, then at 1
+    t_ri = -_phase_table((N, 1), T, 1, M).view(float).T
+    num_t, den_t = t_ri[[1, 0]], t_ri[[3, 2]]
+    del t_ri
     for j0, X in _half_grid_product(2 * idx + 1 - N, values[idx], M):
         u = slice(j0 // T, -(-(j0 + len(X)) // T))
-        top = (num_u[u] @ num_t).ravel()[: len(X)]
-        bottom = (den_u[u] @ den_t).ravel()[: len(X)]
+        top = (u_ri[u, :2] @ num_t).ravel()[: len(X)]
+        bottom = (u_ri[u, 2:] @ den_t).ravel()[: len(X)]
         if j0 == 0:
             top[0], bottom[0] = N, 1.0
         X.real -= top / bottom

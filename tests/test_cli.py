@@ -462,6 +462,16 @@ class TestMemoryBudget:
             "error: sieve_primes needs about 9.31e+190 GiB, over the memory budget of 4 GiB\n",
         )
 
+    def test_count_estimate_past_float_range(self, capsys):
+        # hi = 10^800 puts the sieve limit at 10^400, so the byte estimate
+        # itself is an int no float holds
+        argv = ["count", "--k", "2", "--s", "2", "--hi", str(10**800)]
+        assert run_cli(capsys, *argv) == (
+            2,
+            "",
+            "error: sieve_primes needs about 9.31e+390 GiB, over the memory budget of 4 GiB\n",
+        )
+
 
 class TestRejectedInputs:
     """Inputs that once ran (or half ran) now exit 2 before any work."""

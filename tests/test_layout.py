@@ -3,7 +3,9 @@
 Only cli serializes JSON, and nothing in the package parses it back; only
 majorant packs binary layouts; only local_structure computes the power
 map t^k mod m, which every other reader takes from power_residues; only
-bitsets packs bits, so the primes stay one byte mask.
+bitsets packs bits, so the primes stay one byte mask; np.cos and np.sin
+are named only in spectral._cos_sin, which the product path's factored
+phase tables call on a few exact numerators.
 """
 
 import ast
@@ -70,3 +72,34 @@ def _parses_json(node) -> bool:
 
 def test_no_json_parsing():
     assert [name for name, tree in MODULES.items() if any(map(_parses_json, ast.walk(tree)))] == []
+
+
+def _trig_sites(tree) -> list[str | None]:
+    """The enclosing function (None at module level) of each np.cos or
+    np.sin the module names, and of each cos or sin imported from numpy."""
+    sites = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            defines = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            inner = child.name if defines else func
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr in ("cos", "sin")
+                and isinstance(child.value, ast.Name)
+                and child.value.id in ("np", "numpy")
+            ) or (
+                isinstance(child, ast.ImportFrom)
+                and child.module == "numpy"
+                and {"cos", "sin"} & {alias.name for alias in child.names}
+            ):
+                sites.append(inner)
+            visit(child, inner)
+
+    visit(tree, None)
+    return sites
+
+
+def test_trig_only_in_cos_sin():
+    sites = [(name, func) for name, tree in MODULES.items() for func in _trig_sites(tree)]
+    assert sites == [("spectral", "_cos_sin")] * 2

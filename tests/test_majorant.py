@@ -1,5 +1,7 @@
 import math
 import struct
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wglab import majorant
-from wglab.core_arith import FactoredModulus, compute_W, iroot, sieve_primes
+from wglab.core_arith import (
+    FactoredModulus,
+    LimitExceededError,
+    compute_W,
+    iroot,
+    sieve_primes,
+)
 from wglab.local_structure import _vector_pow_mod, power_residues
 from wglab.majorant import (
     SubsetSpec,
@@ -94,6 +102,28 @@ class TestSubsets:
                 SubsetSpec.window_drop([(-3, 10)])
             else:
                 parse_subset_spec(text)
+
+    def test_huge_drop_class_refused_at_once(self):
+        """The kept classes of drop-class:10^8 would be a 10^8-int frozenset
+        (about 10 GB); it is priced and refused before any is built."""
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            with pytest.raises(LimitExceededError, match="^drop_classes needs about 18.6 GiB"):
+                parse_subset_spec("drop-class:100000000:1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - t0 < 0.5
+        assert peak < 1 << 16
+
+    @pytest.mark.parametrize("modulus", [1, 2, 12, 40, 97, 360, 1001])
+    def test_intended_density_counts_coprime_classes(self, modulus):
+        allowed = {c for c in range(modulus) if c % 3 != 1}
+        spec = SubsetSpec.residue_classes(modulus, allowed)
+        coprime = [c for c in range(modulus) if math.gcd(c, modulus) == 1]
+        want = sum(c in allowed for c in coprime) / len(coprime)
+        assert spec.intended_density == want
 
 
 def test_spike_position_checked():

@@ -85,6 +85,20 @@ def sizes_gen_subset(monkeypatch):
     )
 
 
+def sizes_drop_classes(monkeypatch):
+    # 200 bytes a class: the budget holds 21,474,836 classes
+    over = MEMORY_BUDGET // 200 + 1
+    return tuple((lambda m=m: SubsetSpec.drop_classes(m, {1})) for m in (1000, over - 1, over))
+
+
+def sizes_intended_density(monkeypatch):
+    # 17 bytes a class and 9 an allowed class: one allowed class of
+    # 252,645,135 tips the estimate over the budget
+    over = (MEMORY_BUDGET - 9) // 17 + 1
+    specs = [SubsetSpec.residue_classes(m, {1}) for m in (1000, over - 1, over)]
+    return tuple((lambda spec=spec: spec.intended_density) for spec in specs)
+
+
 def sizes_pseudorandom_gauge(monkeypatch):
     return _spectral_sizes(monkeypatch, pseudorandom_gauge)
 
@@ -125,6 +139,8 @@ def sizes_transference(monkeypatch):
 SIZES = {
     "sieve_primes": sizes_sieve,
     "gen_subset": sizes_gen_subset,
+    "drop_classes": sizes_drop_classes,
+    "intended_density": sizes_intended_density,
     "pseudorandom_gauge": sizes_pseudorandom_gauge,
     "restriction_norm": sizes_restriction_norm,
     "dft_spectrum": sizes_dft_spectrum,
@@ -177,6 +193,13 @@ def _small_calls(name):
         ]
         sizes = (1 << 16, 1 << 20)
         return [lambda spec=spec, n=n: gen_subset(spec, n, ps) for spec in specs for n in sizes]
+    if name == "drop_classes":
+        # 19,894 classes sit just past a hash table's growth: the most
+        # bytes a class of any modulus from 10^2 to 2 10^6
+        return [lambda m=m: SubsetSpec.drop_classes(m, {1, 3}) for m in (19_894, 10**5)]
+    if name == "intended_density":
+        specs = [SubsetSpec.drop_classes(10**5, {1}), SubsetSpec.residue_classes(10**6, {1, 7})]
+        return [lambda spec=spec: spec.intended_density for spec in specs]
     if name == "count_representations(method='fft')":
         sub = gen_subset(SubsetSpec.all(), 2000)
         calls = [lambda hi=hi: count_representations(sub, 2, 3, hi) for hi in (10**5, 10**6)]

@@ -34,7 +34,15 @@ from wglab.spectral import (
     restriction_norm,
     transform_at,
 )
-from wglab.spectral import _PRODUCT_BLOCK, _SERIAL_MACS, _half_grid_shape, _use_product
+from wglab import spectral
+from wglab.spectral import (
+    _PRODUCT_BLOCK,
+    _SERIAL_MACS,
+    _cos_sin,
+    _half_grid_shape,
+    _phase_table,
+    _use_product,
+)
 
 
 def fm(n):
@@ -609,6 +617,48 @@ class TestSparseProduct:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+class TestPhaseTable:
+    """_phase_table, the one generator of the product path's phases,
+    against _cos_sin of the same exact numerators computed directly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        M=st.one_of(
+            st.integers(1, 64), st.integers(1, 1 << 20), st.integers((1 << 31) - 64, (1 << 31) - 1)
+        ),
+        S=st.integers(1, 5),
+        count=st.integers(1, 300),
+        step=st.integers(0, 1 << 33),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_direct_phases(self, M, S, count, step, seed):
+        # counts that are no square, step * count far past 2M, odd M, and
+        # M up to 2^31 - 1, where a product of two residues mod 2M would
+        # overflow int64
+        rng = random.Random(seed)
+        c = [rng.randint(-4 * M, 4 * M) for _ in range(S)]
+        p = np.array([[cs * m * step % (2 * M) for cs in c] for m in range(count)], dtype=np.int64)
+        cos, sin = _cos_sin(p, M)
+        table = _phase_table(c, count, step, M)
+        assert table.shape == (count, S)
+        # a few ulps of an angle below 2 pi, the rounding of each direct phase
+        assert np.abs(table - (cos - 1j * sin)).max() <= 4 * np.spacing(2 * np.pi)
+
+    def test_gauge_evaluates_few_cos_sin(self, monkeypatch):
+        """One N = 2^19, w = 3 gauge (S = 55 on M = 2^22) took cos and sin
+        of 481,593 numerators with each row of A and E formed directly."""
+        used = []
+        real = spectral._cos_sin
+
+        def counted(p, M):
+            used.append(np.size(p))
+            return real(p, M)
+
+        monkeypatch.setattr(spectral, "_cos_sin", counted)
+        pseudorandom_gauge(build_nu(compute_W(3, 2), 1, 2, 2**19))
+        assert 20 * sum(used) <= 481_593
 
 
 def _bits(c):
