@@ -35,7 +35,6 @@ from .majorant import (
     SubsetSpec,
     WeightedSequence,
     build_f,
-    build_mu,
     build_nu,
     gen_subset,
     mean_g,
@@ -69,6 +68,7 @@ from .spectral import (
     major_arc_model,
     major_arc_residual,
     pseudorandom_gauge,
+    pseudorandom_gauges,
     restriction_norm,
     transform_at,
 )

@@ -1,8 +1,7 @@
 """W-tricked weighted sequences over progressions of prime k-th powers.
 
 Builders for the weighted prime-power indicator nu, its subset-thinned
-variants, the all-k-th-powers envelope mu, and per-residue mean values
-with their density margins.
+variants, and per-residue mean values with their density margins.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ __all__ = [
     "gen_subset",
     "build_nu",
     "build_f",
-    "build_mu",
     "mean_g",
     "parse_subset_spec",
 ]
@@ -61,7 +59,9 @@ class SubsetSpec:
 
     kinds: all | bernoulli | residue-classes | prefix-drop | window-drop.
     intended_density is the analytically known relative density where one
-    exists (None for window-drop, whose observable proxy is measured).
+    exists (None for window-drop, whose observable proxy is measured).  A
+    residue-class recipe made by drop_classes also keeps its dropped
+    classes, so that it describes itself as written.
     """
 
     kind: str
@@ -71,6 +71,7 @@ class SubsetSpec:
     allowed: frozenset[int] | None = None
     cutoff: int | None = None
     windows: tuple[tuple[int, int], ...] = ()
+    dropped: frozenset[int] | None = None
 
     def __post_init__(self):
         if self.kind not in ("all", "bernoulli", "residue-classes", "prefix-drop", "window-drop"):
@@ -110,9 +111,9 @@ class SubsetSpec:
         # a modulus below 1 reaches __post_init__ unreduced, which refuses it;
         # the kept classes are a frozenset of Python ints, priced first
         require_bytes(_SET_BYTES * modulus, "drop_classes")
-        dropped = {c % modulus for c in dropped} if modulus >= 1 else set()
+        dropped = frozenset(c % modulus for c in dropped) if modulus >= 1 else frozenset()
         allowed = frozenset(range(modulus)) - dropped
-        return cls(kind="residue-classes", modulus=modulus, allowed=allowed)
+        return cls(kind="residue-classes", modulus=modulus, allowed=allowed, dropped=dropped)
 
     @classmethod
     def prefix_drop(cls, cutoff: int) -> "SubsetSpec":
@@ -143,6 +144,8 @@ class SubsetSpec:
             return "all"
         if self.kind == "bernoulli":
             return f"bernoulli:{self.delta:g}:{self.seed}"
+        if self.dropped is not None:
+            return f"drop-class:{self.modulus}:" + ",".join(map(str, sorted(self.dropped)))
         if self.kind == "residue-classes":
             return f"classes:{self.modulus}:" + ",".join(map(str, sorted(self.allowed)))
         if self.kind == "prefix-drop":
@@ -163,10 +166,12 @@ def parse_subset_spec(text: str) -> SubsetSpec:
             return SubsetSpec.all()
         if kind == "bernoulli":
             return SubsetSpec.bernoulli(float(parts[1]), int(parts[2]) if len(parts) > 2 else 0)
-        if kind == "classes":
-            return SubsetSpec.residue_classes(int(parts[1]), {int(c) for c in parts[2].split(",")})
-        if kind == "drop-class":
-            return SubsetSpec.drop_classes(int(parts[1]), {int(c) for c in parts[2].split(",")})
+        if kind in ("classes", "drop-class"):
+            # an empty list is no class, as describe writes it
+            classes = {int(c) for c in parts[2].split(",") if c}
+            if kind == "classes":
+                return SubsetSpec.residue_classes(int(parts[1]), classes)
+            return SubsetSpec.drop_classes(int(parts[1]), classes)
         if kind == "prefix-drop":
             return SubsetSpec.prefix_drop(int(parts[1]))
         if kind == "window-drop":
@@ -405,38 +410,6 @@ def build_f(
     if kind not in ("f", "bold-f"):
         raise ValueError(f"kind must be f or bold-f, got {kind!r}")
     return _prime_power_sequence(W, b, k, N, None, subset, kind)
-
-
-def build_mu(W: FactoredModulus, b: int, k: int, N: int):
-    """The envelope supported on every k-th power (prime or not), plus a
-    rescaler turning any dominated sequence into its 1/L version.
-
-    Returns (mu, psi_of) where psi_of(phi) = phi / L and asserts the
-    rescaled sequence stays under mu pointwise.
-    """
-    sigma = sigma_b(W, k, b)
-    Wv = W.value
-    Y = iroot(Wv * N + b, k)
-    xs = np.arange(1, Y + 1, dtype=np.int64)
-    ns, hit = _hits(xs, k, Wv, b, N)
-    values = np.zeros(N)
-    values[ns - 1] = (1.0 / sigma) * k * xs[hit].astype(np.float64) ** (k - 1)
-    mu = WeightedSequence(values=values, kind="mu", W=Wv, b=b, k=k)
-
-    def psi_of(phi: WeightedSequence) -> WeightedSequence:
-        if phi.N != N:
-            raise ValueError(f"length mismatch: {phi.N} != {N}")
-        psi_vals = phi.values / mu.L
-        bad = np.flatnonzero(psi_vals > mu.values + 1e-12)
-        if bad.size:
-            n0 = int(bad[0]) + 1
-            raise ValueError(
-                f"rescaled sequence exceeds the envelope at n = {n0}: "
-                f"{psi_vals[bad[0]]:.6g} > {mu.values[bad[0]]:.6g}"
-            )
-        return WeightedSequence(values=psi_vals, kind="psi", W=Wv, b=b, k=k, subset=phi.subset)
-
-    return mu, psi_of
 
 
 @dataclass

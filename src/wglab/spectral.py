@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -35,6 +37,7 @@ __all__ = [
     "major_arc_model",
     "major_arc_residual",
     "pseudorandom_gauge",
+    "pseudorandom_gauges",
     "restriction_norm",
 ]
 
@@ -178,61 +181,115 @@ def _half_grid_product(c: np.ndarray, w: np.ndarray, M: int):
         yield j0, (A @ E).view(complex).ravel()[: half - j0]
 
 
-def _half_spectrum(values: np.ndarray, M: int, what: str, price=None, interval=False):
-    """X(j) = sum_n values[n - 1] e(-n j / M) on the bins j = 0..M//2, which
-    hold a real sequence's whole spectrum since X(M - j) = conj X(j), as
-    (j0, X) blocks of consecutive bins.  The one path rule for every
-    spectral consumer, from the support size S and M alone:
+def _take_product(S: int, M: int, what: str, price, kept: float = 0.0) -> bool:
+    """The one path rule for every spectral consumer, from the support size
+    S and M alone: True for the blocked matrix product (_use_product:
+    M >= 2^15 and 64 S^2 <= min(M, 2^18)), False for one np.fft.rfft of
+    the sequence zero-padded to M.  Both agree to rounding.
 
-    - M >= 2^15 and 64 S^2 <= min(M, 2^18) (_use_product): many blocks of
-      the matrix product over the S support points (_half_grid_product),
-      whose exact int64 phase numerators refuse M with 2 M^2 >= 2^63;
-    - otherwise one block: one np.fft.rfft of the sequence zero-padded to M.
-
-    Both agree to rounding.  With interval, X is the transform of values - 1
-    on 1..N, up to the unimodular phase e((N + 1) j / 2M) on the product
-    path: it moves into the product's phases and turns the interval's
-    transform into the real Dirichlet kernel sin(pi N j / M) / sin(pi j /
-    M), exactly N at j = 0, whose sines are rank-two products.
-
-    price = (fft_grids, block_words, grids) passes require_bytes, under the
-    name what and before anything is allocated, fft_grids float64 grids of
-    length M on the FFT path, or on the product path _product_bytes with
-    block_words arrays of one block plus grids grids of length M.
+    Refuses the product path on M with 2 M^2 >= 2^63, where its exact
+    int64 phase numerators could overflow.  price = (fft_grids,
+    block_words, grids) then passes require_bytes, under the name what and
+    before anything is allocated, fft_grids float64 grids of length M on
+    the FFT path, or on the product path _product_bytes with block_words
+    arrays of one block, plus grids grids of length M and kept bytes.
     """
-    N, S = len(values), int(np.count_nonzero(values))
     product = _use_product(S, M)
     if product and 2 * M * M >= 1 << 63:
         raise LimitExceededError(f"{what} on M = {M} needs 2M^2 < 2^63 for exact phases")
     if price is not None:
         fft_grids, block_words, grids = price
         if product:
-            require_bytes(_product_bytes(S, M, block_words) + 8.0 * grids * M, what)
+            require_bytes(_product_bytes(S, M, block_words) + 8.0 * grids * M + kept, what)
         else:
             require_bytes(8.0 * fft_grids * M, what)
-    if not product:
+    return product
+
+
+def _half_spectrum(values: np.ndarray, M: int, what: str, price=None, interval=False):
+    """X(j) = sum_n values[n - 1] e(-n j / M) on the bins j = 0..M//2, which
+    hold a real sequence's whole spectrum since X(M - j) = conj X(j), as
+    (j0, X) blocks of consecutive bins: many blocks of the matrix product
+    over the support (_half_grid_product), or one block of the rfft, as
+    _take_product rules after it has refused or priced the call.
+
+    With interval, on the rfft path only, X is the transform of values - 1
+    on 1..N.  The gauge forms the product path's interval transform itself
+    (_Dirichlet), so that a family of gauges shares it.
+    """
+    S = int(np.count_nonzero(values))
+    if not _take_product(S, M, what, price):
         yield 0, np.fft.rfft(_zero_padded(values - 1.0 if interval else values, M))
         return
+    assert not interval
     idx = np.flatnonzero(values)
-    if not interval:
-        yield from _half_grid_product(2 * idx + 2, values[idx], M)
-        return
-    _, T, rows, _ = _half_grid_shape(S, M)
-    # the kernel's sines sin(a + b), a = pi c u T / M and b = pi c t / M at
-    # c = N and c = 1, as rank-two products: with e(-a) = cos a - i sin a,
-    # sin(a + b) = -(Re e(-a) Im e(-b) + Im e(-a) Re e(-b))
-    u_ri = _phase_table((N, 1), rows, T, M).view(float)  # Re, Im at N, then at 1
-    t_ri = -_phase_table((N, 1), T, 1, M).view(float).T
-    num_t, den_t = t_ri[[1, 0]], t_ri[[3, 2]]
-    del t_ri
-    for j0, X in _half_grid_product(2 * idx + 1 - N, values[idx], M):
-        u = slice(j0 // T, -(-(j0 + len(X)) // T))
-        top = (u_ri[u, :2] @ num_t).ravel()[: len(X)]
-        bottom = (u_ri[u, 2:] @ den_t).ravel()[: len(X)]
+    yield from _half_grid_product(2 * idx + 2, values[idx], M)
+
+
+class _Dirichlet:
+    """The interval's transform on the product path, for the members of one
+    gauge family of length N on the grid M.
+
+    The gauge turns both transforms by e((N + 1) j / 2M), which moves into
+    the product's phases and turns the interval's transform into the real
+    Dirichlet kernel sin(pi N j / M) / sin(pi j / M), exactly N at j = 0.
+    Its sines are rank-two products of phase tables at c = N and c = 1,
+    formed once per T.  A member that keeps the kernel stores each block's
+    quotient as it forms it, and the next member of the same block shape
+    reads them back instead: the same float64 values, so every member's
+    bins are those of a lone gauge.  The kernel lives for one call.
+    """
+
+    def __init__(self, N: int, M: int):
+        self.N, self.M = N, M
+        self.T = self.sines = None
+        self.shape = self.kept = None
+        self.formed = False
+
+    def walk(self, idx: np.ndarray, w: np.ndarray, shape, keep: bool):
+        """The half spectrum of the member with weights w at the indices
+        idx, minus the interval's, up to the unimodular phase: (j0, X)
+        blocks of _half_grid_product.  keep holds the kernel of shape for
+        the next member; without it the kernel's blocks are formed and
+        dropped as they go, as for a lone gauge."""
+        half, T, rows, _ = shape
+        self.formed = self.kept is not None and shape == self.shape
+        # tables this member does not read are dropped before any is formed
+        if not self.formed:
+            self.kept = None
+        if T != self.T:
+            self.sines = None
+            self.T, self.sines = T, self._sines(rows, T)
+        if keep and not self.formed:
+            self.kept = np.empty(half)
+        self.shape = shape
+        for j0, X in _half_grid_product(2 * idx + 1 - self.N, w, self.M):
+            X.real -= self._block(j0, len(X))
+            yield j0, X
+
+    def _sines(self, rows: int, T: int):
+        """The kernel's sines sin(a + b), a = pi c u T / M and b = pi c t / M
+        at c = N and c = 1, as rank-two products: with e(-a) = cos a - i sin
+        a, sin(a + b) = -(Re e(-a) Im e(-b) + Im e(-a) Re e(-b)).  Returns
+        the u-table, Re and Im at N then at 1, and the t-tables of the
+        numerator and the denominator."""
+        u_ri = _phase_table((self.N, 1), rows, T, self.M).view(float)
+        t_ri = -_phase_table((self.N, 1), T, 1, self.M).view(float).T
+        return u_ri, t_ri[[1, 0]], t_ri[[3, 2]]
+
+    def _block(self, j0: int, n: int) -> np.ndarray:
+        """The kernel on the bins j0..j0 + n - 1."""
+        if self.formed:
+            return self.kept[j0 : j0 + n]
+        u_ri, num_t, den_t = self.sines
+        u = slice(j0 // self.T, -(-(j0 + n) // self.T))
+        top = (u_ri[u, :2] @ num_t).ravel()[:n]
+        bottom = (u_ri[u, 2:] @ den_t).ravel()[:n]
         if j0 == 0:
-            top[0], bottom[0] = N, 1.0
-        X.real -= top / bottom
-        yield j0, X
+            top[0], bottom[0] = self.N, 1.0
+        if self.kept is None:
+            return top / bottom
+        return np.divide(top, bottom, out=self.kept[j0 : j0 + n])
 
 
 @dataclass
@@ -546,48 +603,100 @@ def pseudorandom_gauge(nu: WeightedSequence, M: int | None = None) -> GaugeRepor
     """Grid maximum of |transform(nu) - transform(interval)| / N.
 
     By linearity this is the transform of nu - 1 at n = 1..N, read from the
-    half spectrum (_half_spectrum) since real input has |X(j)| = |X(M -
-    j)|.  The argmax, the first index of the maximum, is therefore
+    half spectrum since real input has |X(j)| = |X(M - j)|: one rfft, or on
+    the product path the blocked matrix product less the Dirichlet kernel
+    (_Dirichlet).  The argmax, the first index of the maximum, is therefore
     canonical: argmax_j <= M/2 and argmax_alpha lies in [0, 1/2].
 
     The argmax frequency is classified into major/minor arcs using the
     first exponent in _SIGMA_CHAIN that yields a nondegenerate P < Q; the
     exponent actually used is recorded in the report.
+
+    The family of one of pseudorandom_gauges, which gauges many sequences
+    of one N, bit for bit as this does, with one kernel.
     """
-    N = nu.N
-    if M is None:
-        M = default_grid(N)
-    if M < 2 * N:
-        raise ValueError(f"grid M = {M} must be >= 2N = {2 * N}")
+    return pseudorandom_gauges([nu], M)[0]
+
+
+# the gauge's price: the padded sequence and X (two grids), or eight words
+# a block: X, |X| and the Dirichlet kernel's terms, some held over from the
+# last
+_GAUGE_PRICE = (2, 8, 0)
+
+
+def pseudorandom_gauges(nus, M: int | None = None) -> list[GaugeReport]:
+    """pseudorandom_gauge of each sequence of nus, which share N, on the
+    grid M (default_grid(N) when None), in order; [] for no sequences.
+
+    nus may be a generator: each member is read once and only its support
+    is kept, so at most one dense sequence is held at a time.  Members off
+    the product path are gauged as they come, by rfft.  The product-path
+    members then go in _half_grid_shape order through one _Dirichlet: the
+    kernel's sine tables are formed once per T, and each shape's kernel
+    blocks are formed once and kept, 8 (M//2 + 1) bytes on each member's
+    price, while the next member has the same shape.  A lone member keeps
+    nothing.  A member of another N is refused with ValueError.
+    """
+    reports: list[GaugeReport | None] = []
+    walks = []  # (shape, position, support, weights, (W, b, k)) on the product path
+    N = None
+    for nu in nus:
+        if N is None:
+            N = nu.N
+            M = default_grid(N) if M is None else M
+            if M < 2 * N:
+                raise ValueError(f"grid M = {M} must be >= 2N = {2 * N}")
+        elif nu.N != N:
+            raise ValueError(f"a gauge family shares N = {N}, got a member of N = {nu.N}")
+        meta = (nu.W, nu.b, nu.k)
+        S = int(np.count_nonzero(nu.values))
+        if _use_product(S, M):
+            idx = np.flatnonzero(nu.values)
+            walks.append((_half_grid_shape(S, M), len(reports), idx, nu.values[idx], meta))
+            reports.append(None)
+        else:
+            blocks = _half_spectrum(nu.values, M, "pseudorandom_gauge", _GAUGE_PRICE, True)
+            reports.append(_gauge_report(blocks, N, M, *meta))
+    walks.sort(key=itemgetter(0))
+    kernel = _Dirichlet(N, M)
+    for shape, group in groupby(walks, key=itemgetter(0)):
+        group = list(group)
+        keep = len(group) > 1
+        for _, pos, idx, w, meta in group:
+            _take_product(len(idx), M, "pseudorandom_gauge", _GAUGE_PRICE, 8.0 * shape[0] * keep)
+            reports[pos] = _gauge_report(kernel.walk(idx, w, shape, keep), N, M, *meta)
+    return reports
+
+
+def _gauge_report(blocks, N: int, M: int, W: int, b: int, k: int) -> GaugeReport:
+    """The gauge of one sequence from the (j0, X) blocks of its half
+    spectrum less the interval's, with its argmax classified."""
     peak, j = -1.0, 0
-    # the padded sequence and X (two grids), or eight words a block: X,
-    # |X| and the Dirichlet kernel's terms, some held over from the last
-    for j0, X in _half_spectrum(nu.values, M, "pseudorandom_gauge", (2, 8, 0), interval=True):
+    for j0, X in blocks:
         mag = np.abs(X)
-        k = int(mag.argmax())
-        if mag[k] > peak:
-            peak, j = float(mag[k]), j0 + k
-    D = peak / N
+        top = int(mag.argmax())
+        if mag[top] > peak:
+            peak, j = float(mag[top]), j0 + top
     arc = None
     sigma_used = None
-    if nu.W > 1:
+    if W > 1:
         for sigma in _SIGMA_CHAIN:
             try:
-                params = ArcParams.for_sequence(nu.W, N, nu.k, sigma=sigma)
+                params = ArcParams.for_sequence(W, N, k, sigma=sigma)
             except ValueError:
                 continue
             arc = arc_decompose(params, j / M)
             sigma_used = sigma
             break
     return GaugeReport(
-        D=D,
+        D=peak / N,
         argmax_j=j,
         argmax_alpha=j / M,
         N=N,
         M=M,
-        W=nu.W,
-        b=nu.b,
-        k=nu.k,
+        W=W,
+        b=b,
+        k=k,
         sigma=sigma_used,
         arc=arc,
     )

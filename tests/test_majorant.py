@@ -23,7 +23,6 @@ from wglab.majorant import (
     _hits,
     _weights,
     build_f,
-    build_mu,
     build_nu,
     gen_subset,
     mean_g,
@@ -79,6 +78,29 @@ class TestSubsets:
             assert parse_subset_spec(spec.describe()) == spec
         with pytest.raises(ValueError):
             parse_subset_spec("nonsense:1")
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        modulus=st.integers(1, 500),
+        dropped=st.sets(st.integers(-2000, 2000), max_size=8),
+        kept=st.sets(st.integers(0, 499), max_size=8),
+    )
+    def test_class_recipes_describe_themselves_as_written(self, modulus, dropped, kept):
+        """drop-class:M:... keeps its dropped classes, reduced mod M, and
+        every class recipe round-trips, also with no class listed."""
+        spec = SubsetSpec.drop_classes(modulus, dropped)
+        text = spec.describe()
+        reduced = sorted({c % modulus for c in dropped})
+        assert text == f"drop-class:{modulus}:" + ",".join(map(str, reduced))
+        assert parse_subset_spec(text) == spec
+        spec = SubsetSpec.residue_classes(modulus, {c for c in kept if c < modulus})
+        assert parse_subset_spec(spec.describe()) == spec
+
+    def test_large_drop_class_description_stays_short(self):
+        """It once listed all 999,999 allowed classes of drop-class:1000000:1,
+        6,888,903 characters."""
+        spec = parse_subset_spec("drop-class:1000000:1")
+        assert spec.describe() == "drop-class:1000000:1"
 
     @pytest.mark.parametrize(
         "text, why",
@@ -174,17 +196,19 @@ class TestBuildNu:
         subset = gen_subset(SubsetSpec.all(), 300)
         build_nu(self.W, 9, 2, 128)
         build_f(self.W, 25, 2, 128, subset)
-        build_mu(self.W, 1, 2, 128)
         mean_g(self.W, 2, 128, subset)
-        assert seen == [9, 25, 1, 1]
+        assert seen == [9, 25, 1]
         message = r"^b = 19 is not a unit k-th power residue mod 16$"
         for build in (
             lambda: build_nu(self.W, 19, 2, 128),
             lambda: build_f(self.W, 19, 2, 128, subset),
-            lambda: build_mu(self.W, 19, 2, 128),
         ):
             with pytest.raises(ValueError, match=message):
                 build()
+
+    def test_composite_power_missing_from_nu(self):
+        nu = build_nu(self.W, 1, 2, 4096)
+        assert nu.value_at(5) == 0.0  # 16*5+1 = 9^2, 9 composite
 
     def test_metadata(self):
         nu = build_nu(self.W, 1, 2, 4096)
@@ -200,8 +224,6 @@ class TestBuildNu:
         assert nu.support().tolist() == [2, 17, 32, 59]  # 7^2, 17^2, 23^2, 31^2 = 16 n + 17
         assert nu.Y == math.isqrt(16 * 64 + 17)
         assert build_f(self.W, 17, 2, 64, subset).b == 17
-        mu, psi_of = build_mu(self.W, 17, 2, 64)
-        assert mu.b == psi_of(nu).b == 17
         path = tmp_path / "nu.bin"
         nu.to_binary(path)
         assert WeightedSequence.from_binary(path).b == 17
@@ -251,40 +273,6 @@ class TestBuildF:
         assert WeightedSequence.from_binary(path).kind == "bold-f"
         with pytest.raises(ValueError):
             build_f(self.W, 1, 2, self.N, sub, kind="nu")
-
-
-class TestBuildMu:
-    def setup_method(self):
-        self.W = compute_W(2, 2)
-
-    def test_values_on_powers(self):
-        mu, _ = build_mu(self.W, 1, 2, 4096)
-        assert mu.value_at(18) == pytest.approx(8.5)  # 16*18+1 = 17^2
-        assert mu.value_at(5) == pytest.approx(4.5)  # 16*5+1 = 9^2, 9 composite
-
-    def test_composite_power_missing_from_nu(self):
-        nu = build_nu(self.W, 1, 2, 4096)
-        assert nu.value_at(5) == 0.0
-
-    def test_rescaler(self):
-        N = 4096
-        mu, psi_of = build_mu(self.W, 1, 2, N)
-        sub = gen_subset(SubsetSpec.all(), math.isqrt(16 * N + 16) + 1)
-        f = build_f(self.W, 1, 2, N, sub)
-        psi = psi_of(f)
-        L = 0.5 * math.log(16 * N + 16)
-        assert psi.value_at(18) == pytest.approx(f.value_at(18) / L)
-        assert (psi.values <= mu.values + 1e-12).all()
-        assert psi.kind == "psi"
-
-    def test_rescaler_rejects_violation(self):
-        N = 512
-        mu, psi_of = build_mu(self.W, 1, 2, N)
-        too_big = WeightedSequence(
-            values=mu.values * mu.L * 2, kind="custom", W=16, b=1, k=2
-        )
-        with pytest.raises(ValueError, match="exceeds the envelope"):
-            psi_of(too_big)
 
 
 class TestMeans:
@@ -421,15 +409,6 @@ def _old_prime_weights(W, b, k, N, members=None):
     return values
 
 
-def _old_mu(W, b, k, N):
-    sigma = power_residues(W, k).multiplicity[b % W.value]
-    xs = np.arange(1, iroot(W.value * N + b, k) + 1, dtype=np.int64)
-    ns, xs = _old_hits(W, b, k, N, xs)
-    values = np.zeros(N)
-    values[ns - 1] = (1.0 / sigma) * k * xs.astype(np.float64) ** (k - 1)
-    return values
-
-
 def _old_means(W, k, N, subset):
     """mean_g's per-prime loop before the bincount."""
     table = power_residues(W, k)
@@ -451,8 +430,8 @@ def _old_means(W, k, N, subset):
 
 
 class TestOneWeightKernel:
-    """nu, f, mu and the class means are bit-identical to the four separate
-    builders the shared hit finder and weight kernel replaced."""
+    """nu, f and the class means are bit-identical to the separate builders
+    the shared hit finder and weight kernel replaced."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -472,11 +451,9 @@ class TestOneWeightKernel:
         subset = gen_subset(SubsetSpec.bernoulli(delta, seed), max(Y, 100))
         nu = build_nu(W, b, k, N)
         f = build_f(W, b, k, N, subset)
-        mu, _ = build_mu(W, b, k, N)
         assert nu.values.tobytes() == _old_prime_weights(W, b, k, N).tobytes()
         assert f.values.tobytes() == _old_prime_weights(W, b, k, N, subset.members).tobytes()
-        assert mu.values.tobytes() == _old_mu(W, b, k, N).tobytes()
-        assert nu.b == f.b == mu.b == b  # stored as given, also past W
+        assert nu.b == f.b == b  # stored as given, also past W
         report = mean_g(W, k, N, subset)
         per_b, aggregate = _old_means(W, k, N, subset)
         assert list(report.per_b.items()) == list(per_b.items())

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wglab import core_arith, majorant, representation, spectral
+from wglab import cli, core_arith, majorant, representation, spectral
 from wglab.core_arith import (
     MEMORY_BUDGET,
     LimitExceededError,
@@ -22,7 +22,16 @@ from wglab.core_arith import (
 )
 from wglab.majorant import SubsetSpec, WeightedSequence, build_nu, gen_subset
 from wglab.representation import count_representations, transference_gauge
-from wglab.spectral import dft_spectrum, pseudorandom_gauge, restriction_norm
+from wglab.local_structure import power_residues
+from wglab.spectral import (
+    _half_grid_shape,
+    _product_bytes,
+    _use_product,
+    dft_spectrum,
+    pseudorandom_gauge,
+    pseudorandom_gauges,
+    restriction_norm,
+)
 
 # interpreter objects and prime lists, which do not grow with the arrays
 OBJECT_BYTES = 16 << 10
@@ -232,14 +241,24 @@ def _small_calls(name):
     # one point on a grid of 2^18, where the block arrays outweigh every fixed
     # term; a dense sequence keeps the FFT path's estimate under test too
     calls = [lambda nu=build_nu(W, 1, 2, N): path(nu) for N in (1 << 12, 1 << 14)]
-    return calls + [lambda seq=_sparse(3 << 13, 1, 0): path(seq), lambda: path(_dense(1 << 12))]
+    calls += [lambda seq=_sparse(3 << 13, 1, 0): path(seq), lambda: path(_dense(1 << 12))]
+    if name == "pseudorandom_gauge":
+        # a family on 2^18 points whose three residues of one shape keep
+        # the kernel, past 64 points of another shape; no rfft member, whose
+        # two grids would outweigh the kernel in the largest price
+        bs = power_residues(W, 2).unit_sorted[:3]
+        nus = [build_nu(W, b, 2, 1 << 14) for b in bs]
+        nus.insert(1, _sparse(1 << 14, 64, 1))
+        calls.append(lambda: pseudorandom_gauges(iter(nus), 1 << 18))
+    return calls
 
 
 @pytest.mark.parametrize("name", list(SIZES))
 def test_estimate_covers_peak(name, monkeypatch):
     """At two small sizes the estimate is at least the traced peak, up to
     OBJECT_BYTES; a warm-up call first keeps one-time FFT setup and lazy
-    imports out of the peak."""
+    imports out of the peak.  A gauge family prices each member; the
+    largest of its prices covers the peak."""
     seen = []
     real = core_arith.require_bytes
 
@@ -258,5 +277,68 @@ def test_estimate_covers_peak(name, monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert [what for what, _ in seen] == [name]
-        assert seen[0][1] + OBJECT_BYTES >= peak
+        assert seen and {what for what, _ in seen} == {name}
+        assert max(estimate for _, estimate in seen) + OBJECT_BYTES >= peak
+
+
+def _recorded_prices(monkeypatch, call):
+    seen = []
+    monkeypatch.setattr(spectral, "require_bytes", lambda estimate, what: seen.append(estimate))
+    call()
+    return seen
+
+
+def test_family_prices_the_kept_kernel(monkeypatch):
+    """Each member of a gauge family is priced as a lone gauge, plus the
+    8 (M//2 + 1) bytes of its shape's kernel exactly when that is kept: when
+    another member has the same shape."""
+    W, N, M = compute_W(3, 2), 1 << 14, 1 << 18
+    nus = [build_nu(W, b, 2, N) for b in power_residues(W, 2).unit_sorted[:3]]
+    other = _sparse(N, 64, 1)
+    sizes = [int(np.count_nonzero(seq.values)) for seq in [*nus, other]]
+    assert all(_use_product(S, M) for S in sizes)
+    shapes = [_half_grid_shape(S, M) for S in sizes]
+    assert shapes[0] == shapes[1] == shapes[2] != shapes[3]
+    lone = [_recorded_prices(monkeypatch, lambda seq=seq: pseudorandom_gauge(seq, M)) for seq in nus]
+    lone_other = _recorded_prices(monkeypatch, lambda: pseudorandom_gauge(other, M))
+    kernel = 8.0 * (M // 2 + 1)
+    family = _recorded_prices(
+        monkeypatch, lambda: pseudorandom_gauges([nus[0], other, *nus[1:]], M)
+    )
+    # the product members go in shape order, the 64-point member's first
+    assert shapes[3] < shapes[0]
+    assert family == lone_other + [price + kernel for [price] in lone]
+    pair = _recorded_prices(monkeypatch, lambda: pseudorandom_gauges([nus[0], other], M))
+    assert pair == lone_other + lone[0]
+
+
+def test_lone_product_gauge_within_its_product_price():
+    W, N = compute_W(3, 2), 1 << 14
+    nu = build_nu(W, 1, 2, N)
+    S, M = int(np.count_nonzero(nu.values)), 8 * N
+    pseudorandom_gauge(nu)
+    tracemalloc.start()
+    try:
+        pseudorandom_gauge(nu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _product_bytes(S, M, 8) + OBJECT_BYTES
+
+
+def test_report_holds_one_dense_sequence(tmp_path):
+    """wglab report gauges the 54 residues of N as one family drawn from a
+    generator: its peak stays below the 54 N float64 of every nu at once."""
+    N = 1 << 14
+    cfg = tmp_path / "report.cfg"
+    cfg.write_text(f"k=2\nw=3\nn_list={N}\n", encoding="utf-8")
+    argv = ["report", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    assert len((tmp_path / "out" / f"gauge_N{N}.jsonl").read_text().splitlines()) == 54
+    tracemalloc.start()
+    try:
+        cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 54 * N * 8

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import random
 import struct
@@ -6,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wglab.cli import _json_line
@@ -31,6 +32,7 @@ from wglab.spectral import (
     major_arc_model,
     major_arc_residual,
     pseudorandom_gauge,
+    pseudorandom_gauges,
     restriction_norm,
     transform_at,
 )
@@ -617,6 +619,138 @@ class TestSparseProduct:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def _family_member(N, M, kind, S, seed):
+    """A sparse sequence of min(S, the product path's bound) random points,
+    a dense one (the rfft path), or nu at w = 2, k = 2 and the unit b
+    picked by seed (W > 1, so its argmax is classified)."""
+    if kind == "nu":
+        W = compute_W(2, 2)
+        bs = power_residues(W, 2).unit_sorted
+        return build_nu(W, bs[seed % len(bs)], 2, N)
+    rng = np.random.default_rng(seed)
+    vals = np.zeros(N)
+    if kind == "dense":
+        vals[:] = 0.1 + rng.random(N)
+    else:
+        S = min(S, max(s for s in range(1, 65) if _use_product(s, M)))
+        vals[rng.choice(N, S, replace=False)] = 0.1 + 10 * rng.random(S)
+    return WeightedSequence(values=vals, kind="custom", W=0, b=0, k=0)
+
+
+def _gauge_bits(rep):
+    return rep.D.hex(), rep.argmax_j, rep.argmax_alpha.hex(), rep.sigma, rep.arc
+
+
+def _with_spectrum_digests(call):
+    """call()'s result and the SHA-256 of each half spectrum (less the
+    interval's) that a gauge read, in the order they were read."""
+    digests = []
+    real = spectral._gauge_report
+
+    def recorded(blocks, *args):
+        h = hashlib.sha256()
+
+        def tee():
+            for j0, X in blocks:
+                h.update(X.tobytes())
+                yield j0, X
+
+        report = real(tee(), *args)
+        digests.append(h.hexdigest())
+        return report
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(spectral, "_gauge_report", recorded)
+        return call(), digests
+
+
+# seven members in three block shapes at M = 2^18 (S = 10, 62 and 64),
+# two of them kept, with a dense rfft member and a nu between them
+_SHAPES_EXAMPLE = [
+    ("sparse", 64, 1),
+    ("sparse", 10, 2),
+    ("sparse", 64, 3),
+    ("dense", 0, 4),
+    ("sparse", 10, 5),
+    ("nu", 0, 3),
+    ("sparse", 62, 6),
+]
+
+
+class TestGaugeFamily:
+    """pseudorandom_gauges against one pseudorandom_gauge call per member."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        N=st.integers(128, 2048),
+        base=st.sampled_from([1 << 15, 1 << 18]),
+        extra=st.integers(0, 4096),
+        members=st.lists(
+            st.tuples(
+                st.sampled_from(["sparse", "sparse", "dense", "nu"]),
+                st.one_of(st.integers(1, 64), st.integers(58, 64)),
+                st.integers(0, 2**32 - 1),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    @example(N=512, base=1 << 18, extra=0, members=_SHAPES_EXAMPLE)
+    @example(N=777, base=1 << 18, extra=1, members=_SHAPES_EXAMPLE)
+    def test_members_equal_single_calls_bit_for_bit(self, N, base, extra, members):
+        M = base + extra  # odd M too
+        seqs = [_family_member(N, M, *member) for member in members]
+        family, family_digests = _with_spectrum_digests(
+            lambda: pseudorandom_gauges((seq for seq in seqs), M)
+        )
+        singles, single_digests = _with_spectrum_digests(
+            lambda: [pseudorandom_gauge(seq, M) for seq in seqs]
+        )
+        assert [_gauge_bits(rep) for rep in family] == [_gauge_bits(rep) for rep in singles]
+        # every bin, not only the maxima: the family reads its members in
+        # another order, so the digests compare as multisets
+        assert sorted(family_digests) == sorted(single_digests)
+
+    def test_example_holds_several_shapes_and_both_paths(self):
+        M = 1 << 18
+        seqs = [_family_member(512, M, *member) for member in _SHAPES_EXAMPLE]
+        sizes = [int(np.count_nonzero(seq.values)) for seq in seqs]
+        shapes = [_half_grid_shape(S, M) for S in sizes if _use_product(S, M)]
+        assert len(shapes) == 6 and len(set(shapes)) == 3
+        assert any(not _use_product(S, M) for S in sizes)
+
+    def test_other_N_refused_and_empty_family(self):
+        assert pseudorandom_gauges([]) == []
+        assert pseudorandom_gauges(iter(()), 1 << 16) == []
+        seqs = [WeightedSequence.spike(64), WeightedSequence.spike(65)]
+        with pytest.raises(ValueError, match="shares N = 64, got a member of N = 65"):
+            pseudorandom_gauges(seqs, 1 << 16)
+
+    def test_kernel_tables_once_per_T(self, monkeypatch):
+        """The 54 residues of a report at N = 2^14 and M = 2^17 share one
+        T, so the kernel's tables at c = (N, 1) are one pair, where each
+        gauge formed its own pair."""
+        W, N, M = compute_W(3, 2), 1 << 14, 1 << 17
+        nus = [build_nu(W, b, 2, N) for b in power_residues(W, 2).unit_sorted]
+        sizes = [int(np.count_nonzero(nu.values)) for nu in nus]
+        assert len(nus) == 54 and all(_use_product(S, M) for S in sizes)
+        assert len({_half_grid_shape(S, M)[1] for S in sizes}) == 1
+        kernel_tables = []
+        real = spectral._phase_table
+
+        def counted(c, count, step, M):
+            if isinstance(c, tuple) and c == (N, 1):
+                kernel_tables.append((count, step))
+            return real(c, count, step, M)
+
+        monkeypatch.setattr(spectral, "_phase_table", counted)
+        pseudorandom_gauges(iter(nus), M)
+        assert len(kernel_tables) == 2
+        kernel_tables.clear()
+        pseudorandom_gauge(nus[0], M)
+        assert len(kernel_tables) == 2
 
 
 class TestPhaseTable:
