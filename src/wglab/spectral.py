@@ -657,6 +657,7 @@ def pseudorandom_gauges(nus, M: int | None = None) -> list[GaugeReport]:
         else:
             blocks = _half_spectrum(nu.values, M, "pseudorandom_gauge", _GAUGE_PRICE, True)
             reports.append(_gauge_report(blocks, N, M, *meta))
+        del nu  # so that the next member is made with this one gone
     walks.sort(key=itemgetter(0))
     kernel = _Dirichlet(N, M)
     for shape, group in groupby(walks, key=itemgetter(0)):

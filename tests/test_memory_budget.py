@@ -299,7 +299,9 @@ def test_family_prices_the_kept_kernel(monkeypatch):
     assert all(_use_product(S, M) for S in sizes)
     shapes = [_half_grid_shape(S, M) for S in sizes]
     assert shapes[0] == shapes[1] == shapes[2] != shapes[3]
-    lone = [_recorded_prices(monkeypatch, lambda seq=seq: pseudorandom_gauge(seq, M)) for seq in nus]
+    lone = [
+        _recorded_prices(monkeypatch, lambda seq=seq: pseudorandom_gauge(seq, M)) for seq in nus
+    ]
     lone_other = _recorded_prices(monkeypatch, lambda: pseudorandom_gauge(other, M))
     kernel = 8.0 * (M // 2 + 1)
     family = _recorded_prices(

@@ -4,6 +4,7 @@ import math
 import random
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -666,8 +667,8 @@ def _with_spectrum_digests(call):
         return call(), digests
 
 
-# seven members in three block shapes at M = 2^18 (S = 10, 62 and 64),
-# two of them kept, with a dense rfft member and a nu between them
+# at M = 2^18: six product members in three block shapes, S = 64 twice,
+# S = 10 twice with the nu, and S = 62 alone; and one dense rfft member
 _SHAPES_EXAMPLE = [
     ("sparse", 64, 1),
     ("sparse", 10, 2),
@@ -727,6 +728,22 @@ class TestGaugeFamily:
         seqs = [WeightedSequence.spike(64), WeightedSequence.spike(65)]
         with pytest.raises(ValueError, match="shares N = 64, got a member of N = 65"):
             pseudorandom_gauges(seqs, 1 << 16)
+
+    def test_each_member_dropped_before_the_next_is_made(self):
+        """A family drawn from a generator holds one dense sequence at a
+        time, as wglab report's 54 residues were gauged one by one."""
+        refs = []
+
+        def tracked(seq):
+            refs.append(weakref.ref(seq))
+            return seq
+
+        def members():
+            for kind, seed in (("sparse", 1), ("dense", 2), ("sparse", 3), ("nu", 4)):
+                assert all(ref() is None for ref in refs)
+                yield tracked(_family_member(1024, 1 << 16, kind, 10, seed))
+
+        assert len(pseudorandom_gauges(members(), 1 << 16)) == 4
 
     def test_kernel_tables_once_per_T(self, monkeypatch):
         """The 54 residues of a report at N = 2^14 and M = 2^17 share one
