@@ -54,6 +54,7 @@ from .representation import (
 from .spectral import (
     Arc,
     ArcParams,
+    DirichletKernel,
     ExpSumValue,
     FactorParts,
     GaugeReport,

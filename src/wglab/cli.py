@@ -48,11 +48,11 @@ from .representation import (
 )
 from .spectral import (
     ArcParams,
+    DirichletKernel,
     arc_decompose,
     default_grid,
     dft_spectrum,
     pseudorandom_gauge,
-    pseudorandom_gauges,
     restriction_norm,
 )
 
@@ -443,7 +443,8 @@ def cmd_report(args, get) -> Outcome:
         body["W_over_log_N"] = _regime(W.value, N)
         write(f"means_N{N}.json", _json_report(body))
         M = default_grid(N, factor)
-        gauges = pseudorandom_gauges((build_nu(W, b, k, N, primes=primes) for b in bs), M)
+        kernel = DirichletKernel(N, M)  # formed at the first residue, read by the rest
+        gauges = (pseudorandom_gauge(build_nu(W, b, k, N, primes=primes), M, kernel) for b in bs)
         write(f"gauge_N{N}.jsonl", "".join(_json_line(g.to_dict()) for g in gauges))
     return Outcome(echo=f"report written to {out}")
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
 
 import numpy as np
 
@@ -26,6 +24,7 @@ __all__ = [
     "ExpSumValue",
     "FactorParts",
     "GaugeReport",
+    "DirichletKernel",
     "RestrictionReport",
     "dft_spectrum",
     "transform_at",
@@ -50,11 +49,13 @@ def default_grid(N: int, factor: int = 8) -> int:
     return factor * (1 << (N - 1).bit_length())
 
 
-def _zero_padded(values: np.ndarray, M: int) -> np.ndarray:
-    """values at positions 1..N of a zero array of length M."""
+def _padded_rfft(values: np.ndarray, M: int, shift: float = 0.0) -> np.ndarray:
+    """The rfft of values - shift at positions 1..N of a zero array of
+    length M: the FFT path's half spectrum, and the package's one rfft of a
+    sequence.  The gauge's shift of 1 takes the interval off."""
     arr = np.zeros(M)
-    arr[1 : len(values) + 1] = values
-    return arr
+    np.subtract(values, shift, out=arr[1 : len(values) + 1])
+    return np.fft.rfft(arr)
 
 
 # most cells of the half grid formed by one matrix product (256 KiB of
@@ -206,90 +207,85 @@ def _take_product(S: int, M: int, what: str, price, kept: float = 0.0) -> bool:
     return product
 
 
-def _half_spectrum(values: np.ndarray, M: int, what: str, price=None, interval=False):
+def _half_spectrum(values: np.ndarray, M: int, what: str, price=None):
     """X(j) = sum_n values[n - 1] e(-n j / M) on the bins j = 0..M//2, which
     hold a real sequence's whole spectrum since X(M - j) = conj X(j), as
     (j0, X) blocks of consecutive bins: many blocks of the matrix product
     over the support (_half_grid_product), or one block of the rfft, as
     _take_product rules after it has refused or priced the call.
-
-    With interval, on the rfft path only, X is the transform of values - 1
-    on 1..N.  The gauge forms the product path's interval transform itself
-    (_Dirichlet), so that a family of gauges shares it.
     """
     S = int(np.count_nonzero(values))
     if not _take_product(S, M, what, price):
-        yield 0, np.fft.rfft(_zero_padded(values - 1.0 if interval else values, M))
+        yield 0, _padded_rfft(values, M)
         return
-    assert not interval
     idx = np.flatnonzero(values)
     yield from _half_grid_product(2 * idx + 2, values[idx], M)
 
 
-class _Dirichlet:
-    """The interval's transform on the product path, for the members of one
-    gauge family of length N on the grid M.
+def _dirichlet_sines(N: int, M: int, rows: int, T: int):
+    """The tables of the Dirichlet kernel's sines sin(a + b), a = pi c u T /
+    M and b = pi c t / M at c = N and c = 1, from two _phase_table calls:
+    with e(-a) = cos a - i sin a, sin(a + b) = -(Re e(-a) Im e(-b) + Im
+    e(-a) Re e(-b)).  Returns the u-table, Re and Im at N then at 1, and
+    the t-tables of the numerator and the denominator."""
+    u_ri = _phase_table((N, 1), rows, T, M).view(float)
+    t_ri = -_phase_table((N, 1), T, 1, M).view(float).T
+    return u_ri, t_ri[[1, 0]], t_ri[[3, 2]]
+
+
+def _dirichlet_blocks(N: int, M: int, shape, sines=None):
+    """The Dirichlet kernel sin(pi N j / M) / sin(pi j / M), exactly N at
+    j = 0, on the bins j = 0..M//2 in the (j0, K) blocks that
+    _half_grid_product makes at shape: each block's sines are two
+    rank-two products of the tables (_dirichlet_sines, formed here unless
+    given)."""
+    half, T, rows, step = shape
+    u_ri, num_t, den_t = _dirichlet_sines(N, M, rows, T) if sines is None else sines
+    for u0 in range(0, rows, step):
+        j0 = u0 * T
+        n = min(step * T, half - j0)
+        top = (u_ri[u0 : u0 + step, :2] @ num_t).ravel()[:n]
+        bottom = (u_ri[u0 : u0 + step, 2:] @ den_t).ravel()[:n]
+        if j0 == 0:
+            top[0], bottom[0] = N, 1.0
+        top /= bottom
+        yield j0, top
+
+
+class DirichletKernel:
+    """The interval's half spectrum on the product path, held for the
+    gauges of length N on the grid M that are given it (pseudorandom_gauge).
 
     The gauge turns both transforms by e((N + 1) j / 2M), which moves into
     the product's phases and turns the interval's transform into the real
-    Dirichlet kernel sin(pi N j / M) / sin(pi j / M), exactly N at j = 0.
-    Its sines are rank-two products of phase tables at c = N and c = 1,
-    formed once per T.  A member that keeps the kernel stores each block's
-    quotient as it forms it, and the next member of the same block shape
-    reads them back instead: the same float64 values, so every member's
-    bins are those of a lone gauge.  The kernel lives for one call.
+    Dirichlet kernel (_dirichlet_blocks).  A kernel holds the sine tables
+    of one T and the kernel's bins 0..M//2 as the blocks of one shape form
+    them, 8 (M//2 + 1) bytes: a gauge of the held shape reads them, one of
+    another shape forms its own in their place, from the held tables when
+    its T is theirs.  The bins are formed as a lone gauge of that shape
+    forms them, so every gauge is the same bit for bit; a shared T alone
+    would not do, as a block of one row may round its bins otherwise.
+    Nothing is cached past the kernel's holder: wglab report holds one for
+    the residues of each N.
     """
 
     def __init__(self, N: int, M: int):
         self.N, self.M = N, M
         self.T = self.sines = None
-        self.shape = self.kept = None
-        self.formed = False
+        self.shape = self.bins = None
 
-    def walk(self, idx: np.ndarray, w: np.ndarray, shape, keep: bool):
-        """The half spectrum of the member with weights w at the indices
-        idx, minus the interval's, up to the unimodular phase: (j0, X)
-        blocks of _half_grid_product.  keep holds the kernel of shape for
-        the next member; without it the kernel's blocks are formed and
-        dropped as they go, as for a lone gauge."""
-        half, T, rows, _ = shape
-        self.formed = self.kept is not None and shape == self.shape
-        # tables this member does not read are dropped before any is formed
-        if not self.formed:
-            self.kept = None
-        if T != self.T:
-            self.sines = None
-            self.T, self.sines = T, self._sines(rows, T)
-        if keep and not self.formed:
-            self.kept = np.empty(half)
-        self.shape = shape
-        for j0, X in _half_grid_product(2 * idx + 1 - self.N, w, self.M):
-            X.real -= self._block(j0, len(X))
-            yield j0, X
-
-    def _sines(self, rows: int, T: int):
-        """The kernel's sines sin(a + b), a = pi c u T / M and b = pi c t / M
-        at c = N and c = 1, as rank-two products: with e(-a) = cos a - i sin
-        a, sin(a + b) = -(Re e(-a) Im e(-b) + Im e(-a) Re e(-b)).  Returns
-        the u-table, Re and Im at N then at 1, and the t-tables of the
-        numerator and the denominator."""
-        u_ri = _phase_table((self.N, 1), rows, T, self.M).view(float)
-        t_ri = -_phase_table((self.N, 1), T, 1, self.M).view(float).T
-        return u_ri, t_ri[[1, 0]], t_ri[[3, 2]]
-
-    def _block(self, j0: int, n: int) -> np.ndarray:
-        """The kernel on the bins j0..j0 + n - 1."""
-        if self.formed:
-            return self.kept[j0 : j0 + n]
-        u_ri, num_t, den_t = self.sines
-        u = slice(j0 // self.T, -(-(j0 + n) // self.T))
-        top = (u_ri[u, :2] @ num_t).ravel()[:n]
-        bottom = (u_ri[u, 2:] @ den_t).ravel()[:n]
-        if j0 == 0:
-            top[0], bottom[0] = self.N, 1.0
-        if self.kept is None:
-            return top / bottom
-        return np.divide(top, bottom, out=self.kept[j0 : j0 + n])
+    def at(self, shape) -> np.ndarray:
+        """The kernel on the bins 0..M//2 at shape."""
+        if shape != self.shape:
+            half, T, rows, _ = shape
+            self.shape = self.bins = None  # the last shape's go before these are formed
+            if T != self.T:
+                self.T, self.sines = T, _dirichlet_sines(self.N, self.M, rows, T)
+            bins = np.empty(half)
+            for j0, K in _dirichlet_blocks(self.N, self.M, shape, self.sines):
+                bins[j0 : j0 + len(K)] = K
+            self.shape, self.bins = shape, bins
+        return self.bins
 
 
 @dataclass
@@ -599,108 +595,113 @@ class GaugeReport:
         return _json_row(self, self.sigma, self.D)
 
 
-def pseudorandom_gauge(nu: WeightedSequence, M: int | None = None) -> GaugeReport:
+def pseudorandom_gauge(
+    nu: WeightedSequence, M: int | None = None, kernel: DirichletKernel | None = None
+) -> GaugeReport:
     """Grid maximum of |transform(nu) - transform(interval)| / N.
 
     By linearity this is the transform of nu - 1 at n = 1..N, read from the
-    half spectrum since real input has |X(j)| = |X(M - j)|: one rfft, or on
-    the product path the blocked matrix product less the Dirichlet kernel
-    (_Dirichlet).  The argmax, the first index of the maximum, is therefore
-    canonical: argmax_j <= M/2 and argmax_alpha lies in [0, 1/2].
+    half spectrum since real input has |X(j)| = |X(M - j)|: on the FFT path
+    one rfft, on the product path the blocked matrix product over the
+    support less the Dirichlet kernel, as _take_product rules.  The
+    argmax, the first index of the maximum, is therefore canonical:
+    argmax_j <= M/2 and argmax_alpha lies in [0, 1/2].
+
+    Without a kernel the product path forms the Dirichlet kernel block by
+    block and keeps none of it.  Given a DirichletKernel of the same N and
+    M, it reads the kernel held there, so that many gauges of one N form it
+    once; the result is the same bit for bit, and the price gains the
+    kernel's 8 (M//2 + 1) bytes.  A kernel of another N or M is refused
+    with ValueError.
 
     The argmax frequency is classified into major/minor arcs using the
     first exponent in _SIGMA_CHAIN that yields a nondegenerate P < Q; the
     exponent actually used is recorded in the report.
-
-    The family of one of pseudorandom_gauges, which gauges many sequences
-    of one N, bit for bit as this does, with one kernel.
     """
-    return pseudorandom_gauges([nu], M)[0]
-
-
-# the gauge's price: the padded sequence and X (two grids), or eight words
-# a block: X, |X| and the Dirichlet kernel's terms, some held over from the
-# last
-_GAUGE_PRICE = (2, 8, 0)
-
-
-def pseudorandom_gauges(nus, M: int | None = None) -> list[GaugeReport]:
-    """pseudorandom_gauge of each sequence of nus, which share N, on the
-    grid M (default_grid(N) when None), in order; [] for no sequences.
-
-    nus may be a generator: each member is read once and only its support
-    is kept, so at most one dense sequence is held at a time.  Members off
-    the product path are gauged as they come, by rfft.  The product-path
-    members then go in _half_grid_shape order through one _Dirichlet: the
-    kernel's sine tables are formed once per T, and each shape's kernel
-    blocks are formed once and kept, 8 (M//2 + 1) bytes on each member's
-    price, while the next member has the same shape.  A lone member keeps
-    nothing.  A member of another N is refused with ValueError.
-    """
-    reports: list[GaugeReport | None] = []
-    walks = []  # (shape, position, support, weights, (W, b, k)) on the product path
-    N = None
-    for nu in nus:
-        if N is None:
-            N = nu.N
-            M = default_grid(N) if M is None else M
-            if M < 2 * N:
-                raise ValueError(f"grid M = {M} must be >= 2N = {2 * N}")
-        elif nu.N != N:
-            raise ValueError(f"a gauge family shares N = {N}, got a member of N = {nu.N}")
-        meta = (nu.W, nu.b, nu.k)
-        S = int(np.count_nonzero(nu.values))
-        if _use_product(S, M):
-            idx = np.flatnonzero(nu.values)
-            walks.append((_half_grid_shape(S, M), len(reports), idx, nu.values[idx], meta))
-            reports.append(None)
+    N = nu.N
+    if M is None:
+        M = default_grid(N)
+    if M < 2 * N:
+        raise ValueError(f"grid M = {M} must be >= 2N = {2 * N}")
+    if kernel is not None and (kernel.N, kernel.M) != (N, M):
+        raise ValueError(
+            f"a kernel of N = {kernel.N} on M = {kernel.M} cannot gauge N = {N} on M = {M}"
+        )
+    S = int(np.count_nonzero(nu.values))
+    kept = 0.0 if kernel is None else 8.0 * (M // 2 + 1)
+    # the padded sequence and X (two grids), or eight words a block: X,
+    # |X| and the Dirichlet kernel's terms, some held over from the last
+    if not _take_product(S, M, "pseudorandom_gauge", (2, 8, 0), kept):
+        blocks = [(0, _padded_rfft(nu.values, M, 1.0))]
+    else:
+        idx = np.flatnonzero(nu.values)
+        shape = half, T, _, step = _half_grid_shape(S, M)
+        if kernel is None:
+            kernel_blocks = _dirichlet_blocks(N, M, shape)
         else:
-            blocks = _half_spectrum(nu.values, M, "pseudorandom_gauge", _GAUGE_PRICE, True)
-            reports.append(_gauge_report(blocks, N, M, *meta))
-        del nu  # so that the next member is made with this one gone
-    walks.sort(key=itemgetter(0))
-    kernel = _Dirichlet(N, M)
-    for shape, group in groupby(walks, key=itemgetter(0)):
-        group = list(group)
-        keep = len(group) > 1
-        for _, pos, idx, w, meta in group:
-            _take_product(len(idx), M, "pseudorandom_gauge", _GAUGE_PRICE, 8.0 * shape[0] * keep)
-            reports[pos] = _gauge_report(kernel.walk(idx, w, shape, keep), N, M, *meta)
-    return reports
-
-
-def _gauge_report(blocks, N: int, M: int, W: int, b: int, k: int) -> GaugeReport:
-    """The gauge of one sequence from the (j0, X) blocks of its half
-    spectrum less the interval's, with its argmax classified."""
+            bins = kernel.at(shape)
+            kernel_blocks = ((j0, bins[j0 : j0 + step * T]) for j0 in range(0, half, step * T))
+        product = _half_grid_product(2 * idx + 1 - N, nu.values[idx], M)
+        blocks = _less_kernel(product, kernel_blocks)
     peak, j = -1.0, 0
     for j0, X in blocks:
         mag = np.abs(X)
-        top = int(mag.argmax())
-        if mag[top] > peak:
-            peak, j = float(mag[top]), j0 + top
+        k = int(mag.argmax())
+        if mag[k] > peak:
+            peak, j = float(mag[k]), j0 + k
+    D = peak / N
     arc = None
     sigma_used = None
-    if W > 1:
+    if nu.W > 1:
         for sigma in _SIGMA_CHAIN:
             try:
-                params = ArcParams.for_sequence(W, N, k, sigma=sigma)
+                params = ArcParams.for_sequence(nu.W, N, nu.k, sigma=sigma)
             except ValueError:
                 continue
             arc = arc_decompose(params, j / M)
             sigma_used = sigma
             break
     return GaugeReport(
-        D=peak / N,
+        D=D,
         argmax_j=j,
         argmax_alpha=j / M,
         N=N,
         M=M,
-        W=W,
-        b=b,
-        k=k,
+        W=nu.W,
+        b=nu.b,
+        k=nu.k,
         sigma=sigma_used,
         arc=arc,
     )
+
+
+def _less_kernel(product, kernel_blocks):
+    """The (j0, X) blocks of the product less the kernel's blocks on the
+    same bins.  Each kernel block is made before its product block: made
+    after it, a lone gauge's kernel block met one more block-sized array
+    (the new X) and its peak passed _product_bytes."""
+    for (_, K), (j0, X) in zip(kernel_blocks, product):
+        X.real -= K
+        yield j0, X
+
+
+def pseudorandom_gauges(nus, M: int | None = None) -> list[GaugeReport]:
+    """pseudorandom_gauge of each sequence of nus, in order, all with one
+    DirichletKernel: they share N (ValueError otherwise) and the grid M,
+    default_grid(N) when None.  [] for no sequences.
+
+    nus may be a generator: each member is gauged as it comes and dropped
+    before the next is made, so at most one dense sequence is held.
+    """
+    reports: list[GaugeReport] = []
+    kernel = None
+    for nu in nus:
+        if kernel is None:
+            M = default_grid(nu.N) if M is None else M
+            kernel = DirichletKernel(nu.N, M)
+        reports.append(pseudorandom_gauge(nu, M, kernel))
+        del nu  # so that the next member is made with this one gone
+    return reports
 
 
 @dataclass

@@ -24,7 +24,6 @@ from wglab.majorant import SubsetSpec, WeightedSequence, build_nu, gen_subset
 from wglab.representation import count_representations, transference_gauge
 from wglab.local_structure import power_residues
 from wglab.spectral import (
-    _half_grid_shape,
     _product_bytes,
     _use_product,
     dft_spectrum,
@@ -243,13 +242,18 @@ def _small_calls(name):
     calls = [lambda nu=build_nu(W, 1, 2, N): path(nu) for N in (1 << 12, 1 << 14)]
     calls += [lambda seq=_sparse(3 << 13, 1, 0): path(seq), lambda: path(_dense(1 << 12))]
     if name == "pseudorandom_gauge":
-        # a family on 2^18 points whose three residues of one shape keep
-        # the kernel, past 64 points of another shape; no rfft member, whose
-        # two grids would outweigh the kernel in the largest price
+        # a family on 2^18 points whose held kernel is formed at one T, at
+        # another (64 points), at the first again and then read; no rfft
+        # member, whose two grids would outweigh the kernel
         bs = power_residues(W, 2).unit_sorted[:3]
         nus = [build_nu(W, b, 2, 1 << 14) for b in bs]
         nus.insert(1, _sparse(1 << 14, 64, 1))
-        calls.append(lambda: pseudorandom_gauges(iter(nus), 1 << 18))
+
+        def family():
+            pseudorandom_gauges(iter(nus), 1 << 18)
+
+        family.members = len(nus)
+        calls.append(family)
     return calls
 
 
@@ -257,8 +261,8 @@ def _small_calls(name):
 def test_estimate_covers_peak(name, monkeypatch):
     """At two small sizes the estimate is at least the traced peak, up to
     OBJECT_BYTES; a warm-up call first keeps one-time FFT setup and lazy
-    imports out of the peak.  A gauge family prices each member; the
-    largest of its prices covers the peak."""
+    imports out of the peak.  A gauge family prices each of its members
+    once; the largest of those prices covers the peak."""
     seen = []
     real = core_arith.require_bytes
 
@@ -277,7 +281,7 @@ def test_estimate_covers_peak(name, monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert seen and {what for what, _ in seen} == {name}
+        assert [what for what, _ in seen] == [name] * getattr(call, "members", 1)
         assert max(estimate for _, estimate in seen) + OBJECT_BYTES >= peak
 
 
@@ -288,30 +292,22 @@ def _recorded_prices(monkeypatch, call):
     return seen
 
 
-def test_family_prices_the_kept_kernel(monkeypatch):
+def test_family_prices_the_held_kernel(monkeypatch):
     """Each member of a gauge family is priced as a lone gauge, plus the
-    8 (M//2 + 1) bytes of its shape's kernel exactly when that is kept: when
-    another member has the same shape."""
+    8 (M//2 + 1) bytes of the held kernel on the product path; an rfft
+    member reads no kernel."""
     W, N, M = compute_W(3, 2), 1 << 14, 1 << 18
-    nus = [build_nu(W, b, 2, N) for b in power_residues(W, 2).unit_sorted[:3]]
-    other = _sparse(N, 64, 1)
-    sizes = [int(np.count_nonzero(seq.values)) for seq in [*nus, other]]
-    assert all(_use_product(S, M) for S in sizes)
-    shapes = [_half_grid_shape(S, M) for S in sizes]
-    assert shapes[0] == shapes[1] == shapes[2] != shapes[3]
+    nus = [build_nu(W, b, 2, N) for b in power_residues(W, 2).unit_sorted[:2]]
+    members = [nus[0], _sparse(N, 64, 1), _dense(N), nus[1]]
+    paths = [_use_product(int(np.count_nonzero(seq.values)), M) for seq in members]
+    assert paths == [True, True, False, True]
     lone = [
-        _recorded_prices(monkeypatch, lambda seq=seq: pseudorandom_gauge(seq, M)) for seq in nus
+        _recorded_prices(monkeypatch, lambda seq=seq: pseudorandom_gauge(seq, M))
+        for seq in members
     ]
-    lone_other = _recorded_prices(monkeypatch, lambda: pseudorandom_gauge(other, M))
     kernel = 8.0 * (M // 2 + 1)
-    family = _recorded_prices(
-        monkeypatch, lambda: pseudorandom_gauges([nus[0], other, *nus[1:]], M)
-    )
-    # the product members go in shape order, the 64-point member's first
-    assert shapes[3] < shapes[0]
-    assert family == lone_other + [price + kernel for [price] in lone]
-    pair = _recorded_prices(monkeypatch, lambda: pseudorandom_gauges([nus[0], other], M))
-    assert pair == lone_other + lone[0]
+    family = _recorded_prices(monkeypatch, lambda: pseudorandom_gauges(members, M))
+    assert family == [price + kernel * product for [price], product in zip(lone, paths)]
 
 
 def test_lone_product_gauge_within_its_product_price():
@@ -329,8 +325,9 @@ def test_lone_product_gauge_within_its_product_price():
 
 
 def test_report_holds_one_dense_sequence(tmp_path):
-    """wglab report gauges the 54 residues of N as one family drawn from a
-    generator: its peak stays below the 54 N float64 of every nu at once."""
+    """wglab report gauges the 54 residues of N one by one as it builds
+    them, with one held kernel: its peak stays below the 54 N float64 of
+    every nu at once."""
     N = 1 << 14
     cfg = tmp_path / "report.cfg"
     cfg.write_text(f"k=2\nw=3\nn_list={N}\n", encoding="utf-8")

@@ -1,5 +1,4 @@
 import cmath
-import hashlib
 import math
 import random
 import struct
@@ -24,6 +23,7 @@ from wglab.majorant import SubsetSpec, WeightedSequence, build_f, build_nu, gen_
 from wglab.representation import transference_gauge
 from wglab.spectral import (
     ArcParams,
+    DirichletKernel,
     arc_decompose,
     dft_spectrum,
     exp_sum_factor,
@@ -644,31 +644,10 @@ def _gauge_bits(rep):
     return rep.D.hex(), rep.argmax_j, rep.argmax_alpha.hex(), rep.sigma, rep.arc
 
 
-def _with_spectrum_digests(call):
-    """call()'s result and the SHA-256 of each half spectrum (less the
-    interval's) that a gauge read, in the order they were read."""
-    digests = []
-    real = spectral._gauge_report
-
-    def recorded(blocks, *args):
-        h = hashlib.sha256()
-
-        def tee():
-            for j0, X in blocks:
-                h.update(X.tobytes())
-                yield j0, X
-
-        report = real(tee(), *args)
-        digests.append(h.hexdigest())
-        return report
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(spectral, "_gauge_report", recorded)
-        return call(), digests
-
-
-# at M = 2^18: six product members in three block shapes, S = 64 twice,
-# S = 10 twice with the nu, and S = 62 alone; and one dense rfft member
+# at M = 2^18: six product members in three block shapes of two T, S = 64
+# twice and S = 62 (T = 128), S = 10 twice with the nu (T = 512), so that
+# the kernel is held, re-formed from held tables and re-formed at a new T;
+# and one dense rfft member
 _SHAPES_EXAMPLE = [
     ("sparse", 64, 1),
     ("sparse", 10, 2),
@@ -681,7 +660,8 @@ _SHAPES_EXAMPLE = [
 
 
 class TestGaugeFamily:
-    """pseudorandom_gauges against one pseudorandom_gauge call per member."""
+    """pseudorandom_gauges, and gauges that share a DirichletKernel,
+    against one lone pseudorandom_gauge call per member."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -700,34 +680,46 @@ class TestGaugeFamily:
     )
     @example(N=512, base=1 << 18, extra=0, members=_SHAPES_EXAMPLE)
     @example(N=777, base=1 << 18, extra=1, members=_SHAPES_EXAMPLE)
+    # one T, and at S = 1 a last block of one row (bin M/2) that rounds
+    # otherwise than in a block of S = 16
+    @example(N=128, base=1 << 15, extra=2, members=[("sparse", 1, 0), ("sparse", 16, 0)])
     def test_members_equal_single_calls_bit_for_bit(self, N, base, extra, members):
         M = base + extra  # odd M too
         seqs = [_family_member(N, M, *member) for member in members]
-        family, family_digests = _with_spectrum_digests(
-            lambda: pseudorandom_gauges((seq for seq in seqs), M)
-        )
-        singles, single_digests = _with_spectrum_digests(
-            lambda: [pseudorandom_gauge(seq, M) for seq in seqs]
-        )
+        family = pseudorandom_gauges((seq for seq in seqs), M)
+        singles = [pseudorandom_gauge(seq, M) for seq in seqs]
         assert [_gauge_bits(rep) for rep in family] == [_gauge_bits(rep) for rep in singles]
-        # every bin, not only the maxima: the family reads its members in
-        # another order, so the digests compare as multisets
-        assert sorted(family_digests) == sorted(single_digests)
 
-    def test_example_holds_several_shapes_and_both_paths(self):
+    def test_example_holds_several_shapes_of_one_T_and_both_paths(self):
         M = 1 << 18
         seqs = [_family_member(512, M, *member) for member in _SHAPES_EXAMPLE]
         sizes = [int(np.count_nonzero(seq.values)) for seq in seqs]
         shapes = [_half_grid_shape(S, M) for S in sizes if _use_product(S, M)]
         assert len(shapes) == 6 and len(set(shapes)) == 3
+        assert len({T for _, T, _, _ in shapes}) == 2
         assert any(not _use_product(S, M) for S in sizes)
 
-    def test_other_N_refused_and_empty_family(self):
+    def test_held_kernel_is_a_lone_gauges_at_every_shape(self):
+        """A DirichletKernel read at one shape after another gives, at each,
+        the bins that a lone gauge of that shape forms block by block, bit
+        for bit.  At M = 32770 the shapes of S = 1 and S = 16 share T, and
+        the first puts the last row, bin M/2, in a block of its own."""
+        N, M = 128, 32770
+        shapes = sorted({_half_grid_shape(S, M) for S in range(1, 65)})
+        assert len(shapes) > len({T for _, T, _, _ in shapes}) > 1
+        held = DirichletKernel(N, M)
+        for shape in [*shapes, *reversed(shapes), shapes[0]]:
+            lone = np.concatenate([K for _, K in spectral._dirichlet_blocks(N, M, shape)])
+            assert held.at(shape).tobytes() == lone.tobytes()
+
+    def test_other_N_or_M_refused_and_empty_family(self):
         assert pseudorandom_gauges([]) == []
         assert pseudorandom_gauges(iter(()), 1 << 16) == []
         seqs = [WeightedSequence.spike(64), WeightedSequence.spike(65)]
-        with pytest.raises(ValueError, match="shares N = 64, got a member of N = 65"):
+        with pytest.raises(ValueError, match="N = 64 on M = 65536 cannot gauge N = 65"):
             pseudorandom_gauges(seqs, 1 << 16)
+        with pytest.raises(ValueError, match="cannot gauge N = 64 on M = 32768"):
+            pseudorandom_gauge(seqs[0], 1 << 15, DirichletKernel(64, 1 << 16))
 
     def test_each_member_dropped_before_the_next_is_made(self):
         """A family drawn from a generator holds one dense sequence at a
@@ -745,14 +737,16 @@ class TestGaugeFamily:
 
         assert len(pseudorandom_gauges(members(), 1 << 16)) == 4
 
-    def test_kernel_tables_once_per_T(self, monkeypatch):
-        """The 54 residues of a report at N = 2^14 and M = 2^17 share one
-        T, so the kernel's tables at c = (N, 1) are one pair, where each
-        gauge formed its own pair."""
-        W, N, M = compute_W(3, 2), 1 << 14, 1 << 17
+    @pytest.mark.parametrize("N, shapes", [(1 << 14, 1), (1 << 15, 6)])
+    def test_kernel_tables_once_per_T(self, monkeypatch, N, shapes):
+        """The 54 residues of a report at N = 2^14 (one block shape) and at
+        2^15 (six shapes), on M = 8N, share one T, so the kernel's tables at
+        c = (N, 1) are one pair, where each gauge formed its own pair."""
+        W, M = compute_W(3, 2), 8 * N
         nus = [build_nu(W, b, 2, N) for b in power_residues(W, 2).unit_sorted]
         sizes = [int(np.count_nonzero(nu.values)) for nu in nus]
         assert len(nus) == 54 and all(_use_product(S, M) for S in sizes)
+        assert len({_half_grid_shape(S, M) for S in sizes}) == shapes
         assert len({_half_grid_shape(S, M)[1] for S in sizes}) == 1
         kernel_tables = []
         real = spectral._phase_table
