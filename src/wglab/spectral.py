@@ -233,23 +233,19 @@ def _dirichlet_sines(N: int, M: int, rows: int, T: int):
     return u_ri, t_ri[[1, 0]], t_ri[[3, 2]]
 
 
-def _dirichlet_blocks(N: int, M: int, shape, sines=None):
+def _dirichlet_block(N: int, T: int, sines, j0: int, n: int) -> np.ndarray:
     """The Dirichlet kernel sin(pi N j / M) / sin(pi j / M), exactly N at
-    j = 0, on the bins j = 0..M//2 in the (j0, K) blocks that
-    _half_grid_product makes at shape: each block's sines are two
-    rank-two products of the tables (_dirichlet_sines, formed here unless
-    given)."""
-    half, T, rows, step = shape
-    u_ri, num_t, den_t = _dirichlet_sines(N, M, rows, T) if sines is None else sines
-    for u0 in range(0, rows, step):
-        j0 = u0 * T
-        n = min(step * T, half - j0)
-        top = (u_ri[u0 : u0 + step, :2] @ num_t).ravel()[:n]
-        bottom = (u_ri[u0 : u0 + step, 2:] @ den_t).ravel()[:n]
-        if j0 == 0:
-            top[0], bottom[0] = N, 1.0
-        top /= bottom
-        yield j0, top
+    j = 0, on the bins j0..j0 + n - 1 of one block of _half_grid_product:
+    two rank-two products of the tables of _dirichlet_sines over the
+    block's rows, and one division."""
+    u_ri, num_t, den_t = sines
+    u = slice(j0 // T, -(-(j0 + n) // T))
+    top = (u_ri[u, :2] @ num_t).ravel()[:n]
+    bottom = (u_ri[u, 2:] @ den_t).ravel()[:n]
+    if j0 == 0:
+        top[0], bottom[0] = N, 1.0
+    top /= bottom
+    return top
 
 
 class DirichletKernel:
@@ -258,7 +254,7 @@ class DirichletKernel:
 
     The gauge turns both transforms by e((N + 1) j / 2M), which moves into
     the product's phases and turns the interval's transform into the real
-    Dirichlet kernel (_dirichlet_blocks).  A kernel holds the sine tables
+    Dirichlet kernel (_dirichlet_block).  A kernel holds the sine tables
     of one T and the kernel's bins 0..M//2 as the blocks of one shape form
     them, 8 (M//2 + 1) bytes: a gauge of the held shape reads them, one of
     another shape forms its own in their place, from the held tables when
@@ -275,15 +271,17 @@ class DirichletKernel:
         self.shape = self.bins = None
 
     def at(self, shape) -> np.ndarray:
-        """The kernel on the bins 0..M//2 at shape."""
+        """The kernel on the bins 0..M//2, formed in the blocks of shape."""
         if shape != self.shape:
-            half, T, rows, _ = shape
+            half, T, rows, step = shape
             self.shape = self.bins = None  # the last shape's go before these are formed
             if T != self.T:
+                self.T = self.sines = None
                 self.T, self.sines = T, _dirichlet_sines(self.N, self.M, rows, T)
             bins = np.empty(half)
-            for j0, K in _dirichlet_blocks(self.N, self.M, shape, self.sines):
-                bins[j0 : j0 + len(K)] = K
+            for j0 in range(0, half, step * T):
+                n = min(step * T, half - j0)
+                bins[j0 : j0 + n] = _dirichlet_block(self.N, T, self.sines, j0, n)
             self.shape, self.bins = shape, bins
         return self.bins
 
@@ -609,10 +607,11 @@ def pseudorandom_gauge(
 
     Without a kernel the product path forms the Dirichlet kernel block by
     block and keeps none of it.  Given a DirichletKernel of the same N and
-    M, it reads the kernel held there, so that many gauges of one N form it
-    once; the result is the same bit for bit, and the price gains the
-    kernel's 8 (M//2 + 1) bytes.  A kernel of another N or M is refused
-    with ValueError.
+    M, it reads the kernel's bins held there, or forms them there when
+    another block shape holds them, so that gauges of one N and one shape
+    in a row form the kernel once; the result is the same bit for bit, and
+    the price gains the held bins' 8 (M//2 + 1) bytes.  A kernel of
+    another N or M is refused with ValueError.
 
     The argmax frequency is classified into major/minor arcs using the
     first exponent in _SIGMA_CHAIN that yields a nondegenerate P < Q; the
@@ -635,14 +634,13 @@ def pseudorandom_gauge(
         blocks = [(0, _padded_rfft(nu.values, M, 1.0))]
     else:
         idx = np.flatnonzero(nu.values)
-        shape = half, T, _, step = _half_grid_shape(S, M)
-        if kernel is None:
-            kernel_blocks = _dirichlet_blocks(N, M, shape)
+        shape = _, T, rows, _ = _half_grid_shape(S, M)
+        if kernel is None:  # the kernel's tables before the product's, as ever
+            sines, bins = _dirichlet_sines(N, M, rows, T), None
         else:
-            bins = kernel.at(shape)
-            kernel_blocks = ((j0, bins[j0 : j0 + step * T]) for j0 in range(0, half, step * T))
+            sines, bins = None, kernel.at(shape)
         product = _half_grid_product(2 * idx + 1 - N, nu.values[idx], M)
-        blocks = _less_kernel(product, kernel_blocks)
+        blocks = _less_kernel(product, N, T, sines, bins)
     peak, j = -1.0, 0
     for j0, X in blocks:
         mag = np.abs(X)
@@ -675,13 +673,13 @@ def pseudorandom_gauge(
     )
 
 
-def _less_kernel(product, kernel_blocks):
-    """The (j0, X) blocks of the product less the kernel's blocks on the
-    same bins.  Each kernel block is made before its product block: made
-    after it, a lone gauge's kernel block met one more block-sized array
-    (the new X) and its peak passed _product_bytes."""
-    for (_, K), (j0, X) in zip(kernel_blocks, product):
-        X.real -= K
+def _less_kernel(product, N: int, T: int, sines, bins):
+    """The (j0, X) blocks of the product less the Dirichlet kernel on the
+    same bins: read from the bins a DirichletKernel holds, or without them
+    formed block by block from the tables and dropped."""
+    for j0, X in product:
+        n = len(X)
+        X.real -= _dirichlet_block(N, T, sines, j0, n) if bins is None else bins[j0 : j0 + n]
         yield j0, X
 
 

