@@ -443,7 +443,7 @@ def cmd_report(args, get) -> Outcome:
         body["W_over_log_N"] = _regime(W.value, N)
         write(f"means_N{N}.json", _json_report(body))
         M = default_grid(N, factor)
-        kernel = DirichletKernel(N, M)  # formed at the first residue, read by the rest
+        kernel = DirichletKernel(N, M)  # re-formed only where the block shape changes
         gauges = (pseudorandom_gauge(build_nu(W, b, k, N, primes=primes), M, kernel) for b in bs)
         write(f"gauge_N{N}.jsonl", "".join(_json_line(g.to_dict()) for g in gauges))
     return Outcome(echo=f"report written to {out}")
