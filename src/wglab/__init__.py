@@ -39,6 +39,7 @@ from .majorant import (
     gen_subset,
     mean_g,
     parse_subset_spec,
+    support_counts,
 )
 from .representation import (
     ConvolutionProfile,

@@ -38,6 +38,7 @@ from .majorant import (
     gen_subset,
     mean_g,
     parse_subset_spec,
+    support_counts,
     write_csv,
 )
 from .representation import (
@@ -52,6 +53,7 @@ from .spectral import (
     arc_decompose,
     default_grid,
     dft_spectrum,
+    gauge_order,
     pseudorandom_gauge,
     restriction_norm,
 )
@@ -443,8 +445,13 @@ def cmd_report(args, get) -> Outcome:
         body["W_over_log_N"] = _regime(W.value, N)
         write(f"means_N{N}.json", _json_report(body))
         M = default_grid(N, factor)
-        kernel = DirichletKernel(N, M)  # re-formed only where the block shape changes
-        gauges = (pseudorandom_gauge(build_nu(W, b, k, N, primes=primes), M, kernel) for b in bs)
+        kernel = DirichletKernel(N, M)
+        # each nu built as its turn comes, in order of support size so that
+        # each block shape's kernel is formed once; the rows in order of b
+        sizes = support_counts(W, k, N, primes)
+        gauges = [None] * len(bs)
+        for i in gauge_order([sizes[b % W.value] for b in bs]):
+            gauges[i] = pseudorandom_gauge(build_nu(W, bs[i], k, N, primes=primes), M, kernel)
         write(f"gauge_N{N}.jsonl", "".join(_json_line(g.to_dict()) for g in gauges))
     return Outcome(echo=f"report written to {out}")
 

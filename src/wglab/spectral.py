@@ -15,7 +15,7 @@ import numpy as np
 
 from .core_arith import FactoredModulus, LimitExceededError, rational_approx, require_bytes
 from .local_structure import power_residues, sigma_b
-from .majorant import WeightedSequence, write_binary, write_csv
+from .majorant import WeightedSequence, support_index, write_binary, write_csv
 
 __all__ = [
     "Spectrum",
@@ -95,6 +95,17 @@ def _half_grid_shape(S: int, M: int) -> tuple[int, int, int, int]:
     while T > 1 and 16 * T > block:
         T //= 2
     return half, T, -(-half // T), max(1, block // T)
+
+
+def gauge_order(sizes) -> list[int]:
+    """The positions of sizes, the support sizes S of sequences gauged on
+    one grid with one DirichletKernel, in the order that forms each block
+    shape's kernel bins once: by S, stably.  The shape is a function of S
+    (_half_grid_shape) that never comes back once it has changed: as S
+    grows, a block's cells, then T and, at one T, the rows of a block
+    never grow.  So the members of one shape come in one run, and the rfft
+    members, whose S is the largest, come last and read no kernel."""
+    return sorted(range(len(sizes)), key=sizes.__getitem__)
 
 
 def _product_bytes(S: int, M: int, block_words: int) -> float:
@@ -182,29 +193,35 @@ def _half_grid_product(c: np.ndarray, w: np.ndarray, M: int):
         yield j0, (A @ E).view(complex).ravel()[: half - j0]
 
 
-def _take_product(S: int, M: int, what: str, price, kept: float = 0.0) -> bool:
+def _take_product(values: np.ndarray, M: int, what: str, price, kept: float = 0.0):
     """The one path rule for every spectral consumer, from the support size
-    S and M alone: True for the blocked matrix product (_use_product:
-    M >= 2^15 and 64 S^2 <= min(M, 2^18)), False for one np.fft.rfft of
-    the sequence zero-padded to M.  Both agree to rounding.
+    S of values and M alone: the support's indices (support_index) for the
+    blocked matrix product (_use_product: M >= 2^15 and 64 S^2 <= min(M,
+    2^18)), None for one np.fft.rfft of the sequence zero-padded to M.
+    Both agree to rounding.
 
     Refuses the product path on M with 2 M^2 >= 2^63, where its exact
     int64 phase numerators could overflow.  price = (fft_grids,
     block_words, grids) then passes require_bytes, under the name what and
-    before anything is allocated, fft_grids float64 grids of length M on
-    the FFT path, or on the product path _product_bytes with block_words
-    arrays of one block, plus grids grids of length M and kept bytes.
+    before the path allocates, fft_grids float64 grids of length M on the
+    FFT path, or on the product path _product_bytes with block_words
+    arrays of one block, plus grids grids of length M and kept bytes; or
+    the support scan's len(values) bytes of mask and 8 S of indices, when
+    they weigh more.
     """
-    product = _use_product(S, M)
+    idx = support_index(values)
+    product = _use_product(len(idx), M)
     if product and 2 * M * M >= 1 << 63:
         raise LimitExceededError(f"{what} on M = {M} needs 2M^2 < 2^63 for exact phases")
     if price is not None:
         fft_grids, block_words, grids = price
         if product:
-            require_bytes(_product_bytes(S, M, block_words) + 8.0 * grids * M + kept, what)
+            path = _product_bytes(len(idx), M, block_words) + 8.0 * grids * M + kept
         else:
-            require_bytes(8.0 * fft_grids * M, what)
-    return product
+            path = 8.0 * fft_grids * M
+        # the scan's mask is gone before the path allocates: the larger counts
+        require_bytes(max(len(values) + 8.0 * len(idx), path), what)
+    return idx if product else None
 
 
 def _half_spectrum(values: np.ndarray, M: int, what: str, price=None):
@@ -214,11 +231,10 @@ def _half_spectrum(values: np.ndarray, M: int, what: str, price=None):
     over the support (_half_grid_product), or one block of the rfft, as
     _take_product rules after it has refused or priced the call.
     """
-    S = int(np.count_nonzero(values))
-    if not _take_product(S, M, what, price):
+    idx = _take_product(values, M, what, price)
+    if idx is None:
         yield 0, _padded_rfft(values, M)
         return
-    idx = np.flatnonzero(values)
     yield from _half_grid_product(2 * idx + 2, values[idx], M)
 
 
@@ -261,8 +277,11 @@ class DirichletKernel:
     its T is theirs.  The bins are formed as a lone gauge of that shape
     forms them, so every gauge is the same bit for bit; a shared T alone
     would not do, as a block of one row may round its bins otherwise.
-    Nothing is cached past the kernel's holder: wglab report holds one for
-    the residues of each N.
+    Gauges in the order of gauge_order, by support size, form each shape's
+    bins once.  Nothing is cached past the kernel's holder: wglab report
+    holds one for the residues of each N and gauges them in that order, so
+    a report at w = 3, k = 2, N = 2^14 and 2^15 forms the bins 7 times (1
+    shape, then 6).
     """
 
     def __init__(self, N: int, M: int):
@@ -336,7 +355,7 @@ def dft_spectrum(seq: WeightedSequence, M: int | None = None) -> Spectrum:
 
 def transform_at(seq: WeightedSequence, alpha: float) -> complex:
     """Direct evaluation of the transform at one frequency (support only)."""
-    idx = np.flatnonzero(seq.values)
+    idx = support_index(seq.values)
     ns = idx + 1
     return complex(np.sum(seq.values[idx] * np.exp(2j * np.pi * alpha * ns)))
 
@@ -605,13 +624,15 @@ def pseudorandom_gauge(
     argmax, the first index of the maximum, is therefore canonical:
     argmax_j <= M/2 and argmax_alpha lies in [0, 1/2].
 
-    Without a kernel the product path forms the Dirichlet kernel block by
-    block and keeps none of it.  Given a DirichletKernel of the same N and
-    M, it reads the kernel's bins held there, or forms them there when
-    another block shape holds them, so that gauges of one N and one shape
-    in a row form the kernel once; the result is the same bit for bit, and
-    the price gains the held bins' 8 (M//2 + 1) bytes.  A kernel of
-    another N or M is refused with ValueError.
+    The support is found by one scan (support_index) that also sizes the
+    path.  Without a kernel the product path forms the Dirichlet kernel
+    block by block and keeps none of it.  Given a DirichletKernel of the
+    same N and M, it reads the kernel's bins held there, or forms them
+    there when another block shape holds them, so that gauges of one N and
+    one shape in a row form the kernel once, and gauges taken in
+    gauge_order form each shape's once; the result is the same bit for
+    bit, and the price gains the held bins' 8 (M//2 + 1) bytes.  A kernel
+    of another N or M is refused with ValueError.
 
     The argmax frequency is classified into major/minor arcs using the
     first exponent in _SIGMA_CHAIN that yields a nondegenerate P < Q; the
@@ -626,15 +647,14 @@ def pseudorandom_gauge(
         raise ValueError(
             f"a kernel of N = {kernel.N} on M = {kernel.M} cannot gauge N = {N} on M = {M}"
         )
-    S = int(np.count_nonzero(nu.values))
     kept = 0.0 if kernel is None else 8.0 * (M // 2 + 1)
     # the padded sequence and X (two grids), or eight words a block: X,
     # |X| and the Dirichlet kernel's terms, some held over from the last
-    if not _take_product(S, M, "pseudorandom_gauge", (2, 8, 0), kept):
+    idx = _take_product(nu.values, M, "pseudorandom_gauge", (2, 8, 0), kept)
+    if idx is None:
         blocks = [(0, _padded_rfft(nu.values, M, 1.0))]
     else:
-        idx = np.flatnonzero(nu.values)
-        shape = _, T, rows, _ = _half_grid_shape(S, M)
+        shape = _, T, rows, _ = _half_grid_shape(len(idx), M)
         if kernel is None:  # the kernel's tables before the product's, as ever
             sines, bins = _dirichlet_sines(N, M, rows, T), None
         else:

@@ -5,7 +5,8 @@ majorant packs binary layouts; only local_structure computes the power
 map t^k mod m, which every other reader takes from power_residues; only
 bitsets packs bits, so the primes stay one byte mask; np.cos and np.sin
 are named only in spectral._cos_sin, which the product path's factored
-phase tables call on a few exact numerators.
+phase tables call on a few exact numerators; spectral and majorant find a
+sequence's support only through majorant.support_index.
 """
 
 import ast
@@ -74,25 +75,16 @@ def test_no_json_parsing():
     assert [name for name, tree in MODULES.items() if any(map(_parses_json, ast.walk(tree)))] == []
 
 
-def _trig_sites(tree) -> list[str | None]:
-    """The enclosing function (None at module level) of each np.cos or
-    np.sin the module names, and of each cos or sin imported from numpy."""
+def _sites(tree, match) -> list[str | None]:
+    """The enclosing function (None at module level) of each node of the
+    module that match accepts."""
     sites = []
 
     def visit(node, func):
         for child in ast.iter_child_nodes(node):
             defines = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             inner = child.name if defines else func
-            if (
-                isinstance(child, ast.Attribute)
-                and child.attr in ("cos", "sin")
-                and isinstance(child.value, ast.Name)
-                and child.value.id in ("np", "numpy")
-            ) or (
-                isinstance(child, ast.ImportFrom)
-                and child.module == "numpy"
-                and {"cos", "sin"} & {alias.name for alias in child.names}
-            ):
+            if match(child):
                 sites.append(inner)
             visit(child, inner)
 
@@ -100,6 +92,49 @@ def _trig_sites(tree) -> list[str | None]:
     return sites
 
 
+def _numpy_attr(node, names) -> bool:
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr in names
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("np", "numpy")
+    )
+
+
+def _names_trig(node) -> bool:
+    """np.cos or np.sin, or cos or sin imported from numpy."""
+    return _numpy_attr(node, ("cos", "sin")) or (
+        isinstance(node, ast.ImportFrom)
+        and node.module == "numpy"
+        and bool({"cos", "sin"} & {alias.name for alias in node.names})
+    )
+
+
 def test_trig_only_in_cos_sin():
-    sites = [(name, func) for name, tree in MODULES.items() for func in _trig_sites(tree)]
+    sites = [(name, func) for name, tree in MODULES.items() for func in _sites(tree, _names_trig)]
     assert sites == [("spectral", "_cos_sin")] * 2
+
+
+def _scans_values(node) -> bool:
+    """An np.count_nonzero or np.flatnonzero call whose arguments name
+    values, a sequence's float weights, as a variable or an attribute."""
+    scans = ("count_nonzero", "flatnonzero")
+    if not (isinstance(node, ast.Call) and _numpy_attr(node.func, scans)):
+        return False
+    return any(
+        (isinstance(sub, ast.Name) and sub.id == "values")
+        or (isinstance(sub, ast.Attribute) and sub.attr == "values")
+        for arg in node.args
+        for sub in ast.walk(arg)
+    )
+
+
+def test_one_support_scan():
+    """spectral and majorant find a float sequence's support only through
+    majorant.support_index, one compare and one flatnonzero of the mask."""
+    sites = [
+        (name, func)
+        for name in ("spectral", "majorant")
+        for func in _sites(MODULES[name], _scans_values)
+    ]
+    assert sites == [("majorant", "support_index")]

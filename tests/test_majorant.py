@@ -24,9 +24,12 @@ from wglab.majorant import (
     _weights,
     build_f,
     build_nu,
+    MeanReport,
     gen_subset,
     mean_g,
     parse_subset_spec,
+    support_counts,
+    support_index,
 )
 
 
@@ -554,3 +557,118 @@ class TestMeansFromMembers:
 
         monkeypatch.setattr(majorant, "sieve_primes", no_sieve)
         assert mean_g(W, 2, N, subset).aggregate > 0
+
+
+def _mean_g_before_shared_scan(W, k, N, subset, epsilon=0.1):
+    """mean_g as it was before it shared its class scan with
+    support_counts."""
+    table = power_residues(W, k)
+    Wv = W.value
+    Ymax = iroot(Wv * N + Wv, k)
+    ps = np.flatnonzero(subset.members[: Ymax + 1]).astype(np.int64)
+    ps = ps[np.gcd(ps, Wv) == 1]
+    bs = table.powers[ps % Wv]
+    _, hit = _hits(ps, k, Wv, bs, N)
+    units = table.unit_sorted
+    weights = _weights(W, table.multiplicity[1], k, ps[hit])
+    sums = np.bincount(np.searchsorted(units, bs[hit]), weights, minlength=len(units))
+    class_sum = dict(zip(units, sums.tolist()))
+    per_b = {b: class_sum[b] / N for b in table.unit_residues}
+    delta = subset.spec.intended_density
+    return MeanReport(
+        W=Wv,
+        k=k,
+        N=N,
+        subset=subset.spec,
+        epsilon=epsilon,
+        per_b=per_b,
+        aggregate=sum(per_b.values()) / len(per_b),
+        margin=k * delta - (k - 1) if delta is not None else None,
+        floor=(1 - epsilon) * delta if delta is not None else None,
+    )
+
+
+class TestSupportCounts:
+    """support_counts, the support size of every unit class's nu from the
+    class scan that mean_g shares."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([2, 3]),
+        st.sampled_from([2, 3]),
+        st.integers(1, 1 << 12),
+        st.booleans(),
+    )
+    def test_counts_equal_the_support_of_nu(self, w, k, N, shared):
+        W = compute_W(w, k)
+        Y = iroot(W.value * N + W.value, k)
+        primes = sieve_primes(Y + 50) if shared else None
+        counts = support_counts(W, k, N, primes)
+        units = power_residues(W, k).unit_sorted
+        assert list(counts) == units
+        for b in units:
+            assert counts[b] == np.count_nonzero(build_nu(W, b, k, N, primes=primes).values)
+
+    def test_reads_the_given_primes(self, monkeypatch):
+        W, N = compute_W(3, 2), 1 << 12
+        primes = sieve_primes(iroot(W.value * N + W.value, 2))
+
+        def no_sieve(*args, **kwargs):
+            raise AssertionError("support_counts sieved")
+
+        monkeypatch.setattr(majorant, "sieve_primes", no_sieve)
+        assert sum(support_counts(W, 2, N, primes).values()) > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([2, 3]),
+        st.sampled_from([2, 3]),
+        st.integers(1, 1 << 13),
+        st.one_of(
+            st.sampled_from(SUBSET_SPECS),
+            st.builds("bernoulli:{:.3f}:{}".format, st.floats(0, 1), st.integers(0, 10**6)),
+        ),
+        st.integers(0, 500),
+    )
+    def test_mean_g_repr_unchanged(self, w, k, N, spec, extra):
+        W = compute_W(w, k)
+        Y = iroot(W.value * N + W.value, k)
+        subset = gen_subset(parse_subset_spec(spec), max(Y, 100) + extra)
+        want = _mean_g_before_shared_scan(W, k, N, subset)
+        assert repr(mean_g(W, k, N, subset)) == repr(want)
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, math.inf, -math.inf, math.nan, 1.0, -2.5]
+
+
+class TestSupportIndex:
+    """support_index, the one support scan, finds the entries that
+    np.flatnonzero of the floats finds: NaN is nonzero, -0.0 is zero."""
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(_SPECIAL_FLOATS),
+                st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+            ),
+            max_size=64,
+        )
+    )
+    def test_equals_flatnonzero(self, values):
+        arr = np.array(values, dtype=np.float64)
+        got = support_index(arr)
+        assert got.dtype == np.flatnonzero(arr).dtype
+        assert got.tolist() == np.flatnonzero(arr).tolist()
+
+    def test_special_values(self):
+        arr = np.array(_SPECIAL_FLOATS * 3)
+        assert support_index(arr).tolist() == np.flatnonzero(arr).tolist()
+        # every value but 0.0 and -0.0 is in the support, NaN too
+        assert support_index(arr)[:8].tolist() == list(range(2, 10))
+
+    def test_support_method_reads_it(self):
+        values = np.zeros(50)
+        values[[0, 9, 49]] = [1.0, math.nan, 5e-324]
+        values[20] = -0.0
+        seq = WeightedSequence(values=values, kind="custom", W=0, b=0, k=0)
+        assert seq.support().tolist() == [1, 10, 50]

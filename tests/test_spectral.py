@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import random
 import struct
@@ -28,6 +29,7 @@ from wglab.spectral import (
     dft_spectrum,
     exp_sum_factor,
     exp_sum_Sstar,
+    gauge_order,
     integral_I,
     interval_transform_at,
     major_arc_model,
@@ -37,7 +39,7 @@ from wglab.spectral import (
     restriction_norm,
     transform_at,
 )
-from wglab import spectral
+from wglab import cli, spectral
 from wglab.spectral import (
     _PRODUCT_BLOCK,
     _SERIAL_MACS,
@@ -763,6 +765,52 @@ class TestGaugeFamily:
         kernel_tables.clear()
         pseudorandom_gauge(nus[0], M)
         assert len(kernel_tables) == 2
+
+
+class TestGaugeOrder:
+    """gauge_order, by support size, takes the members of each block shape
+    in one run, so a held DirichletKernel forms each shape's bins once."""
+
+    @pytest.mark.parametrize(
+        "M", [1 << e for e in range(15, 25)] + [32770, 3 << 15, (1 << 18) + 1, (1 << 22) + 5]
+    )
+    def test_shape_never_returns_as_S_grows(self, M):
+        shapes = [_half_grid_shape(S, M) for S in range(513) if _use_product(S, M)]
+        runs = [shape for i, shape in enumerate(shapes) if i == 0 or shape != shapes[i - 1]]
+        assert len(runs) == len(set(runs))
+
+    def test_stable_by_size(self):
+        assert gauge_order([3, 1, 3, 2, 1]) == [1, 4, 3, 0, 2]
+        assert gauge_order([]) == []
+
+    def test_report_forms_each_shape_once(self, monkeypatch, tmp_path):
+        """wglab report at w = 3, k = 2, N = 2^14 and 2^15 forms the held
+        kernel's bins 1 + 6 times (gauged in order of b, 1 + 36), with its
+        108 gauges still called through cli.pseudorandom_gauge and the rows
+        in order of b."""
+        formed, gauges = [], []
+        block, gauge = spectral._dirichlet_block, cli.pseudorandom_gauge
+
+        def counted_block(N, T, sines, j0, n):
+            if j0 == 0:
+                formed.append(N)
+            return block(N, T, sines, j0, n)
+
+        def counted_gauge(nu, M=None, kernel=None):
+            gauges.append(nu.b)
+            return gauge(nu, M, kernel)
+
+        monkeypatch.setattr(spectral, "_dirichlet_block", counted_block)
+        monkeypatch.setattr(cli, "pseudorandom_gauge", counted_gauge)
+        cfg = tmp_path / "report.cfg"
+        cfg.write_text("k=2\nw=3\nn_list=16384,32768\n", encoding="utf-8")
+        assert cli.main(["report", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert formed == [1 << 14] + [1 << 15] * 6
+        units = power_residues(compute_W(3, 2), 2).unit_sorted
+        assert len(gauges) == 108 and sorted(gauges) == sorted(units * 2)
+        for N in (1 << 14, 1 << 15):
+            rows = (tmp_path / "out" / f"gauge_N{N}.jsonl").read_text().splitlines()
+            assert [json.loads(row)["b"] for row in rows] == units
 
 
 class TestPhaseTable:
