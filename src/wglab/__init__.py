@@ -70,7 +70,6 @@ from .spectral import (
     major_arc_model,
     major_arc_residual,
     pseudorandom_gauge,
-    pseudorandom_gauges,
     restriction_norm,
     transform_at,
 )

@@ -256,15 +256,18 @@ def _convolve(
     The peak, measured at 2.5 to 5.3 float64 grids, is priced at 6.5 grids,
     plus the result_bytes the caller allocates afterwards, under the name
     what before the first part is drawn from parts.
-    Multiplies the parts' half spectra (spectral._half_spectrum), then
-    returns the one irfft of the product and the sum of its |bins|.
+    Multiplies the parts' half spectra (spectral._half_spectrum), each
+    block raised to its multiplicity in place, then returns the one irfft
+    of the product and the sum of its |bins|.
     """
     grid = _smooth_above(max(hi, top - lo))
     require_bytes(6.5 * 8 * grid + result_bytes, what)
     prod = np.ones(grid // 2 + 1, dtype=complex)
     for values, mult in parts:
         for j0, X in _half_spectrum(values, grid, what):
-            prod[j0 : j0 + len(X)] *= X**mult
+            if mult != 1:
+                X **= mult
+            prod[j0 : j0 + len(X)] *= X
     return np.fft.irfft(prod, grid), np.sum(np.abs(prod))
 
 
@@ -283,7 +286,7 @@ def transference_gauge(f_list: list[WeightedSequence], epsilon: float = 0.1) -> 
     [lo, hi] from a grid that holds the window, not the whole convolution
     on [s, sN]; since sN - lo >= N, the grid also holds each padded
     sequence.  Each sequence is divided by N so that the product of s
-    spectra stays O(1), and the result is rescaled back by N^(s-1).
+    spectra stays O(1), and the window is rescaled back by N^(s-1).
 
     Also records whether the two mean hypotheses hold: every mean above
     epsilon/2, and the mean sum above s(1+epsilon)/2.  A warning flag is
@@ -320,8 +323,7 @@ def transference_gauge(f_list: list[WeightedSequence], epsilon: float = 0.1) -> 
 
     conv, mass = _convolve(parts(), s * N, lo, hi, "transference_gauge")
     grid = len(conv)
-    conv_scaled = conv * N  # convolution / N^(s-1)
-    window_vals = conv_scaled[lo : hi + 1].copy()
+    window_vals = conv[lo : hi + 1] * N  # convolution / N^(s-1)
     mass_bound = float(mass / grid * N)
     noise_floor = 1e-12 * max(mass_bound, 1.0)
     if window_vals.size and window_vals.min() < -noise_floor:

@@ -36,7 +36,6 @@ __all__ = [
     "major_arc_model",
     "major_arc_residual",
     "pseudorandom_gauge",
-    "pseudorandom_gauges",
     "restriction_norm",
 ]
 
@@ -701,25 +700,6 @@ def _less_kernel(product, N: int, T: int, sines, bins):
         n = len(X)
         X.real -= _dirichlet_block(N, T, sines, j0, n) if bins is None else bins[j0 : j0 + n]
         yield j0, X
-
-
-def pseudorandom_gauges(nus, M: int | None = None) -> list[GaugeReport]:
-    """pseudorandom_gauge of each sequence of nus, in order, all with one
-    DirichletKernel: they share N (ValueError otherwise) and the grid M,
-    default_grid(N) when None.  [] for no sequences.
-
-    nus may be a generator: each member is gauged as it comes and dropped
-    before the next is made, so at most one dense sequence is held.
-    """
-    reports: list[GaugeReport] = []
-    kernel = None
-    for nu in nus:
-        if kernel is None:
-            M = default_grid(nu.N) if M is None else M
-            kernel = DirichletKernel(nu.N, M)
-        reports.append(pseudorandom_gauge(nu, M, kernel))
-        del nu  # so that the next member is made with this one gone
-    return reports
 
 
 @dataclass

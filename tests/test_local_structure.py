@@ -307,6 +307,11 @@ class TestWaringPairCheck:
         assert (serial[13].witness, serial[13].trials) == ([1, 3, 4, 10], 2)
 
 
+# moduli and powers whose whole unit power support has coset step g = 1
+# (11), 2 (64 at k = 3), 8 (16) and 24 (1296), and others between
+_COSET_MODULI = ((16, 2), (21, 2), (13, 2), (11, 2), (15, 2), (35, 2), (45, 2), (1296, 2), (64, 3), (63, 3))
+
+
 class TestLocalDecompose:
     def setup_method(self):
         self.W = compute_W(2, 2)
@@ -381,7 +386,9 @@ class TestLocalDecompose:
                         assert got == pytest.approx(best[n], abs=1e-9)
 
     def test_cell_cap_refuses_before_allocating(self):
-        W = compute_W(5, 2)  # 810000 states, 13500 unit squares: 4.8e11 cells at s = 44
+        # 810000 residues, 13500 unit squares, all = 1 (mod 24): g = 24, so
+        # 44 * 13500 * 33750 = 2.0e10 cells at s = 44
+        W = compute_W(5, 2)
         f = {b: 0.6 for b in power_residues(W, 2).unit_residues}
         tracemalloc.start()
         t0 = time.perf_counter()
@@ -394,19 +401,79 @@ class TestLocalDecompose:
         assert time.perf_counter() - t0 < 5
         assert peak < 16 << 20
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from((16, 21, 13, 11, 15, 35, 45, 1296)), st.integers(1, 12), st.data())
-    def test_live_rounds_equal_roll_loop(self, m, s, data):
-        """Every target's result is bit-equal to the roll-loop kernel's, ties
-        and unreachable targets included (float repr round-trips exactly)."""
-        units = sorted(power_residues(fm(m), 2).unit_residues)
+    def test_sampled_moduli_span_coset_steps(self):
+        """The coset step g = gcd(W, b - b0) of the whole unit power support
+        is 1, 2, 8 and 24 at the moduli the roll-loop comparison samples."""
+        for m, k, g in ((11, 2, 1), (64, 3, 2), (16, 2, 8), (1296, 2, 24)):
+            units = power_residues(fm(m), k).unit_sorted
+            assert math.gcd(m, *(b - units[0] for b in units)) == g
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(_COSET_MODULI), st.data())
+    def test_live_rounds_equal_roll_loop(self, modulus, data):
+        """Every target's result is bit-equal to the roll-loop kernel's over
+        all m states, ties, off-coset, unreachable targets and empty supports
+        included (float repr round-trips exactly)."""
+        m, k = modulus
+        s = data.draw(st.integers(1, 44 if m == 1296 else 12))
+        units = power_residues(fm(m), k).unit_sorted
         weight = st.one_of(st.just(0.0), st.sampled_from((0.3, 0.5, 0.6)), st.floats(0.01, 0.99))
         weights = data.draw(st.lists(weight, min_size=len(units), max_size=len(units)))
-        zeroed = data.draw(st.integers(0, len(units)))  # len(units): empty support
+        # len(units): the empty support
+        zeroed = data.draw(st.one_of(st.just(len(units)), st.integers(0, len(units))))
         f = {b: (0.0 if i < zeroed else w) for i, (b, w) in enumerate(zip(units, weights))}
         want = _roll_loop_decompose(m, s, f)
         for n in range(m):
-            assert repr(local_decompose(fm(m), 2, s, n, f)) == repr(want(n))
+            assert repr(local_decompose(fm(m), k, s, n, f)) == repr(want(n))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_44_parts_mod_1296_equal_roll_loop(self, seed):
+        """The transference chain's shape, s = 44 at W = 1296, on weights
+        drawn as the comparison above draws them, some residues zeroed."""
+        rng = random.Random(seed)
+        units = power_residues(fm(1296), 2).unit_sorted
+        f = {b: rng.choice((0.0, 0.6, rng.uniform(0.01, 0.99))) for b in units}
+        want = _roll_loop_decompose(1296, 44, f)
+        for n in range(1296):
+            assert repr(local_decompose(fm(1296), 2, 44, n, f)) == repr(want(n))
+
+    def test_off_coset_target_fails_at_once(self):
+        """With 100 unit squares mod 810000, all = 1 (mod 24), s parts sum
+        to s (mod 24): any other target fails with optimum None before the
+        table is made, while a target on the coset is decomposed."""
+        W, s, f = self._hundred_squares()
+        assert isinstance(local_decompose(W, 2, s, s, f), LocalDecomposition)
+        tracemalloc.start()
+        try:
+            res = local_decompose(W, 2, s, s + 1, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res == DecompositionFailure(target=s + 1, modulus=W.value, optimum=None)
+        assert peak < 1 << 20  # the set of f's keys; the table alone is 2.4 MB
+
+    def test_table_holds_one_coset(self):
+        """The table holds (s + 1) W/g floats, the m = 33750 states of the
+        coset, beside a gather of about _GATHER_BLOCK cells (its index, the
+        index's temporaries and the candidates, 2 MB) and the set of f's
+        keys; on all W states it would hold 58 MB."""
+        W, s, f = self._hundred_squares()
+        table = (s + 1) * (W.value // 24) * 8
+        tracemalloc.start()
+        try:
+            res = local_decompose(W, 2, s, s, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(res, LocalDecomposition)
+        assert table <= peak <= table + (4 << 20)
+
+    @staticmethod
+    def _hundred_squares():
+        W = compute_W(5, 2)  # 810000 states
+        units = power_residues(W, 2).unit_sorted
+        kept = set(random.Random(8).sample(units, 100))
+        return W, 8, {b: (0.6 if b in kept else 0.0) for b in units}
 
     def test_gather_runs_in_blocks(self):
         """The per-round gather stays a bounded temporary beside the table."""

@@ -26,9 +26,10 @@ from wglab.local_structure import power_residues
 from wglab.spectral import (
     _product_bytes,
     _use_product,
+    DirichletKernel,
     dft_spectrum,
+    gauge_order,
     pseudorandom_gauge,
-    pseudorandom_gauges,
     restriction_norm,
 )
 
@@ -242,15 +243,17 @@ def _small_calls(name):
     calls = [lambda nu=build_nu(W, 1, 2, N): path(nu) for N in (1 << 12, 1 << 14)]
     calls += [lambda seq=_sparse(3 << 13, 1, 0): path(seq), lambda: path(_dense(1 << 12))]
     if name == "pseudorandom_gauge":
-        # a family on 2^18 points whose held kernel is formed at one T, at
-        # another (64 points), at the first again and then read; no rfft
-        # member, whose two grids would outweigh the kernel
+        # a family on 2^18 points, gauged in gauge_order with one held
+        # kernel, formed at one T and read, then formed at another (64
+        # points); no rfft member, whose two grids would outweigh the kernel
         bs = power_residues(W, 2).unit_sorted[:3]
         nus = [build_nu(W, b, 2, 1 << 14) for b in bs]
         nus.insert(1, _sparse(1 << 14, 64, 1))
 
         def family():
-            pseudorandom_gauges(iter(nus), 1 << 18)
+            kernel = DirichletKernel(1 << 14, 1 << 18)
+            for i in gauge_order([int(np.count_nonzero(nu.values)) for nu in nus]):
+                pseudorandom_gauge(nus[i], 1 << 18, kernel)
 
         family.members = len(nus)
         calls.append(family)
@@ -293,21 +296,29 @@ def _recorded_prices(monkeypatch, call):
 
 
 def test_family_prices_the_held_kernel(monkeypatch):
-    """Each member of a gauge family is priced as a lone gauge, plus the
-    8 (M//2 + 1) bytes of the held kernel on the product path; an rfft
-    member reads no kernel."""
+    """Each member of a family gauged in gauge_order with one held kernel
+    is priced as a lone gauge, plus the 8 (M//2 + 1) bytes of the held
+    kernel on the product path; an rfft member reads no kernel."""
     W, N, M = compute_W(3, 2), 1 << 14, 1 << 18
     nus = [build_nu(W, b, 2, N) for b in power_residues(W, 2).unit_sorted[:2]]
     members = [nus[0], _sparse(N, 64, 1), _dense(N), nus[1]]
-    paths = [_use_product(int(np.count_nonzero(seq.values)), M) for seq in members]
+    sizes = [int(np.count_nonzero(seq.values)) for seq in members]
+    paths = [_use_product(S, M) for S in sizes]
     assert paths == [True, True, False, True]
     lone = [
         _recorded_prices(monkeypatch, lambda seq=seq: pseudorandom_gauge(seq, M))
         for seq in members
     ]
+    order = gauge_order(sizes)
+    assert order[-1] == 2  # the rfft member comes last
+
+    def family():
+        held = DirichletKernel(N, M)
+        for i in order:
+            pseudorandom_gauge(members[i], M, held)
+
     kernel = 8.0 * (M // 2 + 1)
-    family = _recorded_prices(monkeypatch, lambda: pseudorandom_gauges(members, M))
-    assert family == [price + kernel * product for [price], product in zip(lone, paths)]
+    assert _recorded_prices(monkeypatch, family) == [lone[i][0] + kernel * paths[i] for i in order]
 
 
 def test_lone_product_gauge_within_its_product_price():

@@ -4,7 +4,6 @@ import math
 import random
 import struct
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +19,14 @@ from wglab.core_arith import (
     rational_approx,
 )
 from wglab.local_structure import power_residues
-from wglab.majorant import SubsetSpec, WeightedSequence, build_f, build_nu, gen_subset
+from wglab.majorant import (
+    SubsetSpec,
+    WeightedSequence,
+    build_f,
+    build_nu,
+    gen_subset,
+    support_index,
+)
 from wglab.representation import transference_gauge
 from wglab.spectral import (
     ArcParams,
@@ -35,7 +41,6 @@ from wglab.spectral import (
     major_arc_model,
     major_arc_residual,
     pseudorandom_gauge,
-    pseudorandom_gauges,
     restriction_norm,
     transform_at,
 )
@@ -648,8 +653,8 @@ def _gauge_bits(rep):
 
 # at M = 2^18: six product members in three block shapes of two T, S = 64
 # twice and S = 62 (T = 128), S = 10 twice with the nu (T = 512), so that
-# the kernel is held, re-formed from held tables and re-formed at a new T;
-# and one dense rfft member
+# in gauge_order the kernel is held, re-formed at a new T and re-formed
+# from held tables; and one dense rfft member
 _SHAPES_EXAMPLE = [
     ("sparse", 64, 1),
     ("sparse", 10, 2),
@@ -661,9 +666,20 @@ _SHAPES_EXAMPLE = [
 ]
 
 
+def _gauged_in_order(seqs, M):
+    """pseudorandom_gauge of each sequence, all of one N, with one
+    DirichletKernel, taken in gauge_order as wglab report takes its
+    residues; the reports in the order of seqs."""
+    kernel = DirichletKernel(seqs[0].N, M)
+    reports = [None] * len(seqs)
+    for i in gauge_order([len(support_index(seq.values)) for seq in seqs]):
+        reports[i] = pseudorandom_gauge(seqs[i], M, kernel)
+    return reports
+
+
 class TestGaugeFamily:
-    """pseudorandom_gauges, and gauges that share a DirichletKernel,
-    against one lone pseudorandom_gauge call per member."""
+    """Gauges that share a DirichletKernel, taken in gauge_order, against
+    one lone pseudorandom_gauge call per member."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -688,7 +704,7 @@ class TestGaugeFamily:
     def test_members_equal_single_calls_bit_for_bit(self, N, base, extra, members):
         M = base + extra  # odd M too
         seqs = [_family_member(N, M, *member) for member in members]
-        family = pseudorandom_gauges((seq for seq in seqs), M)
+        family = _gauged_in_order(seqs, M)
         singles = [pseudorandom_gauge(seq, M) for seq in seqs]
         assert [_gauge_bits(rep) for rep in family] == [_gauge_bits(rep) for rep in singles]
 
@@ -715,30 +731,12 @@ class TestGaugeFamily:
             fresh = DirichletKernel(N, M).at(shape)
             assert held.at(shape).tobytes() == fresh.tobytes()
 
-    def test_other_N_or_M_refused_and_empty_family(self):
-        assert pseudorandom_gauges([]) == []
-        assert pseudorandom_gauges(iter(()), 1 << 16) == []
-        seqs = [WeightedSequence.spike(64), WeightedSequence.spike(65)]
+    def test_other_N_or_M_refused(self):
+        kernel = DirichletKernel(64, 1 << 16)
         with pytest.raises(ValueError, match="N = 64 on M = 65536 cannot gauge N = 65"):
-            pseudorandom_gauges(seqs, 1 << 16)
+            pseudorandom_gauge(WeightedSequence.spike(65), 1 << 16, kernel)
         with pytest.raises(ValueError, match="cannot gauge N = 64 on M = 32768"):
-            pseudorandom_gauge(seqs[0], 1 << 15, DirichletKernel(64, 1 << 16))
-
-    def test_each_member_dropped_before_the_next_is_made(self):
-        """A family drawn from a generator holds one dense sequence at a
-        time, as wglab report's 54 residues were gauged one by one."""
-        refs = []
-
-        def tracked(seq):
-            refs.append(weakref.ref(seq))
-            return seq
-
-        def members():
-            for kind, seed in (("sparse", 1), ("dense", 2), ("sparse", 3), ("nu", 4)):
-                assert all(ref() is None for ref in refs)
-                yield tracked(_family_member(1024, 1 << 16, kind, 10, seed))
-
-        assert len(pseudorandom_gauges(members(), 1 << 16)) == 4
+            pseudorandom_gauge(WeightedSequence.spike(64), 1 << 15, kernel)
 
     @pytest.mark.parametrize("N, shapes", [(1 << 14, 1), (1 << 15, 6)])
     def test_kernel_tables_once_per_T(self, monkeypatch, N, shapes):
@@ -760,7 +758,7 @@ class TestGaugeFamily:
             return real(c, count, step, M)
 
         monkeypatch.setattr(spectral, "_phase_table", counted)
-        pseudorandom_gauges(iter(nus), M)
+        _gauged_in_order(nus, M)
         assert len(kernel_tables) == 2
         kernel_tables.clear()
         pseudorandom_gauge(nus[0], M)
