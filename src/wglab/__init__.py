@@ -39,7 +39,6 @@ from .majorant import (
     gen_subset,
     mean_g,
     parse_subset_spec,
-    support_counts,
 )
 from .representation import (
     ConvolutionProfile,

@@ -38,7 +38,6 @@ from .majorant import (
     gen_subset,
     mean_g,
     parse_subset_spec,
-    support_counts,
     write_csv,
 )
 from .representation import (
@@ -53,7 +52,6 @@ from .spectral import (
     arc_decompose,
     default_grid,
     dft_spectrum,
-    gauge_order,
     pseudorandom_gauge,
     restriction_norm,
 )
@@ -446,12 +444,8 @@ def cmd_report(args, get) -> Outcome:
         write(f"means_N{N}.json", _json_report(body))
         M = default_grid(N, factor)
         kernel = DirichletKernel(N, M)
-        # each nu built as its turn comes, in order of support size so that
-        # each block shape's kernel is formed once; the rows in order of b
-        sizes = support_counts(W, k, N, primes)
-        gauges = [None] * len(bs)
-        for i in gauge_order([sizes[b % W.value] for b in bs]):
-            gauges[i] = pseudorandom_gauge(build_nu(W, bs[i], k, N, primes=primes), M, kernel)
+        # each nu built as its turn comes, in order of b, all read one kernel
+        gauges = [pseudorandom_gauge(build_nu(W, b, k, N, primes=primes), M, kernel) for b in bs]
         write(f"gauge_N{N}.jsonl", "".join(_json_line(g.to_dict()) for g in gauges))
     return Outcome(echo=f"report written to {out}")
 

@@ -25,7 +25,6 @@ __all__ = [
     "build_nu",
     "build_f",
     "mean_g",
-    "support_counts",
     "parse_subset_spec",
 ]
 
@@ -444,33 +443,6 @@ class MeanReport:
         return {**vars(self), "subset": self.subset.describe(), "per_b": per_b}
 
 
-def _class_hits(W: FactoredModulus, k: int, N: int, members: np.ndarray):
-    """The one pass behind mean_g and support_counts, over the primes p up
-    to (W N + W)^(1/k) that members marks: each one coprime to W lands in
-    the unique class b = p^k mod W it can support.  Returns the power
-    table, the p with W n + b = p^k for some 1 <= n <= N, and the index of
-    each one's class in the table's unit_sorted."""
-    table = power_residues(W, k)
-    Wv = W.value
-    ps = np.flatnonzero(members[: iroot(Wv * N + Wv, k) + 1]).astype(np.int64)
-    ps = ps[np.gcd(ps, Wv) == 1]
-    bs = table.powers[ps % Wv]  # the class p^k mod W of each p
-    _, hit = _hits(ps, k, Wv, bs, N)
-    return table, ps[hit], np.searchsorted(table.unit_sorted, bs[hit])
-
-
-def support_counts(
-    W: FactoredModulus, k: int, N: int, primes: PrimeSet | None = None
-) -> dict[int, int]:
-    """The support size of build_nu(W, b, k, N) for every unit class b, in
-    order: the number of 1 <= n <= N with W n + b = p^k for a prime p, all
-    from one pass over the primes (the class scan of mean_g)."""
-    Wv = W.value
-    table, _, at = _class_hits(W, k, N, _primes_to(iroot(Wv * N + Wv, k), primes).mask)
-    units = table.unit_sorted
-    return dict(zip(units, np.bincount(at, minlength=len(units)).tolist()))
-
-
 def mean_g(
     W: FactoredModulus,
     k: int,
@@ -480,20 +452,25 @@ def mean_g(
 ) -> MeanReport:
     """Mean weight per residue class and the aggregate over all classes.
 
-    One pass over the kept primes up to Y, read from subset.members
-    (_class_hits): each one coprime to W adds its weight to the unique
-    class b = p^k mod W it can support.  The report carries the density
-    margin k*delta - (k-1) and the floor (1-epsilon)*delta computed from
-    the subset's intended density when that is known.
+    One pass over the kept primes up to Y, read from subset.members: each
+    one coprime to W adds its weight to the unique class b = p^k mod W it
+    can support.  The report carries the density margin k*delta - (k-1)
+    and the floor (1-epsilon)*delta computed from the subset's intended
+    density when that is known.
     """
+    table = power_residues(W, k)
     Wv = W.value
     Ymax = iroot(Wv * N + Wv, k)
     if subset.limit < Ymax:
         raise ValueError(f"subset realized to {subset.limit} but Y = {Ymax} needed")
-    table, ps, at = _class_hits(W, k, N, subset.members)
+    ps = np.flatnonzero(subset.members[: Ymax + 1]).astype(np.int64)
+    ps = ps[np.gcd(ps, Wv) == 1]
+    bs = table.powers[ps % Wv]  # the class p^k mod W of each p
+    _, hit = _hits(ps, k, Wv, bs, N)
     units = table.unit_sorted
     # every unit k-th power residue has the same root count sigma
-    sums = np.bincount(at, _weights(W, sigma_b(W, k, 1), k, ps), minlength=len(units))
+    weights = _weights(W, sigma_b(W, k, 1), k, ps[hit])
+    sums = np.bincount(np.searchsorted(units, bs[hit]), weights, minlength=len(units))
     class_sum = dict(zip(units, sums.tolist()))
     # in the table's iteration order: the aggregate sums per_b left to right
     per_b = {b: class_sum[b] / N for b in table.unit_residues}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -83,11 +84,12 @@ def _half_grid_shape(S: int, M: int) -> tuple[int, int, int, int]:
     product, 4 S multiply-adds a cell, stays on the calling thread.  T is
     the power of two at or above the bin count's square root, which keeps
     R + T near its least: the S (R + T) complex products that form A and
-    E, and the kernel's tables of R + T phases.  It no longer sets the
-    cos/sin count, which the factored tables (_phase_table) hold to the
-    order of S sqrt(R + T); gauges at T / 8 to T ran within host noise of
-    each other.  T is halved until a block holds 16 rows: products of one
-    or two rows ran 2-4 times slower per multiply-add."""
+    E.  It no longer sets the cos/sin count, which the factored tables
+    (_phase_table) hold to the order of S sqrt(R + T); gauges at T / 8 to
+    T ran within host noise of each other.  T is halved until a block
+    holds 16 rows: products of one or two rows ran 2-4 times slower per
+    multiply-add.  The shape of S = 1 also blocks the Dirichlet kernel
+    (DirichletKernel), whatever the support of the gauge that reads it."""
     half = M // 2 + 1
     block = min(_PRODUCT_BLOCK, _SERIAL_MACS // max(4 * S, 1))
     T = 1 << ((half - 1).bit_length() + 1) // 2
@@ -96,28 +98,19 @@ def _half_grid_shape(S: int, M: int) -> tuple[int, int, int, int]:
     return half, T, -(-half // T), max(1, block // T)
 
 
-def gauge_order(sizes) -> list[int]:
-    """The positions of sizes, the support sizes S of sequences gauged on
-    one grid with one DirichletKernel, in the order that forms each block
-    shape's kernel bins once: by S, stably.  The shape is a function of S
-    (_half_grid_shape) that never comes back once it has changed: as S
-    grows, a block's cells, then T and, at one T, the rows of a block
-    never grow.  So the members of one shape come in one run, and the rfft
-    members, whose S is the largest, come last and read no kernel."""
-    return sorted(range(len(sizes)), key=sizes.__getitem__)
-
-
 def _product_bytes(S: int, M: int, block_words: int) -> float:
     """Peak of the product path: E with its complex phase table (48 bytes a
     cell), the within-block phases with one block's A likewise, the
-    w-weighted phase of each block's first row, the kernel's phase tables,
-    then block_words float64 arrays the size of one block."""
+    w-weighted phase of each block's first row, the Dirichlet kernel's
+    phase tables in the shape of S = 1 (DirichletKernel), then block_words
+    float64 arrays the size of one block."""
     _, T, rows, step = _half_grid_shape(S, M)
+    _, kernel_T, kernel_rows, _ = _half_grid_shape(1, M)
     blocks = -(-rows // step)
     return (
         48.0 * S * (step + T)
         + 16.0 * S * blocks
-        + 64.0 * (rows + T)
+        + 64.0 * (kernel_rows + kernel_T)
         + 8.0 * block_words * step * T
     )
 
@@ -192,7 +185,7 @@ def _half_grid_product(c: np.ndarray, w: np.ndarray, M: int):
         yield j0, (A @ E).view(complex).ravel()[: half - j0]
 
 
-def _take_product(values: np.ndarray, M: int, what: str, price, kept: float = 0.0):
+def _take_product(values: np.ndarray, M: int, what: str, price):
     """The one path rule for every spectral consumer, from the support size
     S of values and M alone: the support's indices (support_index) for the
     blocked matrix product (_use_product: M >= 2^15 and 64 S^2 <= min(M,
@@ -204,9 +197,9 @@ def _take_product(values: np.ndarray, M: int, what: str, price, kept: float = 0.
     block_words, grids) then passes require_bytes, under the name what and
     before the path allocates, fft_grids float64 grids of length M on the
     FFT path, or on the product path _product_bytes with block_words
-    arrays of one block, plus grids grids of length M and kept bytes; or
-    the support scan's len(values) bytes of mask and 8 S of indices, when
-    they weigh more.
+    arrays of one block, plus grids grids of length M; or the support
+    scan's len(values) bytes of mask and 8 S of indices, when they weigh
+    more.
     """
     idx = support_index(values)
     product = _use_product(len(idx), M)
@@ -215,7 +208,7 @@ def _take_product(values: np.ndarray, M: int, what: str, price, kept: float = 0.
     if price is not None:
         fft_grids, block_words, grids = price
         if product:
-            path = _product_bytes(len(idx), M, block_words) + 8.0 * grids * M + kept
+            path = _product_bytes(len(idx), M, block_words) + 8.0 * grids * M
         else:
             path = 8.0 * fft_grids * M
         # the scan's mask is gone before the path allocates: the larger counts
@@ -264,44 +257,36 @@ def _dirichlet_block(N: int, T: int, sines, j0: int, n: int) -> np.ndarray:
 
 
 class DirichletKernel:
-    """The interval's half spectrum on the product path, held for the
-    gauges of length N on the grid M that are given it (pseudorandom_gauge).
+    """The interval's half spectrum on the product path: the bins 0..M//2
+    that every product-path pseudorandom_gauge of length N on the grid M
+    reads, 8 (M//2 + 1) bytes.
 
     The gauge turns both transforms by e((N + 1) j / 2M), which moves into
     the product's phases and turns the interval's transform into the real
-    Dirichlet kernel (_dirichlet_block).  A kernel holds the sine tables
-    of one T and the kernel's bins 0..M//2 as the blocks of one shape form
-    them, 8 (M//2 + 1) bytes: a gauge of the held shape reads them, one of
-    another shape forms its own in their place, from the held tables when
-    its T is theirs.  The bins are formed as a lone gauge of that shape
-    forms them, so every gauge is the same bit for bit; a shared T alone
-    would not do, as a block of one row may round its bins otherwise.
-    Gauges in the order of gauge_order, by support size, form each shape's
-    bins once.  Nothing is cached past the kernel's holder: wglab report
-    holds one for the residues of each N and gauges them in that order, so
-    a report at w = 3, k = 2, N = 2^14 and 2^15 forms the bins 7 times (1
-    shape, then 6).
+    Dirichlet kernel (_dirichlet_block), a function of N and M alone.  The
+    bins are formed once, on first use, in the blocks of the shape of S =
+    1 (_half_grid_shape), and the sine tables are dropped.  A gauge with
+    no kernel forms its own; wglab report gives the residues of each N one
+    kernel, so a report at w = 3, k = 2, N = 2^14 and 2^15 forms the bins
+    twice.  Formed in the blocks of another S's shape, the bins would
+    differ by at most 5.7 ulps of N over M = 2^15..2^22 and S = 1..64:
+    too little to move a report row or the benchmark's gauges
+    (TestKernelInProductShape in the tests).
     """
 
     def __init__(self, N: int, M: int):
         self.N, self.M = N, M
-        self.T = self.sines = None
-        self.shape = self.bins = None
 
-    def at(self, shape) -> np.ndarray:
-        """The kernel on the bins 0..M//2, formed in the blocks of shape."""
-        if shape != self.shape:
-            half, T, rows, step = shape
-            self.shape = self.bins = None  # the last shape's go before these are formed
-            if T != self.T:
-                self.T = self.sines = None
-                self.T, self.sines = T, _dirichlet_sines(self.N, self.M, rows, T)
-            bins = np.empty(half)
-            for j0 in range(0, half, step * T):
-                n = min(step * T, half - j0)
-                bins[j0 : j0 + n] = _dirichlet_block(self.N, T, self.sines, j0, n)
-            self.shape, self.bins = shape, bins
-        return self.bins
+    @cached_property
+    def bins(self) -> np.ndarray:
+        half, T, rows, step = _half_grid_shape(1, self.M)
+        sines = _dirichlet_sines(self.N, self.M, rows, T)
+        bins = np.empty(half)
+        for j0 in range(0, half, step * T):
+            n = min(step * T, half - j0)
+            bins[j0 : j0 + n] = _dirichlet_block(self.N, T, sines, j0, n)
+        bins.flags.writeable = False  # read by every gauge given the kernel
+        return bins
 
 
 @dataclass
@@ -619,19 +604,17 @@ def pseudorandom_gauge(
     By linearity this is the transform of nu - 1 at n = 1..N, read from the
     half spectrum since real input has |X(j)| = |X(M - j)|: on the FFT path
     one rfft, on the product path the blocked matrix product over the
-    support less the Dirichlet kernel, as _take_product rules.  The
+    support less the Dirichlet kernel's bins, as _take_product rules.  The
     argmax, the first index of the maximum, is therefore canonical:
     argmax_j <= M/2 and argmax_alpha lies in [0, 1/2].
 
     The support is found by one scan (support_index) that also sizes the
-    path.  Without a kernel the product path forms the Dirichlet kernel
-    block by block and keeps none of it.  Given a DirichletKernel of the
-    same N and M, it reads the kernel's bins held there, or forms them
-    there when another block shape holds them, so that gauges of one N and
-    one shape in a row form the kernel once, and gauges taken in
-    gauge_order form each shape's once; the result is the same bit for
-    bit, and the price gains the held bins' 8 (M//2 + 1) bytes.  A kernel
-    of another N or M is refused with ValueError.
+    path.  The product path reads the bins of kernel, a DirichletKernel of
+    the same N and M, or of its own when none is given, formed before the
+    product's tables; the result is the same bit for bit either way, and
+    so is the price, which counts the bins as half a grid.  A kernel of
+    another N or M is refused with ValueError.  The FFT path forms no
+    bins.
 
     The argmax frequency is classified into major/minor arcs using the
     first exponent in _SIGMA_CHAIN that yields a nondegenerate P < Q; the
@@ -646,22 +629,19 @@ def pseudorandom_gauge(
         raise ValueError(
             f"a kernel of N = {kernel.N} on M = {kernel.M} cannot gauge N = {N} on M = {M}"
         )
-    kept = 0.0 if kernel is None else 8.0 * (M // 2 + 1)
-    # the padded sequence and X (two grids), or eight words a block: X,
-    # |X| and the Dirichlet kernel's terms, some held over from the last
-    idx = _take_product(nu.values, M, "pseudorandom_gauge", (2, 8, 0), kept)
+    # the padded sequence and X (two grids), or the kernel's bins (half a
+    # grid) and five words a block cell: the last block's X and |X| held
+    # while the next block's X is formed
+    idx = _take_product(nu.values, M, "pseudorandom_gauge", (2, 5, 0.5))
     if idx is None:
-        blocks = [(0, _padded_rfft(nu.values, M, 1.0))]
+        bins, blocks = None, [(0, _padded_rfft(nu.values, M, 1.0))]
     else:
-        shape = _, T, rows, _ = _half_grid_shape(len(idx), M)
-        if kernel is None:  # the kernel's tables before the product's, as ever
-            sines, bins = _dirichlet_sines(N, M, rows, T), None
-        else:
-            sines, bins = None, kernel.at(shape)
-        product = _half_grid_product(2 * idx + 1 - N, nu.values[idx], M)
-        blocks = _less_kernel(product, N, T, sines, bins)
+        bins = (kernel or DirichletKernel(N, M)).bins
+        blocks = _half_grid_product(2 * idx + 1 - N, nu.values[idx], M)
     peak, j = -1.0, 0
     for j0, X in blocks:
+        if bins is not None:
+            X.real -= bins[j0 : j0 + len(X)]
         mag = np.abs(X)
         k = int(mag.argmax())
         if mag[k] > peak:
@@ -690,16 +670,6 @@ def pseudorandom_gauge(
         sigma=sigma_used,
         arc=arc,
     )
-
-
-def _less_kernel(product, N: int, T: int, sines, bins):
-    """The (j0, X) blocks of the product less the Dirichlet kernel on the
-    same bins: read from the bins a DirichletKernel holds, or without them
-    formed block by block from the tables and dropped."""
-    for j0, X in product:
-        n = len(X)
-        X.real -= _dirichlet_block(N, T, sines, j0, n) if bins is None else bins[j0 : j0 + n]
-        yield j0, X
 
 
 @dataclass

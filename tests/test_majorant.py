@@ -28,7 +28,6 @@ from wglab.majorant import (
     gen_subset,
     mean_g,
     parse_subset_spec,
-    support_counts,
     support_index,
 )
 
@@ -559,9 +558,9 @@ class TestMeansFromMembers:
         assert mean_g(W, 2, N, subset).aggregate > 0
 
 
-def _mean_g_before_shared_scan(W, k, N, subset, epsilon=0.1):
-    """mean_g as it was before it shared its class scan with
-    support_counts."""
+def _mean_g_reference(W, k, N, subset, epsilon=0.1):
+    """mean_g's reference: its one class scan over subset.members written
+    out, with the whole report it returns."""
     table = power_residues(W, k)
     Wv = W.value
     Ymax = iroot(Wv * N + Wv, k)
@@ -588,36 +587,8 @@ def _mean_g_before_shared_scan(W, k, N, subset, epsilon=0.1):
     )
 
 
-class TestSupportCounts:
-    """support_counts, the support size of every unit class's nu from the
-    class scan that mean_g shares."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.sampled_from([2, 3]),
-        st.sampled_from([2, 3]),
-        st.integers(1, 1 << 12),
-        st.booleans(),
-    )
-    def test_counts_equal_the_support_of_nu(self, w, k, N, shared):
-        W = compute_W(w, k)
-        Y = iroot(W.value * N + W.value, k)
-        primes = sieve_primes(Y + 50) if shared else None
-        counts = support_counts(W, k, N, primes)
-        units = power_residues(W, k).unit_sorted
-        assert list(counts) == units
-        for b in units:
-            assert counts[b] == np.count_nonzero(build_nu(W, b, k, N, primes=primes).values)
-
-    def test_reads_the_given_primes(self, monkeypatch):
-        W, N = compute_W(3, 2), 1 << 12
-        primes = sieve_primes(iroot(W.value * N + W.value, 2))
-
-        def no_sieve(*args, **kwargs):
-            raise AssertionError("support_counts sieved")
-
-        monkeypatch.setattr(majorant, "sieve_primes", no_sieve)
-        assert sum(support_counts(W, 2, N, primes).values()) > 0
+class TestMeanGReference:
+    """mean_g against its reference, the whole report by its repr."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -634,7 +605,7 @@ class TestSupportCounts:
         W = compute_W(w, k)
         Y = iroot(W.value * N + W.value, k)
         subset = gen_subset(parse_subset_spec(spec), max(Y, 100) + extra)
-        want = _mean_g_before_shared_scan(W, k, N, subset)
+        want = _mean_g_reference(W, k, N, subset)
         assert repr(mean_g(W, k, N, subset)) == repr(want)
 
 

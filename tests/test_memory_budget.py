@@ -28,7 +28,6 @@ from wglab.spectral import (
     _use_product,
     DirichletKernel,
     dft_spectrum,
-    gauge_order,
     pseudorandom_gauge,
     restriction_norm,
 )
@@ -243,17 +242,18 @@ def _small_calls(name):
     calls = [lambda nu=build_nu(W, 1, 2, N): path(nu) for N in (1 << 12, 1 << 14)]
     calls += [lambda seq=_sparse(3 << 13, 1, 0): path(seq), lambda: path(_dense(1 << 12))]
     if name == "pseudorandom_gauge":
-        # a family on 2^18 points, gauged in gauge_order with one held
-        # kernel, formed at one T and read, then formed at another (64
-        # points); no rfft member, whose two grids would outweigh the kernel
+        # a family on 2^18 points, gauged in the order given with one
+        # kernel, its bins formed by the first member and read by the rest,
+        # whose block shapes differ (64 points); no rfft member, whose two
+        # grids would outweigh the kernel
         bs = power_residues(W, 2).unit_sorted[:3]
         nus = [build_nu(W, b, 2, 1 << 14) for b in bs]
         nus.insert(1, _sparse(1 << 14, 64, 1))
 
         def family():
             kernel = DirichletKernel(1 << 14, 1 << 18)
-            for i in gauge_order([int(np.count_nonzero(nu.values)) for nu in nus]):
-                pseudorandom_gauge(nus[i], 1 << 18, kernel)
+            for nu in nus:
+                pseudorandom_gauge(nu, 1 << 18, kernel)
 
         family.members = len(nus)
         calls.append(family)
@@ -295,10 +295,11 @@ def _recorded_prices(monkeypatch, call):
     return seen
 
 
-def test_family_prices_the_held_kernel(monkeypatch):
-    """Each member of a family gauged in gauge_order with one held kernel
-    is priced as a lone gauge, plus the 8 (M//2 + 1) bytes of the held
-    kernel on the product path; an rfft member reads no kernel."""
+def test_lone_and_held_gauges_price_alike(monkeypatch):
+    """A gauge prices the same whether it forms the Dirichlet kernel's bins
+    or reads them from a DirichletKernel: on the product path the bins'
+    half grid, whichever; an rfft member prices its two grids and no
+    bins."""
     W, N, M = compute_W(3, 2), 1 << 14, 1 << 18
     nus = [build_nu(W, b, 2, N) for b in power_residues(W, 2).unit_sorted[:2]]
     members = [nus[0], _sparse(N, 64, 1), _dense(N), nus[1]]
@@ -309,16 +310,15 @@ def test_family_prices_the_held_kernel(monkeypatch):
         _recorded_prices(monkeypatch, lambda seq=seq: pseudorandom_gauge(seq, M))
         for seq in members
     ]
-    order = gauge_order(sizes)
-    assert order[-1] == 2  # the rfft member comes last
 
     def family():
         held = DirichletKernel(N, M)
-        for i in order:
-            pseudorandom_gauge(members[i], M, held)
+        for seq in members:
+            pseudorandom_gauge(seq, M, held)
 
-    kernel = 8.0 * (M // 2 + 1)
-    assert _recorded_prices(monkeypatch, family) == [lone[i][0] + kernel * paths[i] for i in order]
+    assert _recorded_prices(monkeypatch, family) == [price for price, in lone]
+    for (price,), S, product in zip(lone, sizes, paths):
+        assert price == (_product_bytes(S, M, 5) + 4.0 * M if product else 16.0 * M)
 
 
 def test_lone_product_gauge_within_its_product_price():
@@ -332,12 +332,13 @@ def test_lone_product_gauge_within_its_product_price():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= _product_bytes(S, M, 8) + OBJECT_BYTES
+    # five words a block cell and the kernel's bins, half a grid
+    assert peak <= _product_bytes(S, M, 5) + 4.0 * M + OBJECT_BYTES
 
 
 def test_report_holds_one_dense_sequence(tmp_path):
     """wglab report gauges the 54 residues of N one by one as it builds
-    them, with one held kernel: its peak stays below the 54 N float64 of
+    them, with one kernel: its peak stays below the 54 N float64 of
     every nu at once."""
     N = 1 << 14
     cfg = tmp_path / "report.cfg"

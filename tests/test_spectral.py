@@ -35,7 +35,6 @@ from wglab.spectral import (
     dft_spectrum,
     exp_sum_factor,
     exp_sum_Sstar,
-    gauge_order,
     integral_I,
     interval_transform_at,
     major_arc_model,
@@ -652,9 +651,8 @@ def _gauge_bits(rep):
 
 
 # at M = 2^18: six product members in three block shapes of two T, S = 64
-# twice and S = 62 (T = 128), S = 10 twice with the nu (T = 512), so that
-# in gauge_order the kernel is held, re-formed at a new T and re-formed
-# from held tables; and one dense rfft member
+# twice and S = 62 (T = 128), S = 10 twice with the nu (T = 512), all
+# reading one kernel formed in the shape of S = 1; and one dense rfft member
 _SHAPES_EXAMPLE = [
     ("sparse", 64, 1),
     ("sparse", 10, 2),
@@ -666,20 +664,16 @@ _SHAPES_EXAMPLE = [
 ]
 
 
-def _gauged_in_order(seqs, M):
-    """pseudorandom_gauge of each sequence, all of one N, with one
-    DirichletKernel, taken in gauge_order as wglab report takes its
-    residues; the reports in the order of seqs."""
+def _gauged_with_one_kernel(seqs, M):
+    """pseudorandom_gauge of each sequence, all of one N, in the order
+    given, with one DirichletKernel, as wglab report gauges its residues."""
     kernel = DirichletKernel(seqs[0].N, M)
-    reports = [None] * len(seqs)
-    for i in gauge_order([len(support_index(seq.values)) for seq in seqs]):
-        reports[i] = pseudorandom_gauge(seqs[i], M, kernel)
-    return reports
+    return [pseudorandom_gauge(seq, M, kernel) for seq in seqs]
 
 
 class TestGaugeFamily:
-    """Gauges that share a DirichletKernel, taken in gauge_order, against
-    one lone pseudorandom_gauge call per member."""
+    """Gauges that share a DirichletKernel against one lone
+    pseudorandom_gauge call per member."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -698,13 +692,12 @@ class TestGaugeFamily:
     )
     @example(N=512, base=1 << 18, extra=0, members=_SHAPES_EXAMPLE)
     @example(N=777, base=1 << 18, extra=1, members=_SHAPES_EXAMPLE)
-    # one T, and at S = 1 a last block of one row (bin M/2) that rounds
-    # otherwise than in a block of S = 16
+    # one T, and at S = 1 a last block of one row (bin M/2)
     @example(N=128, base=1 << 15, extra=2, members=[("sparse", 1, 0), ("sparse", 16, 0)])
     def test_members_equal_single_calls_bit_for_bit(self, N, base, extra, members):
         M = base + extra  # odd M too
         seqs = [_family_member(N, M, *member) for member in members]
-        family = _gauged_in_order(seqs, M)
+        family = _gauged_with_one_kernel(seqs, M)
         singles = [pseudorandom_gauge(seq, M) for seq in seqs]
         assert [_gauge_bits(rep) for rep in family] == [_gauge_bits(rep) for rep in singles]
 
@@ -717,19 +710,52 @@ class TestGaugeFamily:
         assert len({T for _, T, _, _ in shapes}) == 2
         assert any(not _use_product(S, M) for S in sizes)
 
-    def test_held_kernel_is_formed_afresh_at_every_shape(self):
-        """A DirichletKernel read at one shape after another gives, at each,
-        the bins that a fresh kernel forms in the blocks of that shape, as a
-        lone gauge does, bit for bit.  At M = 32770 the shapes of S = 1 and
-        S = 16 share T, and the first puts the last row, bin M/2, in a block
-        of its own."""
-        N, M = 128, 32770
-        shapes = sorted({_half_grid_shape(S, M) for S in range(1, 65)})
-        assert len(shapes) > len({T for _, T, _, _ in shapes}) > 1
-        held = DirichletKernel(N, M)
-        for shape in [*shapes, *reversed(shapes), shapes[0]]:
-            fresh = DirichletKernel(N, M).at(shape)
-            assert held.at(shape).tobytes() == fresh.tobytes()
+    @settings(max_examples=60, deadline=None)
+    @given(
+        M=st.one_of(
+            st.sampled_from([1 << 15, 32770, 99999, (1 << 18) + 1, 1 << 20]),
+            st.integers(1 << 15, 1 << 20),
+        ),
+        N=st.one_of(st.integers(1, 8), st.integers(1, 1 << 19)),
+    )
+    @example(M=1 << 22, N=7)
+    @example(M=1330465, N=2)
+    def test_bins_equal_the_closed_form(self, M, N):
+        """The bins against sin(pi N j / M) / sin(pi j / M), N at j = 0, in
+        extended precision from the exact numerators N j mod 2M and j mod
+        2M: within 4 ulps of N, plus the reference's own rounding.  The
+        worst found was 3.5 ulps, at N = 2, M = 1,330,465."""
+        N = min(N, M // 2)
+        bins = DirichletKernel(N, M).bins
+        assert bins.shape == (M // 2 + 1,) and bins[0] == N
+        j = np.arange(1, M // 2 + 1, dtype=np.int64)
+        pi = 4 * np.arctan(np.longdouble(1))
+        top = np.sin(pi * (N * j % (2 * M)).astype(np.longdouble) / M)
+        bottom = np.sin(pi * (j % (2 * M)).astype(np.longdouble) / M)
+        tol = 4 * (np.finfo(float).eps + np.finfo(np.longdouble).eps) * N
+        assert np.abs(bins[1:] - top / bottom).max() <= tol
+
+    def test_bins_formed_once_a_kernel(self, monkeypatch):
+        calls = []
+        real = spectral._dirichlet_sines
+
+        def counted(N, M, rows, T):
+            calls.append((N, M, rows, T))
+            return real(N, M, rows, T)
+
+        monkeypatch.setattr(spectral, "_dirichlet_sines", counted)
+        N, M = 512, 1 << 18
+        kernel = DirichletKernel(N, M)
+        assert calls == []
+        seqs = [_family_member(N, M, *member) for member in _SHAPES_EXAMPLE]
+        for seq in seqs:
+            pseudorandom_gauge(seq, M, kernel)
+        assert kernel.bins is kernel.bins
+        _, T, rows, _ = _half_grid_shape(1, M)
+        assert calls == [(N, M, rows, T)]
+        # the dense member takes the rfft and forms no bins
+        pseudorandom_gauge(seqs[3], M)
+        assert len(calls) == 1
 
     def test_other_N_or_M_refused(self):
         kernel = DirichletKernel(64, 1 << 16)
@@ -741,8 +767,8 @@ class TestGaugeFamily:
     @pytest.mark.parametrize("N, shapes", [(1 << 14, 1), (1 << 15, 6)])
     def test_kernel_tables_once_per_T(self, monkeypatch, N, shapes):
         """The 54 residues of a report at N = 2^14 (one block shape) and at
-        2^15 (six shapes), on M = 8N, share one T, so the kernel's tables at
-        c = (N, 1) are one pair, where each gauge formed its own pair."""
+        2^15 (six shapes), on M = 8N, share one kernel, so its tables at c
+        = (N, 1) are one pair, as one lone gauge forms."""
         W, M = compute_W(3, 2), 8 * N
         nus = [build_nu(W, b, 2, N) for b in power_residues(W, 2).unit_sorted]
         sizes = [int(np.count_nonzero(nu.values)) for nu in nus]
@@ -758,54 +784,105 @@ class TestGaugeFamily:
             return real(c, count, step, M)
 
         monkeypatch.setattr(spectral, "_phase_table", counted)
-        _gauged_in_order(nus, M)
+        _gauged_with_one_kernel(nus, M)
         assert len(kernel_tables) == 2
         kernel_tables.clear()
         pseudorandom_gauge(nus[0], M)
         assert len(kernel_tables) == 2
 
 
+def _gauge_in_product_shape(nu, M):
+    """D and argmax_j of pseudorandom_gauge with the Dirichlet kernel formed
+    as it was before one kernel served every support size: block by block
+    in the product's own shape, and dropped."""
+    N = nu.N
+    idx = support_index(nu.values)
+    _, T, rows, _ = _half_grid_shape(len(idx), M)
+    sines = spectral._dirichlet_sines(N, M, rows, T)
+    peak, j = -1.0, 0
+    for j0, X in spectral._half_grid_product(2 * idx + 1 - N, nu.values[idx], M):
+        X.real -= spectral._dirichlet_block(N, T, sines, j0, len(X))
+        mag = np.abs(X)
+        k = int(mag.argmax())
+        if mag[k] > peak:
+            peak, j = float(mag[k]), j0 + k
+    return peak / N, j
+
+
+class TestKernelInProductShape:
+    """The one kernel, formed in the shape of S = 1, against the kernel it
+    replaced, formed in the shape of each gauge's product."""
+
+    def test_report_gauges_bit_for_bit(self):
+        """The 54 report gauges at N = 2^15, M = 2^18, in six shapes."""
+        W, N, M = compute_W(3, 2), 1 << 15, 1 << 18
+        nus = [build_nu(W, b, 2, N) for b in power_residues(W, 2).unit_sorted]
+        assert len({_half_grid_shape(len(support_index(nu.values)), M) for nu in nus}) == 6
+        got = [(rep.D.hex(), rep.argmax_j) for rep in _gauged_with_one_kernel(nus, M)]
+        want = [(D.hex(), j) for D, j in (_gauge_in_product_shape(nu, M) for nu in nus)]
+        assert got == want
+
+    def test_transference_gauge_bit_for_bit(self):
+        """The gauge of nu at w = 3, k = 2, b = 1, N = 2^19 on M = 2^22."""
+        nu = build_nu(compute_W(3, 2), 1, 2, 1 << 19)
+        rep = pseudorandom_gauge(nu)
+        assert rep.M == 1 << 22 and _use_product(len(support_index(nu.values)), rep.M)
+        D, j = _gauge_in_product_shape(nu, rep.M)
+        assert (rep.D.hex(), rep.argmax_j) == (D.hex(), j)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        N=st.integers(64, 4096),
+        M=st.one_of(st.integers(1 << 15, 1 << 19).map(lambda m: m | 1), st.just(32770)),
+        S=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sparse_sequences_on_odd_grids(self, N, M, S, seed):
+        seq = _family_member(N, M, "sparse", S, seed)
+        rep = pseudorandom_gauge(seq, M)
+        D, j = _gauge_in_product_shape(seq, M)
+        assert abs(rep.D - D) <= 4e-16 * D
+        assert rep.argmax_j == j
+
+
 class TestGaugeOrder:
-    """gauge_order, by support size, takes the members of each block shape
-    in one run, so a held DirichletKernel forms each shape's bins once."""
+    """wglab report gauges the residues of each N in order of b, with one
+    kernel; the product's block shape still changes with S."""
 
     @pytest.mark.parametrize(
         "M", [1 << e for e in range(15, 25)] + [32770, 3 << 15, (1 << 18) + 1, (1 << 22) + 5]
     )
     def test_shape_never_returns_as_S_grows(self, M):
+        """_half_grid_shape as S grows: a block's cells, then T and, at one
+        T, the rows of a block never grow, so a shape once left never comes
+        back."""
         shapes = [_half_grid_shape(S, M) for S in range(513) if _use_product(S, M)]
         runs = [shape for i, shape in enumerate(shapes) if i == 0 or shape != shapes[i - 1]]
         assert len(runs) == len(set(runs))
 
-    def test_stable_by_size(self):
-        assert gauge_order([3, 1, 3, 2, 1]) == [1, 4, 3, 0, 2]
-        assert gauge_order([]) == []
-
-    def test_report_forms_each_shape_once(self, monkeypatch, tmp_path):
-        """wglab report at w = 3, k = 2, N = 2^14 and 2^15 forms the held
-        kernel's bins 1 + 6 times (gauged in order of b, 1 + 36), with its
-        108 gauges still called through cli.pseudorandom_gauge and the rows
-        in order of b."""
+    def test_report_forms_one_kernel_per_N(self, monkeypatch, tmp_path):
+        """wglab report at w = 3, k = 2, N = 2^14 and 2^15 forms the
+        kernel's bins once an N, with its 108 gauges called through
+        cli.pseudorandom_gauge in order of b and the rows in order of b."""
         formed, gauges = [], []
-        block, gauge = spectral._dirichlet_block, cli.pseudorandom_gauge
+        sines, gauge = spectral._dirichlet_sines, cli.pseudorandom_gauge
 
-        def counted_block(N, T, sines, j0, n):
-            if j0 == 0:
-                formed.append(N)
-            return block(N, T, sines, j0, n)
+        def counted_sines(N, M, rows, T):
+            formed.append(N)
+            return sines(N, M, rows, T)
 
         def counted_gauge(nu, M=None, kernel=None):
             gauges.append(nu.b)
             return gauge(nu, M, kernel)
 
-        monkeypatch.setattr(spectral, "_dirichlet_block", counted_block)
+        monkeypatch.setattr(spectral, "_dirichlet_sines", counted_sines)
         monkeypatch.setattr(cli, "pseudorandom_gauge", counted_gauge)
         cfg = tmp_path / "report.cfg"
         cfg.write_text("k=2\nw=3\nn_list=16384,32768\n", encoding="utf-8")
         assert cli.main(["report", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-        assert formed == [1 << 14] + [1 << 15] * 6
+        assert formed == [1 << 14, 1 << 15]
         units = power_residues(compute_W(3, 2), 2).unit_sorted
-        assert len(gauges) == 108 and sorted(gauges) == sorted(units * 2)
+        assert gauges == units * 2
         for N in (1 << 14, 1 << 15):
             rows = (tmp_path / "out" / f"gauge_N{N}.jsonl").read_text().splitlines()
             assert [json.loads(row)["b"] for row in rows] == units
