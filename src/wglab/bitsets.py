@@ -1,10 +1,15 @@
-"""Bit-parallel sumset arithmetic on arbitrary-precision integers.
+"""Bit-parallel sumset arithmetic on bitmasks.
 
 Sets of residues (cyclic, mod q) or of nonnegative integers (half-line,
-clipped at a bound) are stored as bitmasks; sumset addition is a shift-or
-over the set bits of the sparser operand.  Cyclic s-fold sumsets use
-repeated doubling on the binary expansion of s; half-line ones add the
-sparse base set s - 1 times, because a doubled half-line operand is dense.
+clipped at a bound) are stored as int bitmasks; sumset addition is a
+shift-or over the set bits of the sparser operand.  Cyclic sums stay on
+ints, whose widths are q bits, and their s-fold sumsets use repeated
+doubling on the binary expansion of s.  Half-line sums run on uint64 word
+arrays of hi // 64 + 1 words: the denser operand is shifted once per
+distinct bit offset r mod 64 among the sparser one's elements r, and each
+shifted copy is OR-ed in at word offset r >> 6, one aligned slice per
+element.  Their s-fold sumsets add the sparse base set s - 1 times,
+because a doubled half-line operand is dense.
 """
 
 from __future__ import annotations
@@ -88,28 +93,74 @@ def cyclic_power_stepwise(B: int, s: int, q: int) -> int:
     return result
 
 
+def _words(mask: int, hi: int) -> np.ndarray:
+    """Bits 0..hi of a nonnegative bitmask as hi // 64 + 1 little-endian
+    uint64 words."""
+    clipped = mask & ((1 << (hi + 1)) - 1)
+    return np.frombuffer(clipped.to_bytes(8 * (hi // 64 + 1), "little"), dtype="<u8").copy()
+
+
+def _from_words(words: np.ndarray, hi: int) -> int:
+    """The bitmask of a word array's bits 0..hi; clears the last word's
+    bits above hi in place."""
+    if len(words):
+        words[-1] &= (1 << (hi % 64 + 1)) - 1
+    return int.from_bytes(words.tobytes(), "little")
+
+
+def _offset_classes(words: np.ndarray) -> list[tuple[int, list[int]]]:
+    """The set bits r of a word array grouped by bit offset r mod 64: each
+    offset, ascending, with the word offsets r >> 6 of its elements,
+    ascending.  One byte unpacking of the nonzero words finds the bits."""
+    nonzero = np.flatnonzero(words)
+    bits = np.flatnonzero(np.unpackbits(words[nonzero].view(np.uint8), bitorder="little"))
+    classes: dict[int, list[int]] = {}
+    for b, w in zip((bits & 63).tolist(), nonzero[bits >> 6].tolist()):
+        classes.setdefault(b, []).append(w)
+    return sorted(classes.items())
+
+
+def _word_add(x: np.ndarray, classes) -> np.ndarray:
+    """Sumset of the word array x with the set of _offset_classes classes,
+    in len(x) words: x shifted once per offset b, each copy OR-ed in at
+    every word offset w of its class."""
+    n = len(x)
+    out = np.zeros_like(x)
+    for b, word_offsets in classes:
+        if b:
+            shifted = x << b
+            shifted[1:] |= x[:-1] >> (64 - b)
+        else:
+            shifted = x
+        for w in word_offsets:
+            out[w:] |= shifted[: n - w]
+    return out
+
+
 def line_add(X: int, Y: int, hi: int) -> int:
     """Sumset {x + y} of two integer bitmasks, clipped to [0, hi]."""
     if X == 0 or Y == 0:
         return 0
     if X.bit_count() < Y.bit_count():
         X, Y = Y, X
-    full = (1 << (hi + 1)) - 1
-    out = 0
-    for r in _iter_bits(Y):
-        out |= X << r
-    return out & full
+    return _from_words(_word_add(_words(X, hi), _offset_classes(_words(Y, hi))), hi)
 
 
 def line_power(B: int, s: int, hi: int) -> int:
     """s-fold integer sumset clipped to [0, hi], by s - 1 additions of B.
 
-    Each addition shifts the running sumset once per element of B, so the
-    cost is about s |B| hi / 64 word operations, linear in hi.
+    B goes to words once and its set bits are grouped by offset once; each
+    addition shifts the running sumset once per distinct offset r mod 64
+    of the elements r of B and ORs a shifted copy in once per element:
+    about (s - 1)(3 #offsets + |B|) word-array operations of hi / 64 words
+    each, linear in hi.  With s = 1, B is returned unchanged.
     """
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    result = B
+    if s == 1:
+        return B
+    result = _words(B, hi)
+    classes = _offset_classes(result)
     for _ in range(s - 1):
-        result = line_add(result, B, hi)
-    return result
+        result = _word_add(result, classes)
+    return _from_words(result, hi)

@@ -465,7 +465,8 @@ def local_decompose(
     stay -inf, and a target off the coset, n != s b0 (mod g), fails at
     once.  At the transference benchmark's w = 3, k = 2, s = 44 and 54
     support residues a call took 0.5 ms, where visiting the live states
-    of all W took 1.3 ms (minimum of 7 passes over its 55 calls).
+    of all W took 1.3 ms (minimum of 7 passes over its 55 calls); with
+    the backtrack over Python floats it takes 0.38 ms.
     Succeeds only when the optimum exceeds s/2; ties during backtracking
     prefer the smallest residue.  Raises LimitExceededError before
     allocating when the s * |support| * W/g cells the rounds visit exceed
@@ -523,16 +524,25 @@ def local_decompose(
         return DecompositionFailure(target=n, modulus=Wv, optimum=None)
     if optimum <= s / 2:
         return DecompositionFailure(target=n, modulus=Wv, optimum=optimum)
+    # the backtrack walks Python floats: a scalar loop over the support
+    # costs less than numpy calls on arrays of |support| floats.  It reads
+    # one row at a time, since the whole table as lists of Python floats
+    # would take about four times the table's bytes
+    steps = list(zip(support, beta.tolist(), fv.tolist()))
     parts_rev = []
+    row = dp[s].tolist()
     for i in range(s, 0, -1):
-        cur = dp[i][u]
-        cand = dp[i - 1][u - beta] + fv
-        hits = np.flatnonzero((cand == cur) | (np.abs(cand - cur) <= 1e-12))
-        if len(hits) == 0:
+        prev = dp[i - 1].tolist()
+        cur = row[u]
+        for b, step, value in steps:
+            cand = prev[u - step] + value
+            if cand == cur or abs(cand - cur) <= 1e-12:
+                break
+        else:
             raise RuntimeError("backtracking failed to find a transition")
-        j = int(hits[0])
-        parts_rev.append(support[j])
-        u = (u - int(beta[j])) % m
+        parts_rev.append(b)
+        u = (u - step) % m
+        row = prev
     parts = parts_rev[::-1]
     result = LocalDecomposition(
         target=n,

@@ -60,6 +60,13 @@ def _prime_powers(subset: PrimeSubset, k: int, hi: int) -> list[int]:
     return out
 
 
+def _mask_bytes(hi: int) -> int:
+    """The price of six bitmasks of bits 0..hi in whole words: a half-line
+    fold was traced at 5.1 of them (the caller's base, and as words the
+    running sumset, the addition's result, its shifted copy and carry)."""
+    return 48 * (hi // 64 + 1)
+
+
 def _reach(powers: list[int], s: int, hi: int) -> int:
     """Bitmask of every sum of s of the powers up to hi; 0 with no powers."""
     return line_power(bits_from(powers), s, hi) if powers else 0
@@ -76,12 +83,17 @@ def count_representations(
     integer recovery by rounding, refused if any count could reach 2^52,
     and before allocating when the kernel's price exceeds MEMORY_BUDGET.
     The kernel's price includes the 8 (hi + 1) bytes of the padded result.
-    bitset: reachability only; the returned array holds 0/1 flags.
+    bitset: reachability only; the returned array holds 0/1 flags.  It
+    prices six masks of hi + 1 bits (_mask_bytes) and 9 bytes a position
+    for the flags before it allocates.
     """
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     if hi < 0:
         raise ValueError(f"hi must be >= 0, got {hi}")
+    if method == "bitset":
+        # a bool and an int64 a position for the flags
+        require_bytes(_mask_bytes(hi) + 9 * (hi + 1), "count_representations(method='bitset')")
     powers = _prime_powers(subset, k, hi)
     if method == "brute":
         if s > BRUTE_S_CAP or hi > BRUTE_N_CAP:
@@ -175,10 +187,21 @@ def coverage_probe(
 
     Returns the report together with the reachability bitmask (useful for
     CSV emission and cross-checks).
+
+    Before it allocates, prices six masks of hi + 1 bits (_mask_bytes),
+    26 bytes a window position for the readout (n, its flags and the
+    admissible test's int64 temporaries) and 40 bytes for each of the
+    at most ceil(width / R_k) admissible n (every n when not filtered),
+    which may come back as listed exceptions (an int64 and a Python int in
+    a list).
     """
     lo, hi = window
     if not 0 <= lo <= hi:
         raise ValueError(f"bad window {window}")
+    width = hi - lo + 1
+    R = compute_Rk(k).value
+    listed = -(-width // R) if use_filter else width  # the admissible n at most
+    require_bytes(_mask_bytes(hi) + 26 * width + 40 * listed, "coverage_probe")
     reach = _reach(_prime_powers(subset, k, hi), s, hi)
     ns, adm, flags = _window_readout(reach, window, s, k, use_filter)
     report = CoverageReport(
@@ -186,7 +209,7 @@ def coverage_probe(
         s=s,
         subset=subset.spec.describe(),
         window=(lo, hi),
-        modulus=compute_Rk(k).value,
+        modulus=R,
         filtered=use_filter,
         admissible_count=int(adm.sum()),
         represented_count=int((adm & flags).sum()),
@@ -309,15 +332,21 @@ def transference_gauge(f_list: list[WeightedSequence], epsilon: float = 0.1) -> 
 
     def parts():
         # group equal arrays, in first-occurrence order, so repeated
-        # factors cost one half spectrum each
+        # factors cost one half spectrum each; equal arrays come in runs,
+        # so each is compared first with the group the one before joined
+        # (equality is transitive: at most one group matches)
         groups: list[list] = []
+        last = None
         for f in f_list:
-            for group in groups:
-                if group[0] is f.values or np.array_equal(group[0], f.values):
-                    group[1] += 1
-                    break
-            else:
-                groups.append([f.values, 1])
+            if last is None or not np.array_equal(last[0], f.values):
+                prev = last
+                last = next(
+                    (g for g in groups if g is not prev and np.array_equal(g[0], f.values)), None
+                )
+                if last is None:
+                    last = [f.values, 0]
+                    groups.append(last)
+            last[1] += 1
         for arr, mult in groups:
             yield arr / N, mult
 

@@ -452,6 +452,26 @@ class TestMemoryBudget:
             "error: transference_gauge needs about 4.52 GiB, over the memory budget of 4 GiB\n",
         )
 
+    def test_coverage(self, capsys):
+        # [0, 2 10^8] filtered at k = 2: six masks of the bits, 26 bytes a
+        # position and 40 for each of the 8,333,334 admissible n
+        argv = "coverage --k 2 --s 5 --lo 0 --hi 200000000".split()
+        assert run_cli(capsys, *argv) == (
+            2,
+            "",
+            "error: coverage_probe needs about 5.29 GiB, over the memory budget of 4 GiB\n",
+        )
+
+    def test_bitset_count(self, capsys):
+        # six masks of the bits and 9 bytes a position for the flags
+        argv = "count --k 2 --s 2 --hi 500000000 --method bitset".split()
+        assert run_cli(capsys, *argv) == (
+            2,
+            "",
+            "error: count_representations(method='bitset') needs about 4.54 GiB, "
+            "over the memory budget of 4 GiB\n",
+        )
+
     def test_count_past_float_range(self, capsys):
         # hi = 10^400 overflows a float; its exact square root 10^200 is
         # the sieve limit

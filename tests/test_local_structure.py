@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wglab.bitsets import (
@@ -437,6 +437,30 @@ class TestLocalDecompose:
         for n in range(1296):
             assert repr(local_decompose(fm(1296), 2, 44, n, f)) == repr(want(n))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(_COSET_MODULI),
+        st.integers(1, 12),
+        st.floats(0.05, 0.9),
+        st.sampled_from((0.0, 1e-13, 5e-13, 1e-12, 3e-12)),
+        st.integers(0, 2**16),
+    )
+    @example((16, 2), 3, 0.6, 1e-13, 0)
+    @example((11, 2), 5, 0.3, 1e-12, 1)
+    def test_backtrack_ties_equal_roll_loop(self, modulus, s, base, gap, seed):
+        """The backtrack over Python floats keeps the tie rule: the first
+        part in the sorted support within 1e-12 of the step's value.  The
+        two least unit residues weigh base and base + gap, the rest one of
+        those, a random weight or 0."""
+        m, k = modulus
+        units = power_residues(fm(m), k).unit_sorted
+        rng = random.Random(seed)
+        f = {b: rng.choice((0.0, base, base + gap, rng.uniform(0.01, 0.99))) for b in units}
+        f[units[0]], f[units[1]] = base, base + gap
+        want = _roll_loop_decompose(m, s, f)
+        for n in range(m):
+            assert repr(local_decompose(fm(m), k, s, n, f)) == repr(want(n))
+
     def test_off_coset_target_fails_at_once(self):
         """With 100 unit squares mod 810000, all = 1 (mod 24), s parts sum
         to s (mod 24): any other target fails with optimum None before the
@@ -532,6 +556,38 @@ def _roll_loop_decompose(m, s, f):
     return decompose
 
 
+# hi at and around a word boundary, or any; operands empty, sparse or
+# dense, with bits up to 760, above hi as often as not
+_HIS = st.one_of(st.sampled_from((0, 63, 64, 65)), st.integers(0, 700))
+_MASKS = st.one_of(
+    st.just(0),
+    st.sets(st.integers(0, 760), max_size=12).map(bits_from),
+    st.integers(0, (1 << 761) - 1),
+)
+
+
+def _bigint_line_add(X, Y, hi):
+    """line_add's former kernel: one shift and OR of the whole int X per
+    set bit of the sparser operand Y, then one clip to [0, hi]."""
+    if X == 0 or Y == 0:
+        return 0
+    if X.bit_count() < Y.bit_count():
+        X, Y = Y, X
+    out = 0
+    while Y:
+        low = Y & -Y
+        out |= X << (low.bit_length() - 1)
+        Y ^= low
+    return out & ((1 << (hi + 1)) - 1)
+
+
+def _bigint_line_power(B, s, hi):
+    result = B
+    for _ in range(s - 1):
+        result = _bigint_line_add(result, B, hi)
+    return result
+
+
 class TestBitHelpers:
     def test_round_trip(self):
         vals = [0, 3, 17, 40]
@@ -551,3 +607,25 @@ class TestBitHelpers:
             if t:
                 cur = line_add(cur, cur, hi)
         assert line_power(B, s, hi) == result
+
+    @settings(max_examples=300, deadline=None)
+    @given(_MASKS, _MASKS, _HIS)
+    @example(1 << 63, 0b11, 64)
+    @example((1 << 130) - 1, 1 << 65, 65)
+    def test_line_add_equals_bigint_kernel(self, X, Y, hi):
+        """The word kernel gives the whole-int shift-or's sumset, with the
+        operands in either order."""
+        want = _bigint_line_add(X, Y, hi)
+        assert line_add(X, Y, hi) == want
+        assert line_add(Y, X, hi) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(_MASKS, st.integers(1, 6), _HIS)
+    def test_line_power_equals_bigint_kernel(self, B, s, hi):
+        """s - 1 word additions give the whole-int kernel's sumset; s = 1
+        returns B itself, bits above hi and all."""
+        got = line_power(B, s, hi)
+        assert got == _bigint_line_power(B, s, hi)
+        if s == 1:
+            assert got is B
+

@@ -21,7 +21,7 @@ from wglab.core_arith import (
     sieve_primes,
 )
 from wglab.majorant import SubsetSpec, WeightedSequence, build_nu, gen_subset
-from wglab.representation import count_representations, transference_gauge
+from wglab.representation import count_representations, coverage_probe, transference_gauge
 from wglab.local_structure import power_residues
 from wglab.spectral import (
     _product_bytes,
@@ -144,6 +144,27 @@ def sizes_transference(monkeypatch):
     return gauge(1000), gauge(81_757_009), gauge(81_757_010)
 
 
+def sizes_count_bitset(monkeypatch):
+    # six masks of hi + 1 bits and 9 bytes a position: the estimate passes
+    # the budget at hi = 440,509,463
+    sub = gen_subset(SubsetSpec.all(), 100)
+    return tuple(
+        (lambda hi=hi: count_representations(sub, 2, 2, hi, method="bitset"))
+        for hi in (1000, 440_509_462, 440_509_463)
+    )
+
+
+def sizes_coverage(monkeypatch):
+    # the window [0, hi] at k = 2, s = 5, filtered: six masks, 26 bytes a
+    # position and 40 for each n = 5 (mod 24); over the budget from hi =
+    # 151,142,542
+    sub = gen_subset(SubsetSpec.all(), 100)
+    return tuple(
+        (lambda hi=hi: coverage_probe(sub, 2, 5, (0, hi)))
+        for hi in (1000, 151_142_541, 151_142_542)
+    )
+
+
 SIZES = {
     "sieve_primes": sizes_sieve,
     "gen_subset": sizes_gen_subset,
@@ -154,6 +175,8 @@ SIZES = {
     "dft_spectrum": sizes_dft_spectrum,
     "count_representations(method='fft')": sizes_count,
     "transference_gauge": sizes_transference,
+    "count_representations(method='bitset')": sizes_count_bitset,
+    "coverage_probe": sizes_coverage,
 }
 
 
@@ -217,6 +240,22 @@ def _small_calls(name):
         return calls + [
             lambda: count_representations(sub, 3, 2, 10**6),
             lambda: count_representations(small, 2, 2, 10**6),
+        ]
+    if name == "count_representations(method='bitset')":
+        sub = gen_subset(SubsetSpec.all(), 1100)
+        return [
+            lambda: count_representations(sub, 2, 5, 1 << 20, method="bitset"),
+            lambda: count_representations(sub, 3, 2, 1 << 18, method="bitset"),
+        ]
+    if name == "coverage_probe":
+        sub = gen_subset(SubsetSpec.all(), 1100)
+        # an unfiltered window where almost every n is listed (few sums of
+        # two cubes), a filtered one where the readout's temporaries set
+        # the peak, and a window that leaves out most of the masks' bits
+        return [
+            lambda: coverage_probe(sub, 3, 2, (0, 1 << 20), use_filter=False),
+            lambda: coverage_probe(sub, 4, 5, (0, 1 << 20)),
+            lambda: coverage_probe(sub, 2, 5, ((1 << 20) - 100, 1 << 20)),
         ]
     if name == "transference_gauge":
         rng = np.random.default_rng(0)
