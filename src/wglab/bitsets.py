@@ -2,14 +2,14 @@
 
 Sets of residues (cyclic, mod q) or of nonnegative integers (half-line,
 clipped at a bound) are stored as int bitmasks; sumset addition is a
-shift-or over the set bits of the sparser operand.  Cyclic sums stay on
-ints, whose widths are q bits, and their s-fold sumsets use repeated
-doubling on the binary expansion of s.  Half-line sums run on uint64 word
+shift-or over the set bits of the sparser operand.  Every s-fold sumset
+adds its base set s - 1 times.  Cyclic sums stay on ints, whose widths
+are q bits, and stop at the first addition that leaves the size
+unchanged: the rest is a rotation.  Half-line sums run on uint64 word
 arrays of hi // 64 + 1 words: the denser operand is shifted once per
 distinct bit offset r mod 64 among the sparser one's elements r, and each
 shifted copy is OR-ed in at word offset r >> 6, one aligned slice per
-element.  Their s-fold sumsets add the sparse base set s - 1 times,
-because a doubled half-line operand is dense.
+element.
 """
 
 from __future__ import annotations
@@ -69,22 +69,33 @@ def cyclic_add(X: int, Y: int, q: int) -> int:
 
 
 def cyclic_power(B: int, s: int, q: int) -> int:
-    """s-fold sumset of a residue bitmask mod q by repeated doubling."""
+    """s-fold sumset of a residue bitmask mod q by successive additions of
+    B, cut at the first addition that leaves the size unchanged.
+
+    If |S + B| = |S| then S + B = S + b for every b in B, since each S + b
+    lies in S + B and has |S| elements.  So every later addition turns the
+    sumset by b0, the least element of B, and the s-fold sumset is the
+    stalled one rotated by the remaining folds times b0 mod q.  B = 0
+    gives 0.  At q = 81, k = 2 a majority subset of the unit squares fills
+    its admissible class in 2 folds, so the second addition stalls.  The
+    fast path of every covering scan; cyclic_power_stepwise re-checks it.
+    """
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    result = None
-    cur = B
-    while s:
-        if s & 1:
-            result = cur if result is None else cyclic_add(result, cur, q)
-        s >>= 1
-        if s:
-            cur = cyclic_add(cur, cur, q)
+    result, size = B, B.bit_count()
+    for i in range(1, s):
+        result = cyclic_add(result, B, q)
+        if result.bit_count() == size:
+            b0 = (B & -B).bit_length() - 1
+            return cyclic_add(result, 1 << ((s - 1 - i) * b0 % q), q)
+        size = result.bit_count()
     return result
 
 
 def cyclic_power_stepwise(B: int, s: int, q: int) -> int:
-    """s-fold sumset by s-1 single additions; slow, used to re-verify."""
+    """s-fold sumset by all s - 1 single additions of B, with no stall exit:
+    the independent re-check of cyclic_power, which re-verifies every
+    covering witness and is the reference of its tests."""
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     result = B

@@ -166,19 +166,16 @@ class SumsetCover:
 
 
 def _target_mask(q: int, k: int, s: int, q_factored: FactoredModulus) -> int:
+    """The residues mod q congruent to s mod g = gcd(R_k, q): since g | q,
+    the repunit of q / g digits in base 2^g, shifted by s mod g."""
     g = compute_Rk(k).gcd_value(q_factored)
-    want = s % g
-    mask = 0
-    for a in range(q):
-        if a % g == want:
-            mask |= 1 << a
-    return mask
+    return ((1 << q) - 1) // ((1 << g) - 1) << s % g
 
 
-def _uncovered(q: FactoredModulus, k: int, s: int, mask: int) -> list[int]:
-    """The admissible targets mod q (_target_mask) missing from a sumset
-    bitmask, in increasing order."""
-    return bit_positions(_target_mask(q.value, k, s, q) & ~mask)
+def _uncovered(target: int, mask: int) -> list[int]:
+    """The residues of a target mask missing from a sumset bitmask, in
+    increasing order."""
+    return bit_positions(target & ~mask)
 
 
 def sumset_cover_check(q: FactoredModulus, k: int, s: int, B) -> SumsetCover:
@@ -198,7 +195,7 @@ def sumset_cover_check(q: FactoredModulus, k: int, s: int, B) -> SumsetCover:
     qv = q.value
     sum_mask = cyclic_power(bits_from(Bset), s, qv)
     targets = _target_mask(qv, k, s, q)
-    uncovered = _uncovered(q, k, s, sum_mask)
+    uncovered = _uncovered(targets, sum_mask)
     extra = bit_positions(sum_mask & ~targets)
     return SumsetCover(
         covered=not uncovered and not extra,
@@ -234,11 +231,11 @@ class WaringPairReport:
         }
 
 
-def _reverify_violation(q: FactoredModulus, k: int, s: int, B: list[int], n_units: int) -> list[int]:
+def _reverify_violation(B: list[int], s: int, q: int, target: int, n_units: int) -> list[int]:
     """Independent slow re-check of a claimed violation; returns the misses."""
     if not len(B) > n_units / 2:
         raise RuntimeError(f"claimed witness of size {len(B)} is not a majority subset")
-    misses = _uncovered(q, k, s, cyclic_power_stepwise(bits_from(B), s, q.value))
+    misses = _uncovered(target, cyclic_power_stepwise(bits_from(B), s, q))
     if not misses:
         raise RuntimeError("claimed violation did not re-verify")
     return misses
@@ -317,6 +314,20 @@ def _first_violation(candidates, q: int, s: int, target: int):
     return position, None
 
 
+def _subset_count(n: int, m: int, budget: int) -> int:
+    """C(n, m) by a running product over the smaller side that stops once
+    it passes budget, and then raises LimitExceededError naming C(n, m):
+    the whole count can have more digits than an int may print."""
+    total = 1
+    for i in range(min(m, n - m)):
+        total = total * (n - i) // (i + 1)
+        if total > budget:
+            break
+    if total > budget:
+        raise LimitExceededError(f"exhaustive scan needs C({n}, {m}) subsets, over budget {budget}")
+    return total
+
+
 def _exhaustive_chunk(args):
     """_first_violation over the combinations of lexicographic rank in
     [start, stop).  Module-level so multiprocessing can pickle it."""
@@ -345,26 +356,24 @@ def waring_pair_check(
     strategy may return the verdict "pair"; sampled and structured scans
     cap out at "no-violation-found".  Any "not-pair" verdict carries a
     witness that is re-verified through the slow stepwise sumset path.
+    An exhaustive scan of more than budget subsets is refused before the
+    units are sorted, by a count that stops at the budget.
     With threads != 1 a large exhaustive scan runs in a pool of
     min(threads, cpu_count, chunks) workers (every core when threads < 1).
     """
     if strategy not in ("exhaustive", "sampled", "structured"):
         raise ValueError(f"unknown strategy {strategy!r}")
     table = power_residues(q, k)
-    units = table.unit_sorted
-    n_units = len(units)
+    n_units = len(table.unit_residues)
     m0 = n_units // 2 + 1
+    total = _subset_count(n_units, m0, budget) if strategy == "exhaustive" else None
+    units = table.unit_sorted
     qv = q.value
     target = _target_mask(qv, k, s, q)
 
     verdict = "no-violation-found"
     if strategy == "exhaustive":
         verdict = "pair"
-        total = math.comb(n_units, m0)
-        if total > budget:
-            raise LimitExceededError(
-                f"exhaustive scan needs {total} subsets, over budget {budget}"
-            )
         chunks = [(0, total, qv, s, units, m0, target)]
         if threads != 1 and total >= _PARALLEL_MIN:
             import multiprocessing
@@ -401,7 +410,7 @@ def waring_pair_check(
     uncovered = None
     if witness is not None:
         verdict, witness = "not-pair", sorted(witness)
-        uncovered = _reverify_violation(q, k, s, witness, n_units)
+        uncovered = _reverify_violation(witness, s, qv, target, n_units)
     return WaringPairReport(
         q=qv,
         q_factors=q.factors,

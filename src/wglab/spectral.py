@@ -70,11 +70,13 @@ _SERIAL_MACS = 10**6
 
 def _use_product(S: int, M: int) -> bool:
     """Whether the half-grid product beats the rfft for S support points on
-    a grid of M points: M >= 2^15 and 64 S^2 <= min(M, 2^18), fitted to a
-    sweep of both paths over M = 2^14..2^24 and S = 2..512.  Below 2^15
-    points the rfft costs less than the product's fixed steps; from 2^18
-    points on, the product passes the rfft's cost near S = 64 to 96."""
-    return M >= 1 << 15 and 64 * S * S <= min(M, 1 << 18)
+    a grid of M points: S >= 1, M >= 2^15 and 64 S^2 <= min(M, 2^18),
+    fitted to a sweep of both paths over M = 2^14..2^24 and S = 2..512.
+    Below 2^15 points the rfft costs less than the product's fixed steps;
+    from 2^18 points on, the product passes the rfft's cost near S = 64 to
+    96.  A sequence with no support takes one rfft, since the product's
+    phase tables cannot be shaped for S = 0."""
+    return S >= 1 and M >= 1 << 15 and 64 * S * S <= min(M, 1 << 18)
 
 
 def _half_grid_shape(S: int, M: int) -> tuple[int, int, int, int]:
@@ -188,8 +190,8 @@ def _half_grid_product(c: np.ndarray, w: np.ndarray, M: int):
 def _take_product(values: np.ndarray, M: int, what: str, price):
     """The one path rule for every spectral consumer, from the support size
     S of values and M alone: the support's indices (support_index) for the
-    blocked matrix product (_use_product: M >= 2^15 and 64 S^2 <= min(M,
-    2^18)), None for one np.fft.rfft of the sequence zero-padded to M.
+    blocked matrix product (_use_product: S >= 1, M >= 2^15 and 64 S^2 <=
+    min(M, 2^18)), None for one np.fft.rfft of the sequence zero-padded to M.
     Both agree to rounding.
 
     Refuses the product path on M with 2 M^2 >= 2^63, where its exact

@@ -71,6 +71,12 @@ class TestWaringPair:
         assert json.loads(out)["verdict"] == "not-pair"
         assert "misses" in err
 
+    def test_over_budget_exits_two(self, capsys):
+        """C(15005, 7503) subsets at q = 30011: a count too long to print."""
+        code, out, err = run_cli(capsys, "waring-pair", "--q", "30011", "--s", "5")
+        assert (code, out) == (2, "")
+        assert "C(15005, 7503) subsets, over budget 33554432" in err
+
 
 class TestChecksAndReports:
     def test_coverage_clean_window(self, capsys, tmp_path):
@@ -124,6 +130,17 @@ class TestChecksAndReports:
         )
         assert code == 1
         assert "gauge" in err
+
+    @pytest.mark.parametrize("command", ["spectrum", "restrict --exponent 6.5"])
+    def test_no_support_at_w5(self, capsys, command):
+        """At w = 5 (W = 810,000) nu at b = 1 has no support point at
+        N = 2^14: the gauge reads 1 and the norm 0."""
+        argv = f"{command} --w 5 --k 2 --n 16384".split()
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        body = json.loads(out)
+        assert body["M"] == 1 << 17
+        assert body["value"] == (1.0 if command == "spectrum" else 0.0)
 
     def test_arcs(self, capsys):
         code, out, _ = run_cli(

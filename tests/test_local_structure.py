@@ -17,8 +17,9 @@ from wglab.bitsets import (
     line_add,
     line_power,
 )
-from wglab.core_arith import FactoredModulus, LimitExceededError, compute_W
+from wglab.core_arith import FactoredModulus, LimitExceededError, compute_Rk, compute_W
 from wglab.local_structure import (
+    _target_mask,
     DecompositionFailure,
     LocalDecomposition,
     local_decompose,
@@ -158,16 +159,42 @@ class TestSumsetCover:
         outer = cyclic_power(bits_from(big), s, q)
         assert inner & ~outer == 0  # sumset of the subset is contained
 
-    def test_doubling_equals_stepwise(self):
-        rng = random.Random(5)
-        for q, k in ((81, 2), (65, 2), (64, 3)):
-            units = sorted(power_residues(fm(q), k).unit_residues)
-            for _ in range(20):
-                B = rng.sample(units, rng.randint(1, len(units)))
-                s = rng.randint(1, 9)
-                assert cyclic_power(bits_from(B), s, q) == cyclic_power_stepwise(
-                    bits_from(B), s, q
-                )
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_stall_exit_equals_stepwise(self, data):
+        """The stall exit's rotation gives the s-fold sumset of every base:
+        empty, a singleton (stalls at the first addition), full or any
+        subset of Z_q."""
+        q = data.draw(st.integers(2, 200))
+        B = data.draw(
+            st.one_of(
+                st.just(0),
+                st.integers(0, q - 1).map(lambda r: 1 << r),
+                st.just((1 << q) - 1),
+                st.sets(st.integers(0, q - 1)).map(bits_from),
+                st.integers(0, (1 << q) - 1),
+            )
+        )
+        s = data.draw(st.integers(1, 40))
+        assert cyclic_power(B, s, q) == cyclic_power_stepwise(B, s, q)
+
+    def test_target_mask_equals_the_residue_loop(self):
+        """The closed-form target mask equals one shift-or per residue a
+        with a = s (mod gcd(R_k, q)), for q < 400, k <= 6 and s < 30."""
+        loops = {}
+        for q in range(2, 400):
+            fq = fm(q)
+            for k in range(1, 7):
+                g = compute_Rk(k).gcd_value(fq)
+                for s in range(30):
+                    want = s % g
+                    if (q, want, g) not in loops:
+                        mask = 0
+                        for a in range(q):
+                            if a % g == want:
+                                mask |= 1 << a
+                        loops[q, want, g] = mask
+                    assert _target_mask(q, k, s, fq) == loops[q, want, g]
 
 
 class _InProcessPool:
@@ -219,6 +246,14 @@ class TestWaringPairCheck:
     def test_budget_refusal(self):
         with pytest.raises(LimitExceededError):
             waring_pair_check(fm(81), 2, 16, "exhaustive", budget=10**4)
+
+    def test_count_past_printable_digits_refused_quickly(self):
+        """C(15005, 7503) at q = 30011 has about 4,500 digits, more than an
+        int may print; the scan is refused by a count cut at the budget."""
+        t0 = time.perf_counter()
+        with pytest.raises(LimitExceededError, match=r"C\(15005, 7503\) subsets, over budget"):
+            waring_pair_check(fm(30011), 2, 5, "exhaustive")
+        assert time.perf_counter() - t0 < 1
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):

@@ -466,6 +466,33 @@ class TestHalfGridKernels:
         assert peak < 1 << 20
 
 
+class TestEmptySupport:
+    """A sequence with no support takes one rfft even on grids where
+    _use_product holds for S >= 1, and reads the closed forms: D = 1 at
+    j = 0 from the interval alone, norm 0 and an all-zero spectrum."""
+
+    @pytest.mark.parametrize("N, M", [(1 << 12, None), (1 << 14, None), (1 << 13, 1 << 15)])
+    def test_zero_sequence(self, monkeypatch, N, M):
+        grid = M or spectral.default_grid(N)
+        assert grid >= 1 << 15 and _use_product(1, grid) and not _use_product(0, grid)
+        calls = []
+        real = np.fft.rfft
+
+        def counted(a, *args, **kwargs):
+            calls.append(len(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", counted)
+        zero = WeightedSequence(values=np.zeros(N), kind="custom", W=0, b=0, k=0)
+        rep = pseudorandom_gauge(zero, M)
+        assert (rep.D, rep.argmax_j) == (1.0, 0)
+        norm = restriction_norm(zero, 6.5, M)
+        assert norm.norm == 0.0 and norm.constant == 0.0
+        spec = dft_spectrum(zero, M)
+        assert spec.M == grid and not spec.values.any()
+        assert calls == [grid] * 3
+
+
 def _rfft_gauge_magnitudes(seq, M):
     """pseudorandom_gauge's rfft path: |rfft(seq - 1)| on bins 0..M/2."""
     arr = np.zeros(M)
