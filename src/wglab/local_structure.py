@@ -86,14 +86,19 @@ def _power_residues_cached(m: FactoredModulus, k: int) -> PowerResidueTable:
     powers.flags.writeable = False
     counts = np.bincount(powers, minlength=mv)
     present = np.flatnonzero(counts)
-    multiplicity = {int(r): int(counts[r]) for r in present}
-    units = frozenset(int(r) for r in present if math.gcd(int(r), mv) == 1)
+    residues = present.tolist()
+    # the units: residues divisible by no prime of m, one remainder pass a prime
+    unit = np.ones(present.size, dtype=bool)
+    for p in m.prime_support:
+        unit &= present % p != 0
+    # each set is built by adding its residues in increasing order, which
+    # fixes its iteration order: mean_g sums over the units in that order
     return PowerResidueTable(
         modulus=m,
         k=k,
-        all_residues=frozenset(int(r) for r in present),
-        unit_residues=units,
-        multiplicity=multiplicity,
+        all_residues=frozenset(residues),
+        unit_residues=frozenset(itertools.compress(residues, unit.tolist())),
+        multiplicity=dict(zip(residues, counts[present].tolist())),
         powers=powers,
     )
 

@@ -45,6 +45,8 @@ def admissible_filter(n: int | np.ndarray, s: int, k: int) -> bool | np.ndarray:
     modulus R_k for sums of s prime k-th powers?
 
     The one such test: a bool for an int n, a bool array for an int array.
+    Over a window the n it passes are one strided slice
+    (_admissible_positions).
     """
     return (n - s) % compute_Rk(k).value == 0
 
@@ -157,21 +159,24 @@ class CoverageReport:
 
     def csv_rows(self, reach):
         """One row "n,admissible,represented" per n in the window, as 0/1 flags."""
-        readout = _window_readout(reach, self.window, self.s, self.k, self.filtered)
-        for n, a, r in zip(*(column.tolist() for column in readout)):
+        lo, hi = self.window
+        flags = window_flags(reach, lo, hi)
+        adm = np.zeros(flags.size, dtype=bool)
+        adm[_admissible_positions(self.window, self.s, self.k, self.filtered)] = True
+        for n, a, r in zip(range(lo, hi + 1), adm.tolist(), flags.tolist()):
             yield f"{n},{int(a)},{int(r)}"
 
     def to_csv(self, path, reach) -> None:
         write_csv(path, "n,admissible,represented", self.csv_rows(reach))
 
 
-def _window_readout(reach: int, window, s: int, k: int, filtered: bool):
-    """(ns, admissible, represented) over the window [lo, hi]: each n, its
-    admissible_filter flag (every n when not filtered) and its reach bit."""
+def _admissible_positions(window, s: int, k: int, filtered: bool) -> slice:
+    """The n of the window [lo, hi] that pass admissible_filter, as a slice
+    of the positions n - lo: the one class n = s (mod R_k) is every R_k-th
+    position from the first n in it; every position when not filtered."""
     lo, hi = window
-    ns = np.arange(lo, hi + 1, dtype=np.int64)
-    adm = admissible_filter(ns, s, k) if filtered else np.ones(ns.size, dtype=bool)
-    return ns, adm, window_flags(reach, lo, hi)
+    R = compute_Rk(k).value if filtered else 1
+    return slice((s - lo) % R, hi - lo + 1, R)
 
 
 def coverage_probe(
@@ -189,11 +194,12 @@ def coverage_probe(
     CSV emission and cross-checks).
 
     Before it allocates, prices six masks of hi + 1 bits (_mask_bytes),
-    26 bytes a window position for the readout (n, its flags and the
-    admissible test's int64 temporaries) and 40 bytes for each of the
-    at most ceil(width / R_k) admissible n (every n when not filtered),
-    which may come back as listed exceptions (an int64 and a Python int in
-    a list).
+    2 bytes a window position for the readout (the window's bits as an
+    int and its bool flags) and 48 bytes for each of the at most
+    ceil(width / R_k) admissible n (every n when not filtered), which may
+    come back as listed exceptions (an int64 and a Python int in a list).
+    The readout takes the admissible n as one strided slice of the flags
+    (_admissible_positions).
     """
     lo, hi = window
     if not 0 <= lo <= hi:
@@ -201,9 +207,13 @@ def coverage_probe(
     width = hi - lo + 1
     R = compute_Rk(k).value
     listed = -(-width // R) if use_filter else width  # the admissible n at most
-    require_bytes(_mask_bytes(hi) + 26 * width + 40 * listed, "coverage_probe")
+    require_bytes(_mask_bytes(hi) + 2 * width + 48 * listed, "coverage_probe")
     reach = _reach(_prime_powers(subset, k, hi), s, hi)
-    ns, adm, flags = _window_readout(reach, window, s, k, use_filter)
+    adm = _admissible_positions(window, s, k, use_filter)
+    hit = window_flags(reach, lo, hi)[adm]
+    missed = np.flatnonzero(~hit)
+    missed *= adm.step
+    missed += lo + adm.start
     report = CoverageReport(
         k=k,
         s=s,
@@ -211,9 +221,9 @@ def coverage_probe(
         window=(lo, hi),
         modulus=R,
         filtered=use_filter,
-        admissible_count=int(adm.sum()),
-        represented_count=int((adm & flags).sum()),
-        exceptions=ns[adm & ~flags].tolist(),
+        admissible_count=hit.size,
+        represented_count=int(np.count_nonzero(hit)),
+        exceptions=missed.tolist(),
     )
     return report, reach
 
@@ -280,17 +290,27 @@ def _convolve(
     plus the result_bytes the caller allocates afterwards, under the name
     what before the first part is drawn from parts.
     Multiplies the parts' half spectra (spectral._half_spectrum), each
-    block raised to its multiplicity in place, then returns the one irfft
-    of the product and the sum of its |bins|.
+    block raised to its multiplicity in place, starting from the first
+    part's, then returns the one irfft of the product and the sum of its
+    |bins|.
     """
     grid = _smooth_above(max(hi, top - lo))
+    half = grid // 2 + 1
     require_bytes(6.5 * 8 * grid + result_bytes, what)
-    prod = np.ones(grid // 2 + 1, dtype=complex)
+    prod = None
     for values, mult in parts:
+        first = prod is None
         for j0, X in _half_spectrum(values, grid, what):
             if mult != 1:
                 X **= mult
-            prod[j0 : j0 + len(X)] *= X
+            if not first:
+                prod[j0 : j0 + len(X)] *= X
+            elif len(X) == half:  # the rfft's one chunk
+                prod = X
+            else:
+                if j0 == 0:
+                    prod = np.empty(half, dtype=complex)
+                prod[j0 : j0 + len(X)] = X
     return np.fft.irfft(prod, grid), np.sum(np.abs(prod))
 
 

@@ -58,14 +58,23 @@ def _padded_rfft(values: np.ndarray, M: int, shift: float = 0.0) -> np.ndarray:
     return np.fft.rfft(arr)
 
 
-# most cells of the half grid formed by one matrix product (256 KiB of
-# complex X); blocks of 2^13 to 2^16 cells ran within host noise of it
+# most cells of one phase block (256 KiB of complex X); blocks of 2^13 to
+# 2^16 cells ran within host noise of it
 _PRODUCT_BLOCK = 1 << 14
-# multiply-adds in one real matrix product.  OpenBLAS 0.3.31 (numpy 2.4's
-# wheels) runs a product of up to 100 x 100 x 100 on the calling thread;
-# on a 2-core VM each threaded call whose worker had gone idle stalled for
-# 7-16 ms, so a lone gauge at M = 2^15 took 16 ms against 0.5 ms.
+# multiply-adds in one block's real matrix product.  OpenBLAS 0.3.31
+# (numpy 2.4's wheels) runs a product of up to 100 x 100 x 100 on the
+# calling thread; on a 2-core VM each threaded call whose worker had gone
+# idle stalled for 7-16 ms, so a lone gauge at M = 2^15 took 16 ms against
+# 0.5 ms.  Grids of up to _GROUPED_ABOVE points keep one such product a
+# block: products of two blocks made the 54 gauges of a report on 2^17
+# points slower, 60 -> 91 ms with threads and 64 -> 83 ms without.
 _SERIAL_MACS = 10**6
+# above this many grid points, one matrix product stacks the rows of
+# consecutive blocks up to _CHUNK_CELLS cells: at M = 2^22, S = 55 the
+# 482 serial products of 17 x 110 x 512 ran at 27 GFLOP/s, where products
+# of 64 to 1024 rows reach 51-76 on two cores
+_GROUPED_ABOVE = 1 << 19
+_CHUNK_CELLS = 1 << 16
 
 
 def _use_product(S: int, M: int) -> bool:
@@ -83,7 +92,8 @@ def _half_grid_shape(S: int, M: int) -> tuple[int, int, int, int]:
     """Bins j = 0..M//2 as j = u T + t for S support points: the bin
     count, T, the row count and the rows of one block.  A block holds at
     most min(_PRODUCT_BLOCK, _SERIAL_MACS / 4S) cells, so that its real
-    product, 4 S multiply-adds a cell, stays on the calling thread.  T is
+    product, 4 S multiply-adds a cell, stays on the calling thread where a
+    block is one product (_blocks_per_product).  T is
     the power of two at or above the bin count's square root, which keeps
     R + T near its least: the S (R + T) complex products that form A and
     E.  It no longer sets the cos/sin count, which the factored tables
@@ -100,20 +110,31 @@ def _half_grid_shape(S: int, M: int) -> tuple[int, int, int, int]:
     return half, T, -(-half // T), max(1, block // T)
 
 
+def _blocks_per_product(M: int, block: int) -> int:
+    """How many consecutive blocks of block cells one matrix product of
+    _half_grid_product stacks: one on grids of up to _GROUPED_ABOVE
+    points, else as many as _CHUNK_CELLS cells hold."""
+    return max(1, _CHUNK_CELLS // block) if M > _GROUPED_ABOVE else 1
+
+
 def _product_bytes(S: int, M: int, block_words: int) -> float:
     """Peak of the product path: E with its complex phase table (48 bytes a
-    cell), the within-block phases with one block's A likewise, the
-    w-weighted phase of each block's first row, the Dirichlet kernel's
-    phase tables in the shape of S = 1 (DirichletKernel), then block_words
-    float64 arrays the size of one block."""
+    cell), the within-block phases with their table (32), the stacked A of
+    one product (16), the w-weighted phase of each block's first row, the
+    Dirichlet kernel's phase tables in the shape of S = 1
+    (DirichletKernel), then block_words float64 arrays the size of one
+    product's chunk of bins."""
     _, T, rows, step = _half_grid_shape(S, M)
     _, kernel_T, kernel_rows, _ = _half_grid_shape(1, M)
     blocks = -(-rows // step)
+    chunk = step * min(_blocks_per_product(M, step * T), blocks)
     return (
-        48.0 * S * (step + T)
+        48.0 * S * T
+        + 32.0 * S * step
+        + 16.0 * S * chunk
         + 16.0 * S * blocks
         + 64.0 * (kernel_rows + kernel_T)
-        + 8.0 * block_words * step * T
+        + 8.0 * block_words * chunk * T
     )
 
 
@@ -155,18 +176,20 @@ def _phase_table(c, count: int, step: int, M: int) -> np.ndarray:
 
 
 def _half_grid_product(c: np.ndarray, w: np.ndarray, M: int):
-    """X(j) = sum_s w_s e(-c_s j / 2M) on the bins j = 0..M//2, by blocks.
+    """X(j) = sum_s w_s e(-c_s j / 2M) on the bins j = 0..M//2, in chunks.
 
     With j = u T + t, X is the matrix product of A[u, s] = w_s e(-c_s u T /
     2M) and E[s, t] = e(-c_s t / 2M).  Block i holds rows u = i R_b + r,
     so its rows of A are w times the block's phase at r = 0 times the
     within-block phases at r, which every block shares; all three tables
-    come from _phase_table.  A block is one real product on the calling
-    thread (see _SERIAL_MACS): A viewed as real, Re and Im of each point
-    side by side, times the 2S x 2T matrix whose columns 2t and 2t + 1 give
-    Re X and Im X, so the result reads as complex X with no copy.  Yields
-    (j0, X) with X the bins j0, j0 + 1, ... of one block, flattened and cut
-    at M//2.
+    come from _phase_table.  One real product forms the bins of
+    _blocks_per_product consecutive blocks, their rows of A stacked: one
+    block on grids of up to _GROUPED_ABOVE points, a product that stays on
+    the calling thread (see _SERIAL_MACS), and about _CHUNK_CELLS cells
+    above.  A is viewed as real, Re and Im of each point side by side,
+    times the 2S x 2T matrix whose columns 2t and 2t + 1 give Re X and Im
+    X, so the result reads as complex X with no copy.  Yields (j0, X) with
+    X the bins j0, j0 + 1, ... of one product, flattened and cut at M//2.
     """
     S = len(c)
     half, T, rows, step = _half_grid_shape(S, M)
@@ -181,10 +204,12 @@ def _half_grid_product(c: np.ndarray, w: np.ndarray, M: int):
     blocks = _phase_table(c, -(-rows // step), step * T, M)
     blocks *= w
     within = _phase_table(c, step, T, M)
-    for i, u0 in enumerate(range(0, rows, step)):
-        A = (blocks[i] * within[: rows - u0]).view(float)
+    group = _blocks_per_product(M, step * T)
+    for i in range(0, len(blocks), group):
+        u0 = i * step
+        A = (blocks[i : i + group, None] * within).reshape(-1, S)[: rows - u0]
         j0 = u0 * T
-        yield j0, (A @ E).view(complex).ravel()[: half - j0]
+        yield j0, (A.view(float) @ E).view(complex).ravel()[: half - j0]
 
 
 def _take_product(values: np.ndarray, M: int, what: str, price):
@@ -199,7 +224,7 @@ def _take_product(values: np.ndarray, M: int, what: str, price):
     block_words, grids) then passes require_bytes, under the name what and
     before the path allocates, fft_grids float64 grids of length M on the
     FFT path, or on the product path _product_bytes with block_words
-    arrays of one block, plus grids grids of length M; or the support
+    arrays of one product's bins, plus grids grids of length M; or the support
     scan's len(values) bytes of mask and 8 S of indices, when they weigh
     more.
     """
@@ -221,8 +246,8 @@ def _take_product(values: np.ndarray, M: int, what: str, price):
 def _half_spectrum(values: np.ndarray, M: int, what: str, price=None):
     """X(j) = sum_n values[n - 1] e(-n j / M) on the bins j = 0..M//2, which
     hold a real sequence's whole spectrum since X(M - j) = conj X(j), as
-    (j0, X) blocks of consecutive bins: many blocks of the matrix product
-    over the support (_half_grid_product), or one block of the rfft, as
+    (j0, X) chunks of consecutive bins: many chunks of the matrix product
+    over the support (_half_grid_product), or one chunk of the rfft, as
     _take_product rules after it has refused or priced the call.
     """
     idx = _take_product(values, M, what, price)
@@ -327,8 +352,8 @@ def dft_spectrum(seq: WeightedSequence, M: int | None = None) -> Spectrum:
         M = default_grid(N)
     if M < 2 * N:
         raise ValueError(f"grid M = {M} must be >= 2N = {2 * N}")
-    # the grid comes at the first block, after _half_spectrum has priced it
-    # with X (three grids) or with two blocks' X
+    # the grid comes at the first chunk, after _half_spectrum has priced it
+    # with X (three grids) or with two products' X
     for j0, X in _half_spectrum(seq.values, M, "dft_spectrum", (3, 4, 2)):
         if j0 == 0:
             values = np.empty(M, dtype=complex)
@@ -632,8 +657,8 @@ def pseudorandom_gauge(
             f"a kernel of N = {kernel.N} on M = {kernel.M} cannot gauge N = {N} on M = {M}"
         )
     # the padded sequence and X (two grids), or the kernel's bins (half a
-    # grid) and five words a block cell: the last block's X and |X| held
-    # while the next block's X is formed
+    # grid) and five words a product's cell: the last product's X and |X|
+    # held while the next product's X is formed
     idx = _take_product(nu.values, M, "pseudorandom_gauge", (2, 5, 0.5))
     if idx is None:
         bins, blocks = None, [(0, _padded_rfft(nu.values, M, 1.0))]
@@ -712,8 +737,8 @@ def restriction_norm(
     if M < 4 * N:
         raise ValueError(f"grid M = {M} must be >= 4N = {4 * N}")
     total = 0.0
-    # the padded sequence and X (two grids), or five words a block: X,
-    # |X| and its power, some held over from the last
+    # the padded sequence and X (two grids), or five words a product's
+    # cell: X, |X| and its power, some held over from the last
     for j0, X in _half_spectrum(seq.values, M, "restriction_norm", (2, 5, 0)):
         mag = np.abs(X) ** exponent
         total += 2.0 * mag.sum()

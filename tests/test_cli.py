@@ -470,13 +470,13 @@ class TestMemoryBudget:
         )
 
     def test_coverage(self, capsys):
-        # [0, 2 10^8] filtered at k = 2: six masks of the bits, 26 bytes a
-        # position and 40 for each of the 8,333,334 admissible n
-        argv = "coverage --k 2 --s 5 --lo 0 --hi 200000000".split()
+        # [0, 10^9] filtered at k = 2: six masks of the bits, 2 bytes a
+        # position and 48 for each of the 41,666,667 admissible n
+        argv = "coverage --k 2 --s 5 --lo 0 --hi 1000000000".split()
         assert run_cli(capsys, *argv) == (
             2,
             "",
-            "error: coverage_probe needs about 5.29 GiB, over the memory budget of 4 GiB\n",
+            "error: coverage_probe needs about 4.42 GiB, over the memory budget of 4 GiB\n",
         )
 
     def test_bitset_count(self, capsys):

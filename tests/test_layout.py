@@ -6,7 +6,9 @@ map t^k mod m, which every other reader takes from power_residues; only
 bitsets packs bits, so the primes stay one byte mask; np.cos and np.sin
 are named only in spectral._cos_sin, which the product path's factored
 phase tables call on a few exact numerators; spectral and majorant find a
-sequence's support only through majorant.support_index.
+sequence's support only through majorant.support_index; matrix products,
+the package's BLAS calls, are made only in spectral._half_grid_product and
+spectral._dirichlet_block, so one rule sizes them.
 """
 
 import ast
@@ -138,3 +140,25 @@ def test_one_support_scan():
         for func in _sites(MODULES[name], _scans_values)
     ]
     assert sites == [("majorant", "support_index")]
+
+
+def _multiplies_matrices(node) -> bool:
+    """An @ product, in place or not, or a matrix-product function or
+    method: np.matmul, np.linalg.matmul, an array's .dot and the like."""
+    products = ("matmul", "dot", "vdot", "inner", "tensordot", "einsum")
+    return (
+        isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+    ) or (isinstance(node, ast.Attribute) and node.attr in products)
+
+
+def test_matrix_products_only_in_the_product_path():
+    """_half_grid_product's one product a chunk and the Dirichlet kernel's
+    two rank-two products a block."""
+    sites = [
+        (name, func) for name, tree in MODULES.items() for func in _sites(tree, _multiplies_matrices)
+    ]
+    assert sorted(sites) == [
+        ("spectral", "_dirichlet_block"),
+        ("spectral", "_dirichlet_block"),
+        ("spectral", "_half_grid_product"),
+    ]

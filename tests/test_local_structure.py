@@ -63,6 +63,27 @@ class TestPowerResidues:
         with pytest.raises(LimitExceededError):
             power_residues(fm(10**7 + 1), 2)
 
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(2, 3000), k=st.integers(1, 7))
+    @example(m=2, k=2)
+    @example(m=1296, k=2)
+    @example(m=2 * 3 * 5 * 7 * 11, k=4)
+    def test_table_equals_brute_force(self, m, k):
+        """Every field against a Python enumeration of z^k mod m, each set
+        in the iteration order of one built by adding its residues in
+        increasing order, which sums over the units (mean_g) follow."""
+        t = power_residues(fm(m), k)
+        counts = {}
+        for z in range(m):
+            r = pow(z, k, m)
+            counts[r] = counts.get(r, 0) + 1
+        counts = dict(sorted(counts.items()))
+        assert list(t.multiplicity.items()) == list(counts.items())
+        assert list(t.all_residues) == list(frozenset(r for r in counts))
+        units = frozenset(r for r in counts if math.gcd(r, m) == 1)
+        assert list(t.unit_residues) == list(units)
+        assert t.powers.tolist() == [pow(z, k, m) for z in range(m)]
+
 
 class TestRootMultiplicity:
     def test_values(self):

@@ -155,13 +155,13 @@ def sizes_count_bitset(monkeypatch):
 
 
 def sizes_coverage(monkeypatch):
-    # the window [0, hi] at k = 2, s = 5, filtered: six masks, 26 bytes a
-    # position and 40 for each n = 5 (mod 24); over the budget from hi =
-    # 151,142,542
+    # the window [0, hi] at k = 2, s = 5, filtered: six masks, 2 bytes a
+    # position and 48 for each n = 5 (mod 24); over the budget from hi =
+    # 904,203,632
     sub = gen_subset(SubsetSpec.all(), 100)
     return tuple(
         (lambda hi=hi: coverage_probe(sub, 2, 5, (0, hi)))
-        for hi in (1000, 151_142_541, 151_142_542)
+        for hi in (1000, 904_203_631, 904_203_632)
     )
 
 
@@ -277,9 +277,12 @@ def _small_calls(name):
     }[name]
     # build_nu at w = 3 is sparse enough for the product path, and so is
     # one point on a grid of 2^18, where the block arrays outweigh every fixed
-    # term; a dense sequence keeps the FFT path's estimate under test too
-    calls = [lambda nu=build_nu(W, 1, 2, N): path(nu) for N in (1 << 12, 1 << 14)]
+    # term; on 2^20 points, above spectral._GROUPED_ABOVE, nu and 64 points
+    # take products of many blocks; a dense sequence keeps the FFT path's
+    # estimate under test too
+    calls = [lambda nu=build_nu(W, 1, 2, N): path(nu) for N in (1 << 12, 1 << 14, 1 << 17)]
     calls += [lambda seq=_sparse(3 << 13, 1, 0): path(seq), lambda: path(_dense(1 << 12))]
+    calls.append(lambda seq=_sparse(1 << 17, 64, 2): path(seq))
     if name == "pseudorandom_gauge":
         # a family on 2^18 points, gauged in the order given with one
         # kernel, its bins formed by the first member and read by the rest,

@@ -15,6 +15,7 @@ from wglab.local_structure import LocalDecomposition, local_decompose
 from wglab.majorant import SubsetSpec, WeightedSequence, build_f, gen_subset, mean_g
 from wglab.representation import (
     FFTPrecisionError,
+    _admissible_positions,
     _smooth_above,
     admissible_filter,
     count_representations,
@@ -263,6 +264,18 @@ class TestTransference:
         assert prof.gauge == 0.0
         assert not prof.mean_each_ok
 
+    @pytest.mark.parametrize("s, N", [(2, 1), (2, 2), (3, 2), (44, 512), (2, 1 << 15)])
+    def test_zero_sequences(self, s, N):
+        """s zero sequences convolve to 0: every window value and the gauge
+        are exactly 0, both mean hypotheses fail, and no warning is raised
+        since the transform mass bound is 0 as well."""
+        zero = WeightedSequence(values=np.zeros(N), kind="custom", W=0, b=0, k=0)
+        prof = transference_gauge([zero] * s, epsilon=0.1)
+        assert prof.values.size == prof.window[1] - prof.window[0] + 1 >= 1
+        assert not prof.values.any() and prof.gauge == 0.0
+        assert prof.means == [0.0] * s
+        assert not (prof.mean_each_ok or prof.mean_sum_ok or prof.numeric_warning)
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             transference_gauge([WeightedSequence.indicator(64)], epsilon=0.1)
@@ -338,8 +351,24 @@ class TestTransferenceCongruence:
 
 
 class TestOneCongruenceTest:
-    """admissible_filter is the one (n - s) % R_k test: coverage_probe,
-    csv_rows and transference_gauge equal the inline formulas it replaced."""
+    """admissible_filter is the one (n - s) % R_k test, and the strided
+    slice that coverage_probe and csv_rows read passes the same n:
+    coverage_probe, csv_rows and transference_gauge equal the inline
+    formulas they replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lo=st.integers(0, 10**6),
+        width=st.integers(1, 400),
+        s=st.integers(1, 60),
+        k=st.integers(1, 6),
+        filtered=st.booleans(),
+    )
+    def test_window_slice_equals_the_filter(self, lo, width, s, k, filtered):
+        ns = np.arange(lo, lo + width, dtype=np.int64)
+        passed = admissible_filter(ns, s, k) if filtered else np.ones(width, dtype=bool)
+        positions = _admissible_positions((lo, lo + width - 1), s, k, filtered)
+        assert np.arange(width)[positions].tolist() == np.flatnonzero(passed).tolist()
 
     def test_scalar_and_vector_forms(self):
         ns = np.arange(-50, 500, dtype=np.int64)

@@ -45,6 +45,8 @@ from wglab.spectral import (
 )
 from wglab import cli, spectral
 from wglab.spectral import (
+    _CHUNK_CELLS,
+    _GROUPED_ABOVE,
     _PRODUCT_BLOCK,
     _SERIAL_MACS,
     _cos_sin,
@@ -493,6 +495,68 @@ class TestEmptySupport:
         assert calls == [grid] * 3
 
 
+_ULP = np.finfo(float).eps
+# grids on both sides of the product path's least M and of the grouped
+# products' bound
+_EDGE_GRIDS = [
+    (1 << 15) - 1,
+    1 << 15,
+    (1 << 15) + 1,
+    _GROUPED_ABOVE - 1,
+    _GROUPED_ABOVE,
+    _GROUPED_ABOVE + 1,
+    _GROUPED_ABOVE + 2,
+]
+
+
+class TestDegenerateInputs:
+    """Every spectral path on the least sequences, against closed forms:
+    the zero sequence's half spectrum is 0, so the gauge reads the
+    interval alone (D = 1, reached at j = 0) and the norm is 0; one point
+    of weight w at n has X(j) = w e(-n j / M), of modulus w at every j,
+    so its norm is w, and at N = 1 its gauge reads |w - 1|.  On every
+    grid the bins of the interval of N = 1 all have modulus 1, so there
+    the argmax is wherever rounding puts it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        S=st.sampled_from([0, 1]),
+        N=st.sampled_from([1, 2]),
+        grid=st.one_of(st.sampled_from(["2N", "4N"]), st.sampled_from(_EDGE_GRIDS)),
+        w=st.floats(0.25, 8.0),
+        at=st.integers(0, 1),
+    )
+    @example(S=1, N=2, grid=_GROUPED_ABOVE + 1, w=2.5, at=1)
+    @example(S=0, N=2, grid=_GROUPED_ABOVE + 1, w=1.0, at=0)
+    @example(S=1, N=1, grid=1 << 15, w=0.5, at=0)
+    @example(S=0, N=1, grid="2N", w=1.0, at=0)
+    def test_closed_forms(self, S, N, grid, w, at):
+        M = {"2N": 2 * N, "4N": 4 * N}.get(grid, grid)
+        n = min(at, N - 1) + 1  # the point's position
+        values = np.zeros(N)
+        values[n - 1] = w if S else 0.0
+        seq = WeightedSequence(values=values, kind="custom", W=0, b=0, k=0)
+        weight = w if S else 0.0
+        spec = dft_spectrum(seq, M)
+        assert spec.M == M
+        if S:
+            assert np.abs(np.abs(spec.values) - w).max() <= 4 * _ULP * w
+            j = np.arange(M)
+            assert np.abs(spec.values - w * np.exp(2j * np.pi * (n * j % M) / M)).max() <= 1e-13 * w
+        else:
+            assert not spec.values.any()
+        rep = pseudorandom_gauge(seq, M)
+        if S == 0:
+            assert abs(rep.D - 1.0) <= 32 * _ULP
+            if N == 2:
+                assert rep.argmax_j == 0
+        elif N == 1:
+            assert abs(rep.D - abs(w - 1)) <= 32 * _ULP * max(w, 1)
+        if M >= 4 * N:
+            norm = restriction_norm(seq, 6.5, M).norm
+            assert abs(norm - weight) <= 4 * _ULP * weight
+
+
 def _rfft_gauge_magnitudes(seq, M):
     """pseudorandom_gauge's rfft path: |rfft(seq - 1)| on bins 0..M/2."""
     arr = np.zeros(M)
@@ -639,6 +703,60 @@ class TestSparseProduct:
                 assert (rows - 1) * T < half <= rows * T
                 assert step * T <= _PRODUCT_BLOCK
                 assert 4 * S * step * T <= _SERIAL_MACS
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        S=st.integers(1, 64),
+        M=st.one_of(
+            st.integers(1 << 15, _GROUPED_ABOVE),
+            st.integers(_GROUPED_ABOVE + 1, 1 << 21),
+            st.sampled_from([_GROUPED_ABOVE, _GROUPED_ABOVE + 1, 1 << 21, (1 << 21) - 1]),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(S=55, M=1 << 22, seed=0)  # the transference gauge's shape
+    @example(S=64, M=_GROUPED_ABOVE + 1, seed=1)
+    @example(S=1, M=(1 << 21) + 1, seed=2)
+    @example(S=11, M=2655385, seed=450612829)  # a last block of one row
+    def test_grouped_products_equal_the_block_loop(self, S, M, seed):
+        """The half grid in products of many blocks' stacked rows of A,
+        against one product a block, inlined here as it ran before grids
+        above _GROUPED_ABOVE grouped their blocks, in chunks of whole
+        blocks that tile the half grid.  Bit for bit, but for a last block
+        of one row: numpy forms a one-row product as a matrix-vector
+        product, whose sums round apart from the stacked product's (in 2
+        of 250 random draws, by up to 1.2 ulps of max |X|).  There the
+        bins agree within 4 ulps of max |X|, with the same argmax."""
+        rng = np.random.default_rng(seed)
+        c = rng.integers(-2 * M, 2 * M, S)
+        w = rng.random(S) + 0.1
+        half, T, rows, step = _half_grid_shape(S, M)
+        phases = _phase_table(c, T, 1, M).T
+        E = np.empty((2 * S, T), dtype=complex)
+        E[0::2] = phases
+        np.negative(phases.imag, out=E[1::2].real)
+        E[1::2].imag = phases.real
+        E = E.view(float)
+        blocks = _phase_table(c, -(-rows // step), step * T, M) * w
+        within = _phase_table(c, step, T, M)
+        want = np.empty(half, dtype=complex)
+        for i, u0 in enumerate(range(0, rows, step)):
+            A = (blocks[i] * within[: rows - u0]).view(float)
+            X = (A @ E).view(complex).ravel()[: half - u0 * T]
+            want[u0 * T : u0 * T + len(X)] = X
+        got = np.empty(half, dtype=complex)
+        starts = []
+        for j0, X in spectral._half_grid_product(c, w, M):
+            starts.append(j0)
+            got[j0 : j0 + len(X)] = X
+        group = max(1, _CHUNK_CELLS // (step * T)) if M > _GROUPED_ABOVE else 1
+        assert starts == list(range(0, rows * T, group * step * T))
+        mag = np.abs(want)
+        assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * mag.max()
+        assert np.abs(got).argmax() == mag.argmax()
+        # bins of the loop's products of two rows or more
+        exact = (rows - 1) * T if rows % step == 1 and rows > 1 else half
+        assert got[:exact].tobytes() == want[:exact].tobytes()
 
     def test_phase_bound_refuses_before_allocating(self):
         seq = WeightedSequence.spike(64)
