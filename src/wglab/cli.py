@@ -15,6 +15,8 @@ from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
+
 from .core_arith import (
     FactoredModulus,
     LimitExceededError,
@@ -38,6 +40,7 @@ from .majorant import (
     gen_subset,
     mean_g,
     parse_subset_spec,
+    require_epsilon,
     write_csv,
 )
 from .representation import (
@@ -53,6 +56,7 @@ from .spectral import (
     default_grid,
     dft_spectrum,
     pseudorandom_gauge,
+    require_exponent,
     restriction_norm,
 )
 
@@ -205,8 +209,8 @@ def _sigma_body(W: FactoredModulus, k: int) -> dict:
         "W": W.value,
         "k": k,
         "phi": W.euler_phi,
-        "unit_count": len(table.unit_residues),
-        "sigma": {str(b): sigma_b(W, k, b) for b in table.unit_sorted},
+        "unit_count": table.units.size,
+        "sigma": {str(b): sigma_b(W, k, b) for b in table.units.tolist()},
     }
 
 
@@ -236,9 +240,9 @@ def cmd_local(args, get) -> Outcome:
         body = {
             "modulus": m,
             "k": k,
-            "all_count": len(table.all_residues),
-            "unit_count": len(table.unit_residues),
-            "units": table.unit_sorted if len(table.unit_residues) <= 512 else None,
+            "all_count": int(np.count_nonzero(table.counts)),
+            "unit_count": table.units.size,
+            "units": table.units.tolist() if table.units.size <= 512 else None,
         }
         return Outcome(body)
     # decompose, the last of the parser's choices
@@ -249,7 +253,7 @@ def cmd_local(args, get) -> Outcome:
     if not 0 <= args.f_const < 1:
         raise ConfigError(f"f-const must lie in [0, 1), got {args.f_const}")
     _plan(args, f"plan: decompose {n} mod {W.value} into {s} weighted parts")
-    f = {b: args.f_const for b in power_residues(W, k).unit_residues}
+    f = {b: args.f_const for b in power_residues(W, k).units.tolist()}
     result = local_decompose(W, k, s, n, f)
     body = {"target": result.target, "W": W.value, "s": s}
     if isinstance(result, DecompositionFailure):
@@ -281,11 +285,12 @@ def cmd_waring_pair(args, get) -> Outcome:
 
 
 def cmd_majorant(args, get) -> Outcome:
-    k, w, N = get("k"), get("w"), get("n")
+    k, w, N, epsilon = get("k"), get("w"), get("n"), get("epsilon")
     W = compute_W(w, k)
+    require_epsilon(epsilon)
     _plan(args, f"plan: majorant means at W={W.value}, k={k}, N={N}")
     subset = _subset_for(get, iroot(W.value * N + W.value, k))
-    body = mean_g(W, k, N, subset, epsilon=get("epsilon")).to_dict()
+    body = mean_g(W, k, N, subset, epsilon=epsilon).to_dict()
     body["subset_density"] = subset.density
     body["W_over_log_N"] = _regime(W.value, N)
     if args.save_seq:
@@ -338,6 +343,7 @@ def cmd_arcs(args, get) -> Outcome:
 def cmd_restrict(args, get) -> Outcome:
     k, w, N, b, exponent = get("k"), get("w"), get("n"), get("b"), get("exponent")
     W = compute_W(w, k)
+    require_exponent(exponent)
     _plan(args, f"plan: restriction constant at W={W.value}, b={b}, N={N}, exponent={exponent}")
     if args.spike:
         seq = WeightedSequence.spike(N)
@@ -384,6 +390,7 @@ def cmd_coverage(args, get) -> Outcome:
 
 def cmd_transfer(args, get) -> Outcome:
     k, s, N, epsilon = get("k"), get("s"), get("n"), get("epsilon")
+    require_epsilon(epsilon)
     _plan(args, f"plan: {s}-fold convolution gauge at N={N}, epsilon={epsilon}")
     if args.indicator:
         f_list = [WeightedSequence.indicator(N)] * s
@@ -434,7 +441,7 @@ def cmd_report(args, get) -> Outcome:
     write("thresholds.json", _json_report(thresholds))
     write("rk.json", _json_report(_rk_body(k)))
     write("sigma.json", _json_report(_sigma_body(W, k)))
-    bs = bs or power_residues(W, k).unit_sorted
+    bs = bs or power_residues(W, k).units.tolist()
     for N in n_list:
         Y = iroot(W.value * N + W.value, k)
         primes = sieve_primes(max(Y, 100))  # covers every b < W as well

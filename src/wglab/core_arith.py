@@ -32,8 +32,8 @@ __all__ = [
 # The one limit on array bytes: each array-heavy path prices its peak with
 # require_bytes before it allocates.  Caps that bound work instead stay with
 # their modules: DP_CELL_CAP (DP time), the exhaustive budget (subsets
-# scanned), ENUMERATION_CAP_DEFAULT (Python dicts), _ARC_SCAN_CAP and the
-# brute caps (Python loops).
+# scanned), ENUMERATION_CAP_DEFAULT (moduli enumerated, 0.5 s and 245 MB at
+# 10^7), _ARC_SCAN_CAP and the brute caps (Python loops).
 MEMORY_BUDGET = 4 << 30
 _SEGMENT = 1 << 22  # integers crossed off per slice of the sieve
 

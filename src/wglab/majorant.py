@@ -35,6 +35,12 @@ _CODE_KINDS = {v: k for k, v in KIND_CODES.items()}
 _SET_BYTES = 200
 
 
+def require_epsilon(epsilon: float) -> None:
+    """The one epsilon rule, of mean_g and transference_gauge: in (0, 1), not NaN."""
+    if not 0 < epsilon < 1:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+
+
 def write_binary(path, kind: str, W: int, b: int, k: int, length: int, payload) -> None:
     """The one binary file layout: five little-endian int64 (the code of
     kind, custom for an unknown kind; W, b, k, length), then payload as
@@ -456,8 +462,9 @@ def mean_g(
     one coprime to W adds its weight to the unique class b = p^k mod W it
     can support.  The report carries the density margin k*delta - (k-1)
     and the floor (1-epsilon)*delta computed from the subset's intended
-    density when that is known.
+    density when that is known.  epsilon must lie in (0, 1).
     """
+    require_epsilon(epsilon)
     table = power_residues(W, k)
     Wv = W.value
     Ymax = iroot(Wv * N + Wv, k)
@@ -467,14 +474,12 @@ def mean_g(
     ps = ps[np.gcd(ps, Wv) == 1]
     bs = table.powers[ps % Wv]  # the class p^k mod W of each p
     _, hit = _hits(ps, k, Wv, bs, N)
-    units = table.unit_sorted
     # every unit k-th power residue has the same root count sigma
     weights = _weights(W, sigma_b(W, k, 1), k, ps[hit])
-    sums = np.bincount(np.searchsorted(units, bs[hit]), weights, minlength=len(units))
-    class_sum = dict(zip(units, sums.tolist()))
-    # in the table's iteration order: the aggregate sums per_b left to right
-    per_b = {b: class_sum[b] / N for b in table.unit_residues}
-    aggregate = sum(per_b.values()) / len(per_b)
+    sums = np.bincount(np.searchsorted(table.units, bs[hit]), weights, minlength=table.units.size)
+    per_b = {b: total / N for b, total in zip(table.units.tolist(), sums.tolist())}
+    # correctly rounded, so no order of the classes changes it
+    aggregate = math.fsum(per_b.values()) / len(per_b)
     delta = subset.spec.intended_density
     margin = k * delta - (k - 1) if delta is not None else None
     floor = (1 - epsilon) * delta if delta is not None else None

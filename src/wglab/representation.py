@@ -16,7 +16,7 @@ import numpy as np
 
 from .bitsets import bits_from, line_power, window_flags
 from .core_arith import FactoredModulus, compute_Rk, require_bytes
-from .majorant import PrimeSubset, WeightedSequence, write_csv
+from .majorant import PrimeSubset, WeightedSequence, require_epsilon, write_csv
 from .spectral import _half_spectrum
 
 __all__ = [
@@ -341,8 +341,7 @@ def transference_gauge(f_list: list[WeightedSequence], epsilon: float = 0.1) -> 
     s = len(f_list)
     if s < 2:
         raise ValueError(f"need at least two sequences, got {s}")
-    if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    require_epsilon(epsilon)
     N = f_list[0].N
     if any(f.N != N for f in f_list):
         raise ValueError("all sequences must share one length")

@@ -716,6 +716,12 @@ class RestrictionReport:
         return _json_row(self, None, self.constant)
 
 
+def require_exponent(exponent: float) -> None:
+    """The one restriction exponent rule: finite and >= 2, not NaN or inf."""
+    if not 2 <= exponent < math.inf:
+        raise ValueError(f"exponent must be finite and >= 2, got {exponent}")
+
+
 def restriction_norm(
     seq: WeightedSequence, exponent: float, M: int | None = None
 ) -> RestrictionReport:
@@ -725,12 +731,11 @@ def restriction_norm(
     of the half spectrum (_half_spectrum) once, bin M/2 once when M is
     even, and every other bin twice.
 
-    Exponents below 2 are rejected; exponent exactly 2 is kept as a
-    reference mode where the constant is pinned to 1 for the interval by
-    the energy identity.
+    Exponents below 2 and non-finite ones are rejected (require_exponent);
+    exponent exactly 2 is kept as a reference mode where the constant is
+    pinned to 1 for the interval by the energy identity.
     """
-    if exponent < 2:
-        raise ValueError(f"exponent must be >= 2, got {exponent}")
+    require_exponent(exponent)
     N = seq.N
     if M is None:
         M = default_grid(N)

@@ -63,12 +63,12 @@ def test_acceptance_root_count_constancy():
     for w, k in ((2, 2), (3, 2), (2, 3), (3, 3), (5, 2)):
         W = compute_W(w, k)
         table = power_residues(W, k)
-        units = table.unit_sorted
+        units = table.units.tolist()
         sigmas = {sigma_b(W, k, b) for b in units}
         phi = W.euler_phi
         const = len(sigmas) == 1
         quotient = sigmas == {phi // len(units)}
-        total = sum(table.multiplicity[b] for b in units) == phi
+        total = sum(int(table.counts[b]) for b in units) == phi
         ok = ok and const and quotient and total
         details.append(f"(w={w},k={k}): sigma={min(sigmas)} x{len(units)}")
     finish("root-count constancy", 30, t0, ok, "; ".join(details))
@@ -79,7 +79,7 @@ def test_acceptance_power_class_counts():
     ok = True
     checked = 0
     for p, k in ((3, 2), (5, 2), (7, 2), (3, 3)):
-        units = sorted(power_residues(FactoredModulus.from_value(p), k).unit_residues)
+        units = power_residues(FactoredModulus.from_value(p), k).units.tolist()
         for a in units:
             count = power_class_count(p, k, a)  # also self-asserts the closed form
             ok = ok and count >= 1
@@ -288,7 +288,7 @@ def test_acceptance_local_decomposition():
         W = compute_W(w, k)
         table = power_residues(W, k)
         g = compute_Rk(k).gcd_value(W)
-        f_good = {b: 0.6 for b in table.unit_residues}
+        f_good = {b: 0.6 for b in table.units.tolist()}
         reachable = 0
         for n in range(W.value):
             if (n - s) % g != 0:
@@ -297,7 +297,7 @@ def test_acceptance_local_decomposition():
             ok = ok and isinstance(res, LocalDecomposition) and res.total > s / 2
             reachable += 1
         assert reachable > 0
-        f_bad = {b: 0.4 for b in table.unit_residues}
+        f_bad = {b: 0.4 for b in table.units.tolist()}
         bad = local_decompose(W, k, s, s % W.value, f_bad)
         ok = ok and isinstance(bad, DecompositionFailure) and bad.optimum <= s / 2
 
@@ -305,7 +305,7 @@ def test_acceptance_local_decomposition():
     rng = random.Random(20240810)
     for m, k in ((16, 2), (21, 2), (13, 2), (11, 2)):
         fmq = FactoredModulus.from_value(m)
-        units = sorted(power_residues(fmq, k).unit_residues)
+        units = power_residues(fmq, k).units.tolist()
         assert len(units) <= 8
         for s in (2, 4, 6):
             f = {b: rng.choice([0.0, round(rng.random(), 3)]) for b in units}

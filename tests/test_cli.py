@@ -524,6 +524,27 @@ class TestRejectedInputs:
     def test_count_window(self, capsys, argv, err):
         assert run_cli(capsys, *argv.split()) == (2, "", err)
 
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            ("restrict --n 256 --exponent nan", "exponent must be finite and >= 2, got nan"),
+            ("restrict --n 256 --exponent inf", "exponent must be finite and >= 2, got inf"),
+            ("majorant --n 256 --epsilon nan", "epsilon must lie in (0, 1), got nan"),
+            ("majorant --n 256 --epsilon 3", "epsilon must lie in (0, 1), got 3.0"),
+            ("transfer --s 2 --n 64 --epsilon nan", "epsilon must lie in (0, 1), got nan"),
+            (
+                "transfer --s 2 --n 64 --indicator --epsilon 0",
+                "epsilon must lie in (0, 1), got 0.0",
+            ),
+        ],
+        ids=["exponent-nan", "exponent-inf", "majorant-nan", "majorant-3", "transfer-nan",
+             "transfer-zero"],
+    )
+    def test_refused_before_the_plan(self, capsys, argv, err):
+        # each once ran to exit 0: the NaN ones printed "NaN", not JSON
+        for dry in ([], ["--dry-run"]):
+            assert run_cli(capsys, *argv.split(), *dry) == (2, "", f"error: {err}\n")
+
     def test_subset_class_out_of_range(self, capsys):
         argv = "majorant --n 64 --w 2 --subset classes:8:1,9".split()
         assert run_cli(capsys, *argv) == (

@@ -19,6 +19,7 @@ from wglab.bitsets import (
 )
 from wglab.core_arith import FactoredModulus, LimitExceededError, compute_Rk, compute_W
 from wglab.local_structure import (
+    _power_residues_cached,
     _target_mask,
     DecompositionFailure,
     LocalDecomposition,
@@ -38,26 +39,28 @@ def fm(n):
 class TestPowerResidues:
     def test_squares_mod_16(self):
         t = power_residues(fm(16), 2)
-        assert t.all_residues == {0, 1, 4, 9}
-        assert t.unit_residues == {1, 9}
+        assert np.flatnonzero(t.counts).tolist() == [0, 1, 4, 9]
+        assert t.units.tolist() == [1, 9]
 
     def test_squares_mod_3(self):
-        assert power_residues(fm(3), 2).unit_residues == {1}
+        assert power_residues(fm(3), 2).units.tolist() == [1]
 
     def test_unit_count_1296_with_crt_cross_check(self):
         t = power_residues(fm(1296), 2)
-        assert len(t.unit_residues) == 54
-        n16 = len(power_residues(fm(16), 2).unit_residues)
-        n81 = len(power_residues(fm(81), 2).unit_residues)
+        assert t.units.size == 54
+        n16 = power_residues(fm(16), 2).units.size
+        n81 = power_residues(fm(81), 2).units.size
         assert n16 * n81 == 54
 
     def test_multiplicity_invariants(self):
         for m, k in ((16, 2), (81, 2), (64, 3), (45, 2)):
             t = power_residues(fm(m), k)
-            assert t.unit_residues <= t.all_residues
-            assert all(t.multiplicity[b] >= 1 for b in t.all_residues)
+            image = np.flatnonzero(t.counts)
+            assert set(t.units.tolist()) <= set(image.tolist())
+            assert all(int(t.counts[b]) >= 1 for b in image)
+            assert int(t.counts.sum()) == m
             phi = fm(m).euler_phi
-            assert sum(t.multiplicity[b] for b in t.unit_residues) == phi
+            assert sum(int(t.counts[b]) for b in t.units) == phi
 
     def test_cap_refusal(self):
         with pytest.raises(LimitExceededError):
@@ -69,20 +72,37 @@ class TestPowerResidues:
     @example(m=1296, k=2)
     @example(m=2 * 3 * 5 * 7 * 11, k=4)
     def test_table_equals_brute_force(self, m, k):
-        """Every field against a Python enumeration of z^k mod m, each set
-        in the iteration order of one built by adding its residues in
-        increasing order, which sums over the units (mean_g) follow."""
+        """powers, counts and units against a Python enumeration of z^k mod
+        m, is_unit against gcd and counts, and all three arrays read-only."""
         t = power_residues(fm(m), k)
-        counts = {}
-        for z in range(m):
-            r = pow(z, k, m)
-            counts[r] = counts.get(r, 0) + 1
-        counts = dict(sorted(counts.items()))
-        assert list(t.multiplicity.items()) == list(counts.items())
-        assert list(t.all_residues) == list(frozenset(r for r in counts))
-        units = frozenset(r for r in counts if math.gcd(r, m) == 1)
-        assert list(t.unit_residues) == list(units)
-        assert t.powers.tolist() == [pow(z, k, m) for z in range(m)]
+        powers = [pow(z, k, m) for z in range(m)]
+        counts = [0] * m
+        for r in powers:
+            counts[r] += 1
+        units = [r for r in range(m) if counts[r] and math.gcd(r, m) == 1]
+        assert t.powers.tolist() == powers
+        assert t.counts.tolist() == counts
+        assert t.units.dtype == np.int64
+        assert t.units.tolist() == units
+        assert [r for r in range(m) if t.is_unit(r)] == units
+        for array in (t.powers, t.counts, t.units):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_peak_bytes_per_residue(self):
+        """The table's traced peak at a prime near 10^6, k = 2, measured at
+        24.5 bytes a residue: powers and counts, 8 bytes each, and the unit
+        filter's int64 temporaries.  Python containers of the residues
+        would take about 100."""
+        q = 999_983
+        tracemalloc.start()
+        try:
+            _power_residues_cached.__wrapped__(fm(q), 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 28 * q
 
 
 class TestRootMultiplicity:
@@ -110,8 +130,8 @@ class TestRootMultiplicity:
     def test_constant_over_unit_powers(self):
         W = compute_W(3, 2)
         t = power_residues(W, 2)
-        vals = {sigma_b(W, 2, b) for b in t.unit_sorted}
-        assert vals == {W.euler_phi // len(t.unit_residues)}
+        vals = {sigma_b(W, 2, b) for b in t.units.tolist()}
+        assert vals == {W.euler_phi // t.units.size}
 
 
 class TestPowerClassCount:
@@ -124,8 +144,7 @@ class TestPowerClassCount:
         # the function itself asserts enumeration == closed form; sweep it
         for p in (3, 5, 7):
             for k in (2, 3):
-                units = power_residues(fm(p), k).unit_residues
-                for a in sorted(units):
+                for a in power_residues(fm(p), k).units.tolist():
                     assert power_class_count(p, k, a) == p ** (2 * k - 1 - _tau(k, p))
 
     def test_rejects_even_prime_and_bad_class(self):
@@ -172,7 +191,7 @@ class TestSumsetCover:
         q = data.draw(st.sampled_from([16, 81, 45, 65, 1296]))
         k = data.draw(st.sampled_from([2, 3]))
         s = data.draw(st.integers(min_value=1, max_value=6))
-        units = sorted(power_residues(fm(q), k).unit_residues)
+        units = power_residues(fm(q), k).units.tolist()
         small = data.draw(st.sets(st.sampled_from(units), min_size=1))
         extra = data.draw(st.sets(st.sampled_from(units)))
         big = small | extra
@@ -391,6 +410,12 @@ class TestLocalDecompose:
         assert res.parts == [1] * 16
         assert res.total == pytest.approx(14.4)
 
+    @pytest.mark.parametrize("f", [{1: 0.6}, {1: 0.6, 4: 0.6}, {1: 0.6, 9: 0.6, 25: 0.6}, {}])
+    def test_f_off_the_units_rejected(self, f):
+        # the units mod 16 are 1 and 9; 25 is 9 unreduced, not a residue
+        with pytest.raises(ValueError, match=r"^f must be defined exactly on the 2 unit power"):
+            local_decompose(self.W, 2, 16, 0, f)
+
     def test_unreachable_reports_none(self):
         res = local_decompose(self.W, 2, 2, 3, {1: 0.6, 9: 0.6})
         assert isinstance(res, DecompositionFailure)
@@ -420,7 +445,7 @@ class TestLocalDecompose:
         rng = random.Random(99)
         cases = [(16, 2), (21, 2), (13, 2), (11, 2)]
         for m, k in cases:
-            units = sorted(power_residues(fm(m), k).unit_residues)
+            units = power_residues(fm(m), k).units.tolist()
             assert len(units) <= 8
             for _ in range(4):
                 f = {b: rng.choice([0.0, rng.random()]) for b in units}
@@ -445,7 +470,7 @@ class TestLocalDecompose:
         # 810000 residues, 13500 unit squares, all = 1 (mod 24): g = 24, so
         # 44 * 13500 * 33750 = 2.0e10 cells at s = 44
         W = compute_W(5, 2)
-        f = {b: 0.6 for b in power_residues(W, 2).unit_residues}
+        f = {b: 0.6 for b in power_residues(W, 2).units.tolist()}
         tracemalloc.start()
         t0 = time.perf_counter()
         try:
@@ -461,7 +486,7 @@ class TestLocalDecompose:
         """The coset step g = gcd(W, b - b0) of the whole unit power support
         is 1, 2, 8 and 24 at the moduli the roll-loop comparison samples."""
         for m, k, g in ((11, 2, 1), (64, 3, 2), (16, 2, 8), (1296, 2, 24)):
-            units = power_residues(fm(m), k).unit_sorted
+            units = power_residues(fm(m), k).units.tolist()
             assert math.gcd(m, *(b - units[0] for b in units)) == g
 
     @settings(max_examples=100, deadline=None)
@@ -472,7 +497,7 @@ class TestLocalDecompose:
         included (float repr round-trips exactly)."""
         m, k = modulus
         s = data.draw(st.integers(1, 44 if m == 1296 else 12))
-        units = power_residues(fm(m), k).unit_sorted
+        units = power_residues(fm(m), k).units.tolist()
         weight = st.one_of(st.just(0.0), st.sampled_from((0.3, 0.5, 0.6)), st.floats(0.01, 0.99))
         weights = data.draw(st.lists(weight, min_size=len(units), max_size=len(units)))
         # len(units): the empty support
@@ -487,7 +512,7 @@ class TestLocalDecompose:
         """The transference chain's shape, s = 44 at W = 1296, on weights
         drawn as the comparison above draws them, some residues zeroed."""
         rng = random.Random(seed)
-        units = power_residues(fm(1296), 2).unit_sorted
+        units = power_residues(fm(1296), 2).units.tolist()
         f = {b: rng.choice((0.0, 0.6, rng.uniform(0.01, 0.99))) for b in units}
         want = _roll_loop_decompose(1296, 44, f)
         for n in range(1296):
@@ -509,7 +534,7 @@ class TestLocalDecompose:
         two least unit residues weigh base and base + gap, the rest one of
         those, a random weight or 0."""
         m, k = modulus
-        units = power_residues(fm(m), k).unit_sorted
+        units = power_residues(fm(m), k).units.tolist()
         rng = random.Random(seed)
         f = {b: rng.choice((0.0, base, base + gap, rng.uniform(0.01, 0.99))) for b in units}
         f[units[0]], f[units[1]] = base, base + gap
@@ -551,14 +576,14 @@ class TestLocalDecompose:
     @staticmethod
     def _hundred_squares():
         W = compute_W(5, 2)  # 810000 states
-        units = power_residues(W, 2).unit_sorted
+        units = power_residues(W, 2).units.tolist()
         kept = set(random.Random(8).sample(units, 100))
         return W, 8, {b: (0.6 if b in kept else 0.0) for b in units}
 
     def test_gather_runs_in_blocks(self):
         """The per-round gather stays a bounded temporary beside the table."""
         W = compute_W(5, 2)  # 810000 states
-        units = sorted(power_residues(W, 2).unit_residues)
+        units = power_residues(W, 2).units.tolist()
         kept = set(random.Random(8).sample(units, 100))  # 26540 live states in round 3
         f = {b: (0.6 if b in kept else 0.0) for b in units}
         s = 3  # 3 * 100 * 810000 = 2.43e8 cells, under the cap

@@ -297,6 +297,13 @@ class TestMeans:
         assert rep.margin == pytest.approx(2 * 1.0 - 1)
         assert rep.floor == pytest.approx(0.9)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, 0.0, 1.0, 3.0, -0.5, math.inf])
+    def test_epsilon_outside_unit_interval_rejected(self, epsilon):
+        # NaN once gave a floor of NaN, 3 a floor of -2.0
+        sub = gen_subset(SubsetSpec.all(), 100)
+        with pytest.raises(ValueError, match=rf"^epsilon must lie in \(0, 1\), got {epsilon}$"):
+            mean_g(self.W, 2, 64, sub, epsilon=epsilon)
+
     def test_bernoulli_aggregate_with_margin(self):
         N = 2**16
         Y = math.isqrt(16 * N + 16) + 1
@@ -323,7 +330,7 @@ class TestMeans:
         rep = mean_g(W, k, N, sub)
         lhs = 0.0
         for b, g in rep.per_b.items():
-            lhs += (1296 * table.multiplicity[b] / W.euler_phi) * g * N
+            lhs += (1296 * int(table.counts[b]) / W.euler_phi) * g * N
         rhs = 0.0
         for p in range(2, Y + 1):
             if not is_prime(p) or p not in sub:
@@ -339,7 +346,7 @@ class TestMeans:
 
     def test_mean_deviation_shrinks_with_N(self):
         W = compute_W(3, 2)
-        bs = sorted(power_residues(W, 2).unit_residues)[:3]
+        bs = power_residues(W, 2).units.tolist()[:3]
         improved = 0
         for b in bs:
             lo = abs(build_nu(W, b, 2, 2**12).mean() - 1)
@@ -399,7 +406,7 @@ def _old_hits(W, b, k, N, xs):
 
 def _old_prime_weights(W, b, k, N, members=None):
     """build_nu's values before the shared kernel (build_f's with members)."""
-    sigma = power_residues(W, k).multiplicity[b % W.value]
+    sigma = int(power_residues(W, k).counts[b % W.value])
     Y = iroot(W.value * N + b, k)
     ns, pvals = _old_hits(W, b, k, N, sieve_primes(max(Y, 2)).primes(2, Y))
     if members is not None:
@@ -416,7 +423,7 @@ def _old_means(W, k, N, subset):
     table = power_residues(W, k)
     Wv, phi = W.value, W.euler_phi
     Ymax = iroot(Wv * N + Wv, k)
-    sums = {b: 0.0 for b in table.unit_residues}
+    sums = {b: 0.0 for b in table.units.tolist()}
     for p in map(int, sieve_primes(max(Ymax, 2)).primes(2, Ymax)):
         if not subset.members[p]:
             continue
@@ -426,9 +433,9 @@ def _old_means(W, k, N, subset):
             continue
         n = (pk - b) // Wv
         if 1 <= n <= N:
-            sums[b] += (phi / (Wv * table.multiplicity[b])) * k * p ** (k - 1) * math.log(p)
+            sums[b] += (phi / (Wv * int(table.counts[b]))) * k * p ** (k - 1) * math.log(p)
     per_b = {b: v / N for b, v in sums.items()}
-    return per_b, sum(per_b.values()) / len(per_b)
+    return per_b, math.fsum(per_b.values()) / len(per_b)
 
 
 class TestOneWeightKernel:
@@ -447,7 +454,7 @@ class TestOneWeightKernel:
     )
     def test_sequences_and_means_equal_old_code(self, w, k, N, pick, shift, delta, seed):
         W = compute_W(w, k)
-        units = sorted(power_residues(W, k).unit_residues)
+        units = power_residues(W, k).units.tolist()
         b = units[pick % len(units)] + (W.value if shift else 0)
         Y = iroot(W.value * N + W.value + b, k)
         subset = gen_subset(SubsetSpec.bernoulli(delta, seed), max(Y, 100))
@@ -458,6 +465,7 @@ class TestOneWeightKernel:
         assert nu.b == f.b == b  # stored as given, also past W
         report = mean_g(W, k, N, subset)
         per_b, aggregate = _old_means(W, k, N, subset)
+        assert list(report.per_b) == sorted(report.per_b)
         assert list(report.per_b.items()) == list(per_b.items())
         assert report.aggregate == aggregate
 
@@ -473,16 +481,16 @@ class TestOneWeightKernel:
         table = power_residues(W, k)
         kept = primes.primes(2, Y)
         kept = kept[subset.members[kept]]
-        sums = {b: 0.0 for b in table.unit_residues}
+        sums = {b: 0.0 for b in table.units.tolist()}
         for p, log_p in zip(kept.tolist(), np.log(kept).tolist()):
             pk = p**k
             b = pk % W.value
             if b in sums and 1 <= (pk - b) // W.value <= N:
-                coef = W.euler_phi / (W.value * table.multiplicity[b])
+                coef = W.euler_phi / (W.value * int(table.counts[b]))
                 sums[b] += coef * k * p ** (k - 1) * log_p
         per_b = {b: v / N for b, v in sums.items()}
         assert list(report.per_b.items()) == list(per_b.items())
-        assert report.aggregate == sum(per_b.values()) / len(per_b)
+        assert report.aggregate == math.fsum(per_b.values()) / len(per_b)
         assert report.aggregate > 0
 
 
@@ -496,12 +504,12 @@ def _old_mean_g(W, k, N, subset):
     ps = ps[subset.members[ps] & (np.gcd(ps, Wv) == 1)]
     bs = _vector_pow_mod(Wv, k)[ps % Wv]
     _, hit = _hits(ps, k, Wv, bs, N)
-    units = table.unit_sorted
-    weights = _weights(W, table.multiplicity[1], k, ps[hit])
+    units = table.units.tolist()
+    weights = _weights(W, int(table.counts[1]), k, ps[hit])
     sums = np.bincount(np.searchsorted(units, bs[hit]), weights, minlength=len(units))
     class_sum = dict(zip(units, sums.tolist()))
-    per_b = {b: class_sum[b] / N for b in table.unit_residues}
-    return per_b, sum(per_b.values()) / len(per_b)
+    per_b = {b: class_sum[b] / N for b in units}
+    return per_b, math.fsum(per_b.values()) / len(per_b)
 
 
 SUBSET_SPECS = [
@@ -568,11 +576,11 @@ def _mean_g_reference(W, k, N, subset, epsilon=0.1):
     ps = ps[np.gcd(ps, Wv) == 1]
     bs = table.powers[ps % Wv]
     _, hit = _hits(ps, k, Wv, bs, N)
-    units = table.unit_sorted
-    weights = _weights(W, table.multiplicity[1], k, ps[hit])
+    units = table.units.tolist()
+    weights = _weights(W, int(table.counts[1]), k, ps[hit])
     sums = np.bincount(np.searchsorted(units, bs[hit]), weights, minlength=len(units))
     class_sum = dict(zip(units, sums.tolist()))
-    per_b = {b: class_sum[b] / N for b in table.unit_residues}
+    per_b = {b: class_sum[b] / N for b in units}  # in ascending b
     delta = subset.spec.intended_density
     return MeanReport(
         W=Wv,
@@ -581,7 +589,7 @@ def _mean_g_reference(W, k, N, subset, epsilon=0.1):
         subset=subset.spec,
         epsilon=epsilon,
         per_b=per_b,
-        aggregate=sum(per_b.values()) / len(per_b),
+        aggregate=math.fsum(per_b.values()) / len(per_b),
         margin=k * delta - (k - 1) if delta is not None else None,
         floor=(1 - epsilon) * delta if delta is not None else None,
     )

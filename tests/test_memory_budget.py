@@ -288,7 +288,7 @@ def _small_calls(name):
         # kernel, its bins formed by the first member and read by the rest,
         # whose block shapes differ (64 points); no rfft member, whose two
         # grids would outweigh the kernel
-        bs = power_residues(W, 2).unit_sorted[:3]
+        bs = power_residues(W, 2).units.tolist()[:3]
         nus = [build_nu(W, b, 2, 1 << 14) for b in bs]
         nus.insert(1, _sparse(1 << 14, 64, 1))
 
@@ -343,7 +343,7 @@ def test_lone_and_held_gauges_price_alike(monkeypatch):
     half grid, whichever; an rfft member prices its two grids and no
     bins."""
     W, N, M = compute_W(3, 2), 1 << 14, 1 << 18
-    nus = [build_nu(W, b, 2, N) for b in power_residues(W, 2).unit_sorted[:2]]
+    nus = [build_nu(W, b, 2, N) for b in power_residues(W, 2).units.tolist()[:2]]
     members = [nus[0], _sparse(N, 64, 1), _dense(N), nus[1]]
     sizes = [int(np.count_nonzero(seq.values)) for seq in members]
     paths = [_use_product(S, M) for S in sizes]

@@ -378,6 +378,14 @@ class TestRestriction:
         with pytest.raises(ValueError):
             restriction_norm(WeightedSequence.indicator(64), 2.0, M=128)
 
+    @pytest.mark.parametrize("exponent", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_exponent(self, exponent):
+        # NaN once passed the exponent < 2 test and gave a NaN norm, inf a
+        # norm of 1.0 with a numpy RuntimeWarning
+        message = rf"^exponent must be finite and >= 2, got {exponent}$"
+        with pytest.raises(ValueError, match=message):
+            restriction_norm(WeightedSequence.indicator(64), exponent)
+
     def test_spike_constant_grows_like_a_power(self):
         for N in (2**12, 2**14):
             rep = restriction_norm(WeightedSequence.spike(N), 6.5)
@@ -638,7 +646,7 @@ class TestSparseProduct:
     )
     def test_majorant_sequences(self, w, N, pick, thinned, extra, exponent):
         W = compute_W(w, 2)
-        bs = power_residues(W, 2).unit_sorted
+        bs = power_residues(W, 2).units.tolist()
         b = bs[pick % len(bs)]
         if thinned:
             sub = gen_subset(SubsetSpec.bernoulli(0.8, pick), max(100, math.isqrt(W.value * (N + 1)) + 1))
@@ -779,7 +787,7 @@ def _family_member(N, M, kind, S, seed):
     picked by seed (W > 1, so its argmax is classified)."""
     if kind == "nu":
         W = compute_W(2, 2)
-        bs = power_residues(W, 2).unit_sorted
+        bs = power_residues(W, 2).units.tolist()
         return build_nu(W, bs[seed % len(bs)], 2, N)
     rng = np.random.default_rng(seed)
     vals = np.zeros(N)
@@ -915,7 +923,7 @@ class TestGaugeFamily:
         2^15 (six shapes), on M = 8N, share one kernel, so its tables at c
         = (N, 1) are one pair, as one lone gauge forms."""
         W, M = compute_W(3, 2), 8 * N
-        nus = [build_nu(W, b, 2, N) for b in power_residues(W, 2).unit_sorted]
+        nus = [build_nu(W, b, 2, N) for b in power_residues(W, 2).units.tolist()]
         sizes = [int(np.count_nonzero(nu.values)) for nu in nus]
         assert len(nus) == 54 and all(_use_product(S, M) for S in sizes)
         assert len({_half_grid_shape(S, M) for S in sizes}) == shapes
@@ -961,7 +969,7 @@ class TestKernelInProductShape:
     def test_report_gauges_bit_for_bit(self):
         """The 54 report gauges at N = 2^15, M = 2^18, in six shapes."""
         W, N, M = compute_W(3, 2), 1 << 15, 1 << 18
-        nus = [build_nu(W, b, 2, N) for b in power_residues(W, 2).unit_sorted]
+        nus = [build_nu(W, b, 2, N) for b in power_residues(W, 2).units.tolist()]
         assert len({_half_grid_shape(len(support_index(nu.values)), M) for nu in nus}) == 6
         got = [(rep.D.hex(), rep.argmax_j) for rep in _gauged_with_one_kernel(nus, M)]
         want = [(D.hex(), j) for D, j in (_gauge_in_product_shape(nu, M) for nu in nus)]
@@ -1026,7 +1034,7 @@ class TestGaugeOrder:
         cfg.write_text("k=2\nw=3\nn_list=16384,32768\n", encoding="utf-8")
         assert cli.main(["report", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert formed == [1 << 14, 1 << 15]
-        units = power_residues(compute_W(3, 2), 2).unit_sorted
+        units = power_residues(compute_W(3, 2), 2).units.tolist()
         assert gauges == units * 2
         for N in (1 << 14, 1 << 15):
             rows = (tmp_path / "out" / f"gauge_N{N}.jsonl").read_text().splitlines()
@@ -1143,7 +1151,7 @@ class TestOneCompleteSum:
     @pytest.mark.parametrize("w, k", [(2, 2), (2, 3), (3, 2), (3, 3)])
     def test_model_equals_old_root_count(self, w, k):
         W = compute_W(w, k)
-        bs = sorted(power_residues(W, k).unit_residues)
+        bs = power_residues(W, k).units.tolist()
         bs = bs[:: max(1, len(bs) // 3)]
         qs = range(1, 13) if W.value < 10**4 else (1, 2, 3, 4, 6)
         for b in bs:
