@@ -8,10 +8,13 @@ are named only in spectral._cos_sin, which the product path's factored
 phase tables call on a few exact numerators; spectral and majorant find a
 sequence's support only through majorant.support_index; matrix products,
 the package's BLAS calls, are made only in spectral._half_grid_product and
-spectral._dirichlet_block, so one rule sizes them.
+spectral._dirichlet_block, so one rule sizes them; each FFT has one call
+site: np.fft.rfft in spectral._padded_rfft, np.fft.irfft in
+representation._convolve and np.fft.ifft in representation._window_inverse.
 """
 
 import ast
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -162,3 +165,32 @@ def test_matrix_products_only_in_the_product_path():
         ("spectral", "_dirichlet_block"),
         ("spectral", "_half_grid_product"),
     ]
+
+
+def _numpy_fft(node, name=None) -> bool:
+    """np.fft.<name>, or any attribute of numpy's fft module when name is None."""
+    return (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "fft"
+        and isinstance(node.value.value, ast.Name)
+        and node.value.value.id in ("np", "numpy")
+        and name in (None, node.attr)
+    )
+
+
+def test_one_call_site_per_fft():
+    """The sequence's rfft, the kernel's one irfft of a grid and the window
+    inverse's batched short ifft; no other transform, and numpy.fft is
+    reached only through np."""
+    sites = []
+    for name, tree in MODULES.items():
+        for fft in {node.attr for node in ast.walk(tree) if _numpy_fft(node)}:
+            match = partial(_numpy_fft, name=fft)
+            sites += [(fft, name, func) for func in _sites(tree, match)]
+    assert sorted(sites) == [
+        ("ifft", "representation", "_window_inverse"),
+        ("irfft", "representation", "_convolve"),
+        ("rfft", "spectral", "_padded_rfft"),
+    ]
+    assert [name for name, tree in MODULES.items() if "numpy.fft" in _imported(tree)] == []

@@ -147,6 +147,17 @@ class TestPowerClassCount:
                 for a in power_residues(fm(p), k).units.tolist():
                     assert power_class_count(p, k, a) == p ** (2 * k - 1 - _tau(k, p))
 
+    @pytest.mark.parametrize("p, k", [(11, 2), (29, 2), (3, 4), (7, 3), (3, 6)])
+    def test_every_class_against_the_closed_form(self, p, k):
+        # p = 3, k = 6 has tau = 1; below 10^5 residues a set of the power
+        # map's values gives each count a second time
+        big = p ** (2 * k)
+        for a in power_residues(fm(p), k).units.tolist():
+            count = power_class_count(p, k, a)
+            assert count == p ** (2 * k - 1 - _tau(k, p))
+            if big <= 10**5:
+                assert count == len({r for r in (pow(t, k, big) for t in range(big)) if r % p == a})
+
     def test_rejects_even_prime_and_bad_class(self):
         with pytest.raises(ValueError):
             power_class_count(2, 2, 1)

@@ -12,11 +12,22 @@ from wglab import representation
 from wglab.bitsets import bits_from, line_power, window_flags
 from wglab.core_arith import compute_Rk, compute_W
 from wglab.local_structure import LocalDecomposition, local_decompose
-from wglab.majorant import SubsetSpec, WeightedSequence, build_f, gen_subset, mean_g
+from wglab.majorant import (
+    SubsetSpec,
+    WeightedSequence,
+    build_f,
+    gen_subset,
+    mean_g,
+    parse_subset_spec,
+)
 from wglab.representation import (
+    _COLUMN_SHARE,
+    _WINDOW_FLOOR,
     FFTPrecisionError,
     _admissible_positions,
     _smooth_above,
+    _window_inverse,
+    _window_split,
     admissible_filter,
     count_representations,
     coverage_probe,
@@ -105,8 +116,9 @@ class TestCounting:
 
 
 def fft_lengths(monkeypatch, call):
-    """call's result, and the length of every np.fft.rfft and irfft it made."""
-    lengths = {"rfft": [], "irfft": []}
+    """call's result, and the length of every np.fft.rfft, irfft and ifft it
+    made, the ifft's along its last axis."""
+    lengths = {"rfft": [], "irfft": [], "ifft": []}
     for name in lengths:
         real = getattr(np.fft, name)
 
@@ -167,7 +179,7 @@ class TestCountKernel:
         grid = smooth_above(2 * max(powers))
         assert _use_product(len(powers), grid) == product
         _, lengths = fft_lengths(monkeypatch, lambda: count_representations(sub, k, 2, 10**5))
-        assert lengths == {"rfft": [] if product else [grid], "irfft": [grid]}
+        assert lengths == {"rfft": [] if product else [grid], "irfft": [grid], "ifft": []}
 
 
 class TestCoverage:
@@ -561,7 +573,7 @@ class TestGaugeGrid:
         grid = smooth_above(max(hi, s * N - lo))
         prof, lengths = fft_lengths(monkeypatch, lambda: transference_gauge(f_list))
         assert prof.window == (lo, hi)
-        assert lengths == {"rfft": [grid] * len(set(parts)), "irfft": [grid]}
+        assert lengths == {"rfft": [grid] * len(set(parts)), "irfft": [grid], "ifft": []}
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -702,3 +714,105 @@ class TestThresholds:
         assert rep.s_min_theorem == max(16 * k * om + 4 * k + 3, k * k + k) + 1
         assert rep.s_min_local == 8 * k * om + 2 * k + 2
         assert rep.delta_threshold == Fraction(2 * k - 1, 2 * k)
+
+
+ODD_SMOOTH = sorted(3**b * 5**c for b in range(13) for c in range(9))
+
+
+def window_grids(twos):
+    """The grids 2^twos m, m odd and 5-smooth, from the window rule's floor
+    to 2^20 points."""
+    return [m << twos for m in ODD_SMOOTH if _WINDOW_FLOOR <= m << twos <= 1 << 20]
+
+
+def benchmark_chain(N, seed, s=44):
+    """The s parts of the paper's chain at w = 3, k = 2: the subset
+    bernoulli:0.97:seed, its class means, the decomposition of the target s
+    over the thinned means, and one f_b a part."""
+    W = compute_W(3, 2)
+    Wv = W.value
+    sub = gen_subset(parse_subset_spec(f"bernoulli:0.97:{seed}"), max(math.isqrt(Wv * N + Wv), 100))
+    means = mean_g(W, 2, N, sub, epsilon=0.1)
+    f_map = {b: max(0.0, min((g - 0.05) / 1.1, 1 - 1e-12)) for b, g in means.per_b.items()}
+    decomp = local_decompose(W, 2, s, s % Wv, f_map)
+    assert isinstance(decomp, LocalDecomposition)
+    return [build_f(W, b, 2, N, sub) for b in decomp.parts]
+
+
+class TestWindowInverse:
+    """The convolution kernel reads a small window of a large grid by the
+    four-step window inverse, with one irfft as its cross-check."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 4),
+        st.data(),
+        st.sampled_from(["start", "end", "point", "widest"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_irfft(self, twos, data, where, seed):
+        grid = data.draw(st.sampled_from(window_grids(twos)))
+        L1 = _window_split(grid, 1)
+        widest = grid // L1 // _COLUMN_SHARE
+        assert L1 and _window_split(grid, widest) == L1
+        assert _window_split(grid, widest + 1) == 0
+        width = {"point": 1, "widest": widest}.get(where) or data.draw(st.integers(1, widest))
+        lo = {"start": 0, "end": grid - width}.get(where)
+        if lo is None:
+            lo = data.draw(st.integers(0, grid - width))
+        rng = np.random.default_rng(seed)
+        half = grid // 2 + 1
+        H = rng.standard_normal(half) + 1j * rng.standard_normal(half)
+        H *= np.exp(-np.arange(half) / data.draw(st.sampled_from([10.0, 1e3, np.inf])))
+        want = np.fft.irfft(H, grid)[lo : lo + width]
+        got = _window_inverse(H, grid, lo, lo + width - 1, L1)
+        ulp = np.finfo(float).eps * np.abs(H).sum() * math.log2(grid) / grid
+        assert np.abs(got - want).max() <= 4 * ulp
+
+    def test_gauge_above_the_floor_makes_no_grid_irfft(self, monkeypatch):
+        s, N = 44, 1 << 14
+        rng = np.random.default_rng(6)
+        pair = [WeightedSequence(values=rng.random(N), kind="custom", W=0, b=0, k=0) for _ in "ab"]
+        f_list = pair * (s // 2)
+        lo, hi = window_of(s, N)
+        width = hi - lo + 1
+        grid = smooth_above(max(hi, s * N - lo))
+        L1 = _window_split(grid, width)
+        assert grid >= _WINDOW_FLOOR and L1
+        L2 = grid // L1
+        batch = max(1, grid // 8 // (L2 + width))
+        prof, lengths = fft_lengths(monkeypatch, lambda: transference_gauge(f_list))
+        assert prof.values.shape == (width,)
+        calls = -(-(L1 // 2 + 1) // batch)
+        assert lengths == {"rfft": [grid] * 2, "irfft": [], "ifft": [L2] * calls}
+
+    def test_count_keeps_one_irfft(self, monkeypatch):
+        # the counts up to hi = 450^2, half the top: a window of half the
+        # grid, read with the rest of the grid by one irfft
+        sub = all_primes(450)
+        hi = 450**2
+        powers = [p * p for p in map(int, sub.primes()) if p * p <= hi]
+        grid = smooth_above(2 * max(powers))
+        assert grid >= _WINDOW_FLOOR and grid % 4 == 0
+        counts, lengths = fft_lengths(monkeypatch, lambda: count_representations(sub, 2, 2, hi))
+        assert lengths == {"rfft": [grid], "irfft": [grid], "ifft": []}
+        padded = np.zeros(grid)
+        padded[powers] = 1.0
+        readout = np.fft.irfft(np.fft.rfft(padded) ** 2, grid)[: hi + 1]
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, np.rint(readout).astype(np.int64))
+
+    @pytest.mark.parametrize("N", [1 << 15, 1 << 16])
+    @pytest.mark.parametrize("seed", [37, 7373])
+    def test_benchmark_chain_matches_the_irfft(self, monkeypatch, N, seed):
+        f_list = benchmark_chain(N, seed)
+        lo, hi = window_of(44, N)
+        assert _window_split(_smooth_above(max(hi, 44 * N - lo)), hi - lo + 1)
+        prof = transference_gauge(f_list)
+        monkeypatch.setattr(representation, "_window_split", lambda grid, width: 0)
+        want = transference_gauge(f_list)
+        assert prof.window == want.window
+        assert np.abs(prof.values - want.values).max() <= 1e-12 * want.values.max()
+        assert math.isclose(prof.gauge, want.gauge, rel_tol=1e-12)
+        assert prof.numeric_warning == want.numeric_warning
+        assert (prof.mean_each_ok, prof.mean_sum_ok) == (want.mean_each_ok, want.mean_sum_ok)
