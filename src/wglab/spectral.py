@@ -58,21 +58,20 @@ def _padded_rfft(values: np.ndarray, M: int, shift: float = 0.0) -> np.ndarray:
     return np.fft.rfft(arr)
 
 
-# most cells of one phase block (256 KiB of complex X); blocks of 2^13 to
-# 2^16 cells ran within host noise of it
+# most cells of one serial product (256 KiB of complex X); products of
+# 2^13 to 2^16 cells ran within host noise of it
 _PRODUCT_BLOCK = 1 << 14
-# multiply-adds in one block's real matrix product.  OpenBLAS 0.3.31
+# multiply-adds in one serial real matrix product.  OpenBLAS 0.3.31
 # (numpy 2.4's wheels) runs a product of up to 100 x 100 x 100 on the
 # calling thread; on a 2-core VM each threaded call whose worker had gone
 # idle stalled for 7-16 ms, so a lone gauge at M = 2^15 took 16 ms against
-# 0.5 ms.  Grids of up to _GROUPED_ABOVE points keep one such product a
-# block: products of two blocks made the 54 gauges of a report on 2^17
-# points slower, 60 -> 91 ms with threads and 64 -> 83 ms without.
+# 0.5 ms.  Grids of up to _GROUPED_ABOVE points keep each product that
+# small: products of twice the cells made the 54 gauges of a report on
+# 2^17 points slower, 60 -> 91 ms with threads and 64 -> 83 ms without.
 _SERIAL_MACS = 10**6
-# above this many grid points, one matrix product stacks the rows of
-# consecutive blocks up to _CHUNK_CELLS cells: at M = 2^22, S = 55 the
-# 482 serial products of 17 x 110 x 512 ran at 27 GFLOP/s, where products
-# of 64 to 1024 rows reach 51-76 on two cores
+# above this many grid points, one matrix product holds _CHUNK_CELLS cells:
+# at M = 2^22, S = 55 the 482 serial products of 17 x 110 x 512 ran at
+# 27 GFLOP/s, where products of 64 to 1024 rows reach 51-76 on two cores
 _GROUPED_ABOVE = 1 << 19
 _CHUNK_CELLS = 1 << 16
 
@@ -90,52 +89,36 @@ def _use_product(S: int, M: int) -> bool:
 
 def _half_grid_shape(S: int, M: int) -> tuple[int, int, int, int]:
     """Bins j = 0..M//2 as j = u T + t for S support points: the bin
-    count, T, the row count and the rows of one block.  A block holds at
-    most min(_PRODUCT_BLOCK, _SERIAL_MACS / 4S) cells, so that its real
-    product, 4 S multiply-adds a cell, stays on the calling thread where a
-    block is one product (_blocks_per_product).  T is
+    count, T, the row count R and the rows C of one matrix product, the
+    one rule that sizes every BLAS call of the package.  On grids of up to
+    _GROUPED_ABOVE points a product holds at most min(_PRODUCT_BLOCK,
+    _SERIAL_MACS / 4S) cells, so that it, 4 S multiply-adds a cell, stays
+    on the calling thread; above, it holds _CHUNK_CELLS // T rows.  T is
     the power of two at or above the bin count's square root, which keeps
     R + T near its least: the S (R + T) complex products that form A and
     E.  It no longer sets the cos/sin count, which the factored tables
     (_phase_table) hold to the order of S sqrt(R + T); gauges at T / 8 to
-    T ran within host noise of each other.  T is halved until a block
-    holds 16 rows: products of one or two rows ran 2-4 times slower per
-    multiply-add.  The shape of S = 1 also blocks the Dirichlet kernel
-    (DirichletKernel), whatever the support of the gauge that reads it."""
+    T ran within host noise of each other.  T is halved until a serial
+    product holds 16 rows: products of one or two rows ran 2-4 times
+    slower per multiply-add.  The shape of S = 1 also sizes the Dirichlet
+    kernel's blocks (DirichletKernel), whatever the support of the gauge
+    that reads it."""
     half = M // 2 + 1
     block = min(_PRODUCT_BLOCK, _SERIAL_MACS // max(4 * S, 1))
     T = 1 << ((half - 1).bit_length() + 1) // 2
     while T > 1 and 16 * T > block:
         T //= 2
-    return half, T, -(-half // T), max(1, block // T)
-
-
-def _blocks_per_product(M: int, block: int) -> int:
-    """How many consecutive blocks of block cells one matrix product of
-    _half_grid_product stacks: one on grids of up to _GROUPED_ABOVE
-    points, else as many as _CHUNK_CELLS cells hold."""
-    return max(1, _CHUNK_CELLS // block) if M > _GROUPED_ABOVE else 1
+    cells = _CHUNK_CELLS if M > _GROUPED_ABOVE else block
+    return half, T, -(-half // T), max(1, cells // T)
 
 
 def _product_bytes(S: int, M: int, block_words: int) -> float:
     """Peak of the product path: E with its complex phase table (48 bytes a
-    cell), the within-block phases with their table (32), the stacked A of
-    one product (16), the w-weighted phase of each block's first row, the
-    Dirichlet kernel's phase tables in the shape of S = 1
-    (DirichletKernel), then block_words float64 arrays the size of one
-    product's chunk of bins."""
-    _, T, rows, step = _half_grid_shape(S, M)
-    _, kernel_T, kernel_rows, _ = _half_grid_shape(1, M)
-    blocks = -(-rows // step)
-    chunk = step * min(_blocks_per_product(M, step * T), blocks)
-    return (
-        48.0 * S * T
-        + 32.0 * S * step
-        + 16.0 * S * chunk
-        + 16.0 * S * blocks
-        + 64.0 * (kernel_rows + kernel_T)
-        + 8.0 * block_words * chunk * T
-    )
+    cell), the within-product phases with their table and one product's A
+    (48 a cell), the w-weighted phase of each product's first row, then
+    block_words float64 arrays the size of one product's bins."""
+    _, T, rows, C = _half_grid_shape(S, M)
+    return 48.0 * S * (T + C) + 16.0 * S * -(-rows // C) + 8.0 * block_words * C * T
 
 
 def _cos_sin(p: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
@@ -179,35 +162,31 @@ def _half_grid_product(c: np.ndarray, w: np.ndarray, M: int):
     """X(j) = sum_s w_s e(-c_s j / 2M) on the bins j = 0..M//2, in chunks.
 
     With j = u T + t, X is the matrix product of A[u, s] = w_s e(-c_s u T /
-    2M) and E[s, t] = e(-c_s t / 2M).  Block i holds rows u = i R_b + r,
-    so its rows of A are w times the block's phase at r = 0 times the
-    within-block phases at r, which every block shares; all three tables
-    come from _phase_table.  One real product forms the bins of
-    _blocks_per_product consecutive blocks, their rows of A stacked: one
-    block on grids of up to _GROUPED_ABOVE points, a product that stays on
-    the calling thread (see _SERIAL_MACS), and about _CHUNK_CELLS cells
-    above.  A is viewed as real, Re and Im of each point side by side,
-    times the 2S x 2T matrix whose columns 2t and 2t + 1 give Re X and Im
-    X, so the result reads as complex X with no copy.  Yields (j0, X) with
-    X the bins j0, j0 + 1, ... of one product, flattened and cut at M//2.
+    2M) and E[s, t] = e(-c_s t / 2M).  One real product forms the bins of
+    the C rows u = u0 + r that _half_grid_shape gives it, so its rows of A
+    are w times the product's phase at r = 0 times the within-product
+    phases at r, which every product shares; all three tables come from
+    _phase_table.  A is viewed as real, Re and Im of each point side by
+    side, times the 2S x 2T matrix whose columns 2t and 2t + 1 give Re X
+    and Im X, so the result reads as complex X with no copy.  Yields (j0,
+    X) with X the bins j0, j0 + 1, ... of one product, flattened and cut
+    at M//2.
     """
     S = len(c)
-    half, T, rows, step = _half_grid_shape(S, M)
+    half, T, rows, C = _half_grid_shape(S, M)
     # rows 2s and 2s + 1 of E take Re A_s and Im A_s: (a + ib) e = a e + b (i e)
-    phases = _phase_table(c, T, 1, M).T
-    E = np.empty((2 * S, T), dtype=complex)
-    E[0::2] = phases
-    np.negative(phases.imag, out=E[1::2].real)
-    E[1::2].imag = phases.real
-    E = E.view(float)
+    phases = _phase_table(c, T, 1, M)
+    E = np.empty((S, 2, T), dtype=complex)
+    E[:, 0] = phases.T
+    # from the (T, S) table itself: numpy then buffers only the strided out
+    np.multiply(phases, 1j, out=E[:, 1].T)
+    E = E.reshape(2 * S, T).view(float)
     del phases
-    blocks = _phase_table(c, -(-rows // step), step * T, M)
-    blocks *= w
-    within = _phase_table(c, step, T, M)
-    group = _blocks_per_product(M, step * T)
-    for i in range(0, len(blocks), group):
-        u0 = i * step
-        A = (blocks[i : i + group, None] * within).reshape(-1, S)[: rows - u0]
+    first = _phase_table(c, -(-rows // C), C * T, M)
+    first *= w
+    within = _phase_table(c, C, T, M)
+    for i, u0 in enumerate(range(0, rows, C)):
+        A = (first[i] * within)[: rows - u0]
         j0 = u0 * T
         yield j0, (A.view(float) @ E).view(complex).ravel()[: half - j0]
 
@@ -270,9 +249,9 @@ def _dirichlet_sines(N: int, M: int, rows: int, T: int):
 
 def _dirichlet_block(N: int, T: int, sines, j0: int, n: int) -> np.ndarray:
     """The Dirichlet kernel sin(pi N j / M) / sin(pi j / M), exactly N at
-    j = 0, on the bins j0..j0 + n - 1 of one block of _half_grid_product:
-    two rank-two products of the tables of _dirichlet_sines over the
-    block's rows, and one division."""
+    j = 0, on the bins j0..j0 + n - 1 of whole rows of T: two rank-two
+    products of the tables of _dirichlet_sines over the block's rows, and
+    one division."""
     u_ri, num_t, den_t = sines
     u = slice(j0 // T, -(-(j0 + n) // T))
     top = (u_ri[u, :2] @ num_t).ravel()[:n]
@@ -291,14 +270,15 @@ class DirichletKernel:
     The gauge turns both transforms by e((N + 1) j / 2M), which moves into
     the product's phases and turns the interval's transform into the real
     Dirichlet kernel (_dirichlet_block), a function of N and M alone.  The
-    bins are formed once, on first use, in the blocks of the shape of S =
-    1 (_half_grid_shape), and the sine tables are dropped.  A gauge with
-    no kernel forms its own; wglab report gives the residues of each N one
-    kernel, so a report at w = 3, k = 2, N = 2^14 and 2^15 forms the bins
-    twice.  Formed in the blocks of another S's shape, the bins would
-    differ by at most 5.7 ulps of N over M = 2^15..2^22 and S = 1..64:
-    too little to move a report row or the benchmark's gauges
-    (TestKernelInProductShape in the tests).
+    bins are formed once, on first use, in blocks of the C rows that
+    _half_grid_shape gives S = 1, and the sine tables are dropped with
+    the last block, before a gauge forms its product's tables, so the
+    product path prices the bins alone.  A gauge with no kernel forms its
+    own; wglab report gives the residues of each N one kernel, so a report
+    at w = 3, k = 2, N = 2^14 and 2^15 forms the bins twice.  Formed in the
+    blocks of another S's shape, the bins would differ by at most 5.7 ulps
+    of N over M = 2^15..2^22 and S = 1..64: too little to move a report
+    row or the benchmark's gauges (TestKernelInProductShape in the tests).
     """
 
     def __init__(self, N: int, M: int):
@@ -306,11 +286,11 @@ class DirichletKernel:
 
     @cached_property
     def bins(self) -> np.ndarray:
-        half, T, rows, step = _half_grid_shape(1, self.M)
+        half, T, rows, C = _half_grid_shape(1, self.M)
         sines = _dirichlet_sines(self.N, self.M, rows, T)
         bins = np.empty(half)
-        for j0 in range(0, half, step * T):
-            n = min(step * T, half - j0)
+        for j0 in range(0, half, C * T):
+            n = min(C * T, half - j0)
             bins[j0 : j0 + n] = _dirichlet_block(self.N, T, sines, j0, n)
         bins.flags.writeable = False  # read by every gauge given the kernel
         return bins

@@ -276,14 +276,17 @@ def _small_calls(name):
         "dft_spectrum": dft_spectrum,
     }[name]
     # build_nu at w = 3 is sparse enough for the product path, and so is
-    # one point on a grid of 2^18, where the block arrays outweigh every fixed
-    # term; on 2^20 points, above spectral._GROUPED_ABOVE, nu and 64 points
-    # take products of many blocks; a dense sequence keeps the FFT path's
-    # estimate under test too
+    # one point on a grid of 2^18, where the product arrays outweigh every
+    # fixed term; on 2^20 points, above spectral._GROUPED_ABOVE, nu and 64
+    # points take products of spectral._CHUNK_CELLS cells; a dense sequence
+    # keeps the FFT path's estimate under test too
     calls = [lambda nu=build_nu(W, 1, 2, N): path(nu) for N in (1 << 12, 1 << 14, 1 << 17)]
     calls += [lambda seq=_sparse(3 << 13, 1, 0): path(seq), lambda: path(_dense(1 << 12))]
     calls.append(lambda seq=_sparse(1 << 17, 64, 2): path(seq))
     if name == "pseudorandom_gauge":
+        # a lone gauge on 2^24 points forms its kernel's sine tables and
+        # drops them before its product's tables, which are priced alone
+        calls.append(lambda seq=_sparse(1 << 21, 64, 3): path(seq))
         # a family on 2^18 points, gauged in the order given with one
         # kernel, its bins formed by the first member and read by the rest,
         # whose block shapes differ (64 points); no rfft member, whose two
