@@ -307,7 +307,10 @@ def cmd_spectrum(args, get) -> Outcome:
     report = pseudorandom_gauge(nu, M)
     body = report.to_dict()
     body["argmax_alpha"] = report.argmax_alpha
-    body["arc"] = None if report.arc is None else report.arc.classification
+    body["arc"] = None
+    if report.sigma is not None:
+        params = ArcParams.for_sequence(W.value, N, k, sigma=report.sigma)
+        body["arc"] = arc_decompose(params, report.argmax_alpha).classification
     body["W_over_log_N"] = _regime(W.value, N)
     if args.csv:
         dft_spectrum(nu, M).to_csv(args.csv)

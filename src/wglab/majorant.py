@@ -266,37 +266,79 @@ def gen_subset(spec: SubsetSpec, limit: int, primes: PrimeSet | None = None) -> 
 def support_index(values: np.ndarray) -> np.ndarray:
     """The indices of the nonzero entries of a float array, as
     np.flatnonzero(values) gives them (NaN counts, -0.0 does not): the
-    package's one scan for a sequence's support.  It compares to 0 first,
-    a bool mask of len(values) bytes: on 2^15 weights of nu at w = 3 it
-    took 8.5 us, against 19 us for np.count_nonzero and 73 us for
-    np.flatnonzero of the floats (Xeon VM, numpy 2.4)."""
+    package's one scan of dense weights, which converts them to a
+    WeightedSequence's support.  It compares to 0 first, a bool mask of
+    len(values) bytes: on 2^15 weights of nu at w = 3 it took 8.5 us,
+    against 19 us for np.count_nonzero and 73 us for np.flatnonzero of the
+    floats (Xeon VM, numpy 2.4)."""
     return np.flatnonzero(values != 0)
 
 
-@dataclass
+@dataclass(init=False)
 class WeightedSequence:
-    """A nonnegative weight array over n = 1..N with its construction data.
+    """A nonnegative weight sequence over n = 1..N with its construction data.
 
-    values[i] is the weight at n = i + 1.  Y is the largest admissible
-    k-th root and L the logarithmic normalizer log((WN+W)^(1/k)); both are
-    meaningful only for the arithmetic kinds (W > 0).
+    Held as its support, index (the sorted 0-based positions i of the
+    nonzero weights, n = i + 1, as support_index gives them), and the
+    weights there: 16 bytes a support point, whatever N.  The builders
+    emit that pair from their hits (from_support); dense weights, given
+    as WeightedSequence(values, kind, W, b, k), are converted once through
+    support_index.  values forms the N weights on request.  Y is the
+    largest admissible k-th root and L the logarithmic normalizer
+    log((WN+W)^(1/k)); both are meaningful only for the arithmetic kinds
+    (W > 0).
     """
 
-    values: np.ndarray
+    N: int
+    index: np.ndarray
+    weights: np.ndarray
     kind: str
     W: int
     b: int
     k: int
     subset: SubsetSpec | None = None
 
-    def __post_init__(self):
-        if self.kind not in KIND_CODES:
-            raise ValueError(f"unknown sequence kind {self.kind!r}")
-        self.values = np.asarray(self.values, dtype=np.float64)
+    def __init__(self, values, kind: str, W: int, b: int, k: int, subset=None):
+        values = np.asarray(values, dtype=np.float64)
+        index = support_index(values)
+        self._hold(len(values), index, values[index], kind, W, b, k, subset)
+
+    @classmethod
+    def from_support(
+        cls, N: int, index, weights, kind: str, W: int, b: int, k: int, subset=None
+    ) -> "WeightedSequence":
+        """The sequence with weights[s] at n = index[s] + 1, index strictly
+        increasing in [0, N); zero weights (and -0.0) are dropped, as
+        support_index drops them from dense weights."""
+        index = np.asarray(index, dtype=np.int64)
+        weights = np.asarray(weights, dtype=np.float64)
+        if index.shape != weights.shape or index.ndim != 1:
+            raise ValueError(f"index {index.shape} and weights {weights.shape} must be one length")
+        if len(index) and not (
+            0 <= index[0] and index[-1] < N and bool(np.all(index[1:] > index[:-1]))
+        ):
+            raise ValueError(f"index must increase strictly within [0, {N})")
+        nonzero = weights != 0
+        if not nonzero.all():
+            index, weights = index[nonzero], weights[nonzero]
+        seq = cls.__new__(cls)
+        seq._hold(N, index, weights, kind, W, b, k, subset)
+        return seq
+
+    def _hold(self, N, index, weights, kind, W, b, k, subset) -> None:
+        if kind not in KIND_CODES:
+            raise ValueError(f"unknown sequence kind {kind!r}")
+        self.N, self.index, self.weights = N, index, weights
+        self.kind, self.W, self.b, self.k, self.subset = kind, W, b, k, subset
 
     @property
-    def N(self) -> int:
-        return len(self.values)
+    def values(self) -> np.ndarray:
+        """The N weights as one float64 array, values[i] at n = i + 1,
+        formed on each read after require_bytes has priced its 8 N bytes."""
+        require_bytes(8 * self.N, "WeightedSequence.values")
+        values = np.zeros(self.N)
+        values[self.index] = self.weights
+        return values
 
     @property
     def Y(self) -> int:
@@ -309,29 +351,29 @@ class WeightedSequence:
     def value_at(self, n: int) -> float:
         if not 1 <= n <= self.N:
             raise IndexError(f"n = {n} outside 1..{self.N}")
-        return float(self.values[n - 1])
+        s = int(np.searchsorted(self.index, n - 1))
+        return float(self.weights[s]) if s < len(self.index) and self.index[s] == n - 1 else 0.0
 
     def total(self) -> float:
-        return float(self.values.sum())
+        """The correctly rounded sum of the weights (math.fsum)."""
+        return math.fsum(self.weights)
 
     def mean(self) -> float:
         return self.total() / self.N
 
     def support(self) -> np.ndarray:
         """The supported n values (1-based)."""
-        return support_index(self.values) + 1
+        return self.index + 1
 
     @classmethod
     def indicator(cls, N: int) -> "WeightedSequence":
-        return cls(values=np.ones(N), kind="indicator", W=0, b=0, k=0)
+        return cls.from_support(N, np.arange(N), np.ones(N), "indicator", 0, 0, 0)
 
     @classmethod
     def spike(cls, N: int, mass: float | None = None, at: int = 1) -> "WeightedSequence":
         if not 1 <= at <= N:
             raise ValueError(f"spike position at = {at} outside 1..{N}")
-        v = np.zeros(N)
-        v[at - 1] = N if mass is None else mass
-        return cls(values=v, kind="custom", W=0, b=0, k=0)
+        return cls.from_support(N, [at - 1], [N if mass is None else mass], "custom", 0, 0, 0)
 
     def to_binary(self, path) -> None:
         """write_binary's header (kind code, W, b, k, N), then the N weights."""
@@ -351,7 +393,7 @@ class WeightedSequence:
         held = (len(raw) - 40) // 8
         if not 0 <= N <= held:
             raise ValueError(f"{path}: header says N = {N}, file holds {held} weights")
-        values = np.frombuffer(raw, dtype="<f8", count=N, offset=40).astype(np.float64)
+        values = np.frombuffer(raw, dtype="<f8", count=N, offset=40)
         return cls(values=values, kind=_CODE_KINDS[code], W=W, b=b, k=k)
 
     def to_csv(self, path) -> None:
@@ -396,10 +438,10 @@ def _prime_power_sequence(
     members = _primes_to(Y, primes).mask if subset is None else subset.members
     ps = np.flatnonzero(members[: Y + 1]).astype(np.int64)
     ns, hit = _hits(ps, k, W.value, b, N)
-    values = np.zeros(N)
-    values[ns - 1] = _weights(W, sigma, k, ps[hit])
     spec = None if subset is None else subset.spec
-    return WeightedSequence(values=values, kind=kind, W=W.value, b=b, k=k, subset=spec)
+    # ns increases with p, so the hits are the sorted support
+    weights = _weights(W, sigma, k, ps[hit])
+    return WeightedSequence.from_support(N, ns - 1, weights, kind, W.value, b, k, spec)
 
 
 def build_nu(

@@ -114,9 +114,8 @@ def count_representations(
             return np.zeros(hi + 1, dtype=np.int64)
 
         def indicator():
-            values = np.zeros(powers[-1])
-            values[np.subtract(powers, 1)] = 1.0  # position v at values[v - 1]
-            yield values, s
+            # weight 1 at each position v, index v - 1
+            yield np.subtract(powers, 1), np.ones(len(powers)), s
 
         top = s * powers[-1]
         what = "count_representations(method='fft')"
@@ -376,8 +375,9 @@ def _window_inverse(H: np.ndarray, grid: int, lo: int, hi: int, L1: int) -> np.n
 def _convolve(
     parts, top: int, lo: int, hi: int, what: str, result_bytes: int = 0
 ) -> tuple[np.ndarray, float]:
-    """The one convolution kernel: the product of parts, each (values,
-    multiplicity) with values[n - 1] at position n, on the window [lo, hi].
+    """The one convolution kernel: the product of parts, each (index,
+    weights, multiplicity) with weights[s] at position n = index[s] + 1, on
+    the window [lo, hi].
 
     The cyclic grid is the least 2^a 3^b 5^c strictly above both hi and
     top - lo, top the last position the product reaches: a grid above hi
@@ -397,9 +397,9 @@ def _convolve(
     half = grid // 2 + 1
     require_bytes(6.5 * 8 * grid + result_bytes, what)
     prod = None
-    for values, mult in parts:
+    for index, weights, mult in parts:
         first = prod is None
-        for j0, X in _half_spectrum(values, grid, what):
+        for j0, X in _half_spectrum(index, weights, grid, what):
             _raise(X, mult)
             if not first:
                 prod[j0 : j0 + len(X)] *= X
@@ -451,25 +451,26 @@ def transference_gauge(f_list: list[WeightedSequence], epsilon: float = 0.1) -> 
     lo = math.floor((1 - kappa**2) * s * N / 2) + 1
     hi = math.ceil((1 + kappa) * s * N / 2) - 1
 
+    def same(g, f) -> bool:
+        return np.array_equal(g[0], f.index) and np.array_equal(g[1], f.weights)
+
     def parts():
-        # group equal arrays, in first-occurrence order, so repeated
-        # factors cost one half spectrum each; equal arrays come in runs,
-        # so each is compared first with the group the one before joined
-        # (equality is transitive: at most one group matches)
+        # group equal sequences, in first-occurrence order, so repeated
+        # factors cost one half spectrum each; equal sequences come in
+        # runs, so each is compared first with the group the one before
+        # joined (equality is transitive: at most one group matches)
         groups: list[list] = []
         last = None
         for f in f_list:
-            if last is None or not np.array_equal(last[0], f.values):
+            if last is None or not same(last, f):
                 prev = last
-                last = next(
-                    (g for g in groups if g is not prev and np.array_equal(g[0], f.values)), None
-                )
+                last = next((g for g in groups if g is not prev and same(g, f)), None)
                 if last is None:
-                    last = [f.values, 0]
+                    last = [f.index, f.weights, 0]
                     groups.append(last)
-            last[1] += 1
-        for arr, mult in groups:
-            yield arr / N, mult
+            last[2] += 1
+        for index, weights, mult in groups:
+            yield index, weights / N, mult
 
     conv, mass = _convolve(parts(), s * N, lo, hi, "transference_gauge")
     window_vals = conv * N  # convolution / N^(s-1)

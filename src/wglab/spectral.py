@@ -16,7 +16,7 @@ import numpy as np
 
 from .core_arith import FactoredModulus, LimitExceededError, rational_approx, require_bytes
 from .local_structure import power_residues, sigma_b
-from .majorant import WeightedSequence, support_index, write_binary, write_csv
+from .majorant import WeightedSequence, write_binary, write_csv
 
 __all__ = [
     "Spectrum",
@@ -49,12 +49,19 @@ def default_grid(N: int, factor: int = 8) -> int:
     return factor * (1 << (N - 1).bit_length())
 
 
-def _padded_rfft(values: np.ndarray, M: int, shift: float = 0.0) -> np.ndarray:
-    """The rfft of values - shift at positions 1..N of a zero array of
-    length M: the FFT path's half spectrum, and the package's one rfft of a
-    sequence.  The gauge's shift of 1 takes the interval off."""
+def _padded_rfft(index: np.ndarray, weights: np.ndarray, M: int, interval: int = 0):
+    """The rfft of a zero array of length M holding weights at positions
+    index + 1, less 1 at positions 1..interval: the FFT path's half
+    spectrum, and the package's one rfft of a sequence.  The gauge's
+    interval of N takes the interval off; each support point then holds
+    weights - 1.0, the dense sequence's values - 1 bit for bit."""
     arr = np.zeros(M)
-    np.subtract(values, shift, out=arr[1 : len(values) + 1])
+    body = arr[1:]
+    if interval:
+        body[:interval] = -1.0
+        body[index] = weights - 1.0
+    else:
+        body[index] = weights
     return np.fft.rfft(arr)
 
 
@@ -112,13 +119,20 @@ def _half_grid_shape(S: int, M: int) -> tuple[int, int, int, int]:
     return half, T, -(-half // T), max(1, cells // T)
 
 
+# elements of the buffer numpy 2.4 gives a strided ufunc operand: building
+# E writes its (T, S) phases through one, 16 bytes an element
+_UFUNC_BUFFER = 8192
+
+
 def _product_bytes(S: int, M: int, block_words: int) -> float:
     """Peak of the product path: E with its complex phase table (48 bytes a
-    cell), the within-product phases with their table and one product's A
-    (48 a cell), the w-weighted phase of each product's first row, then
-    block_words float64 arrays the size of one product's bins."""
+    cell) and the ufunc buffer of its strided write, the within-product
+    phases with their table and one product's A (48 a cell), the
+    w-weighted phase of each product's first row, then block_words float64
+    arrays the size of one product's bins."""
     _, T, rows, C = _half_grid_shape(S, M)
-    return 48.0 * S * (T + C) + 16.0 * S * -(-rows // C) + 8.0 * block_words * C * T
+    E = 48.0 * S * T + 16.0 * min(S * T, _UFUNC_BUFFER)
+    return E + 48.0 * S * C + 16.0 * S * -(-rows // C) + 8.0 * block_words * C * T
 
 
 def _cos_sin(p: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
@@ -191,49 +205,44 @@ def _half_grid_product(c: np.ndarray, w: np.ndarray, M: int):
         yield j0, (A.view(float) @ E).view(complex).ravel()[: half - j0]
 
 
-def _take_product(values: np.ndarray, M: int, what: str, price):
+def _take_product(S: int, M: int, what: str, price) -> bool:
     """The one path rule for every spectral consumer, from the support size
-    S of values and M alone: the support's indices (support_index) for the
-    blocked matrix product (_use_product: S >= 1, M >= 2^15 and 64 S^2 <=
-    min(M, 2^18)), None for one np.fft.rfft of the sequence zero-padded to M.
-    Both agree to rounding.
+    S of a sequence (the length of its index, which it carries) and M
+    alone: True for the blocked matrix product (_use_product: S >= 1, M >=
+    2^15 and 64 S^2 <= min(M, 2^18)), False for one np.fft.rfft of the
+    sequence zero-padded to M.  Both agree to rounding.
 
     Refuses the product path on M with 2 M^2 >= 2^63, where its exact
     int64 phase numerators could overflow.  price = (fft_grids,
     block_words, grids) then passes require_bytes, under the name what and
     before the path allocates, fft_grids float64 grids of length M on the
     FFT path, or on the product path _product_bytes with block_words
-    arrays of one product's bins, plus grids grids of length M; or the support
-    scan's len(values) bytes of mask and 8 S of indices, when they weigh
-    more.
+    arrays of one product's bins, plus grids grids of length M.
     """
-    idx = support_index(values)
-    product = _use_product(len(idx), M)
+    product = _use_product(S, M)
     if product and 2 * M * M >= 1 << 63:
         raise LimitExceededError(f"{what} on M = {M} needs 2M^2 < 2^63 for exact phases")
     if price is not None:
         fft_grids, block_words, grids = price
         if product:
-            path = _product_bytes(len(idx), M, block_words) + 8.0 * grids * M
+            require_bytes(_product_bytes(S, M, block_words) + 8.0 * grids * M, what)
         else:
-            path = 8.0 * fft_grids * M
-        # the scan's mask is gone before the path allocates: the larger counts
-        require_bytes(max(len(values) + 8.0 * len(idx), path), what)
-    return idx if product else None
+            require_bytes(8.0 * fft_grids * M, what)
+    return product
 
 
-def _half_spectrum(values: np.ndarray, M: int, what: str, price=None):
-    """X(j) = sum_n values[n - 1] e(-n j / M) on the bins j = 0..M//2, which
-    hold a real sequence's whole spectrum since X(M - j) = conj X(j), as
-    (j0, X) chunks of consecutive bins: many chunks of the matrix product
-    over the support (_half_grid_product), or one chunk of the rfft, as
-    _take_product rules after it has refused or priced the call.
+def _half_spectrum(index: np.ndarray, weights: np.ndarray, M: int, what: str, price=None):
+    """X(j) = sum_s weights[s] e(-(index[s] + 1) j / M) on the bins j =
+    0..M//2, which hold a real sequence's whole spectrum since X(M - j) =
+    conj X(j), as (j0, X) chunks of consecutive bins: many chunks of the
+    matrix product over the support (_half_grid_product), or one chunk of
+    the rfft, as _take_product rules after it has refused or priced the
+    call.
     """
-    idx = _take_product(values, M, what, price)
-    if idx is None:
-        yield 0, _padded_rfft(values, M)
-        return
-    yield from _half_grid_product(2 * idx + 2, values[idx], M)
+    if _take_product(len(index), M, what, price):
+        yield from _half_grid_product(2 * index + 2, weights, M)
+    else:
+        yield 0, _padded_rfft(index, weights, M)
 
 
 def _dirichlet_sines(N: int, M: int, rows: int, T: int):
@@ -249,13 +258,14 @@ def _dirichlet_sines(N: int, M: int, rows: int, T: int):
 
 def _dirichlet_block(N: int, T: int, sines, j0: int, n: int) -> np.ndarray:
     """The Dirichlet kernel sin(pi N j / M) / sin(pi j / M), exactly N at
-    j = 0, on the bins j0..j0 + n - 1 of whole rows of T: two rank-two
-    products of the tables of _dirichlet_sines over the block's rows, and
-    one division."""
+    j = 0, on the bins j0..j0 + n - 1: two rank-two products of the tables
+    of _dirichlet_sines over the rows of T that hold the block, and one
+    division, read from offset j0 % T of the first row."""
     u_ri, num_t, den_t = sines
     u = slice(j0 // T, -(-(j0 + n) // T))
-    top = (u_ri[u, :2] @ num_t).ravel()[:n]
-    bottom = (u_ri[u, 2:] @ den_t).ravel()[:n]
+    cut = slice(j0 % T, j0 % T + n)
+    top = (u_ri[u, :2] @ num_t).ravel()[cut]
+    bottom = (u_ri[u, 2:] @ den_t).ravel()[cut]
     if j0 == 0:
         top[0], bottom[0] = N, 1.0
     top /= bottom
@@ -265,33 +275,47 @@ def _dirichlet_block(N: int, T: int, sines, j0: int, n: int) -> np.ndarray:
 class DirichletKernel:
     """The interval's half spectrum on the product path: the bins 0..M//2
     that every product-path pseudorandom_gauge of length N on the grid M
-    reads, 8 (M//2 + 1) bytes.
+    reads.
 
     The gauge turns both transforms by e((N + 1) j / 2M), which moves into
     the product's phases and turns the interval's transform into the real
-    Dirichlet kernel (_dirichlet_block), a function of N and M alone.  The
-    bins are formed once, on first use, in blocks of the C rows that
-    _half_grid_shape gives S = 1, and the sine tables are dropped with
-    the last block, before a gauge forms its product's tables, so the
-    product path prices the bins alone.  A gauge with no kernel forms its
-    own; wglab report gives the residues of each N one kernel, so a report
-    at w = 3, k = 2, N = 2^14 and 2^15 forms the bins twice.  Formed in the
-    blocks of another S's shape, the bins would differ by at most 5.7 ulps
-    of N over M = 2^15..2^22 and S = 1..64: too little to move a report
-    row or the benchmark's gauges (TestKernelInProductShape in the tests).
+    Dirichlet kernel (_dirichlet_block), a function of N and M alone, in
+    the rows of T that _half_grid_shape gives S = 1.  A kernel that a
+    caller holds forms bins, 8 (M//2 + 1) bytes, once, on first use, in
+    blocks of the C rows of that shape, and drops the sine tables with the
+    last block, before a gauge forms its product's tables; wglab report
+    gives the residues of each N one kernel, so a report at w = 3, k = 2,
+    N = 2^14 and 2^15 forms the bins twice.  A gauge given no kernel makes
+    one that forms no bins: block forms each of its products' bins from
+    the sine tables, the same bit for bit (16.8 MB not held at M = 2^22).
+    Formed in the rows of another S's shape, the bins would differ by at
+    most 5.7 ulps of N over M = 2^15..2^22 and S = 1..64: too little to
+    move a report row or the benchmark's gauges (TestKernelInProductShape
+    in the tests).
     """
 
     def __init__(self, N: int, M: int):
         self.N, self.M = N, M
 
     @cached_property
+    def _sines(self):
+        _, T, rows, _ = _half_grid_shape(1, self.M)
+        return T, _dirichlet_sines(self.N, self.M, rows, T)
+
+    def block(self, j0: int, n: int) -> np.ndarray:
+        """The bins j0..j0 + n - 1, formed alone from the sine tables
+        (_dirichlet_block) and held by no one: the same bits as bins."""
+        T, sines = self._sines
+        return _dirichlet_block(self.N, T, sines, j0, n)
+
+    @cached_property
     def bins(self) -> np.ndarray:
-        half, T, rows, C = _half_grid_shape(1, self.M)
-        sines = _dirichlet_sines(self.N, self.M, rows, T)
+        half, T, _, C = _half_grid_shape(1, self.M)
         bins = np.empty(half)
         for j0 in range(0, half, C * T):
             n = min(C * T, half - j0)
-            bins[j0 : j0 + n] = _dirichlet_block(self.N, T, sines, j0, n)
+            bins[j0 : j0 + n] = self.block(j0, n)
+        del self._sines  # before a gauge forms its product's tables
         bins.flags.writeable = False  # read by every gauge given the kernel
         return bins
 
@@ -334,7 +358,7 @@ def dft_spectrum(seq: WeightedSequence, M: int | None = None) -> Spectrum:
         raise ValueError(f"grid M = {M} must be >= 2N = {2 * N}")
     # the grid comes at the first chunk, after _half_spectrum has priced it
     # with X (three grids) or with two products' X
-    for j0, X in _half_spectrum(seq.values, M, "dft_spectrum", (3, 4, 2)):
+    for j0, X in _half_spectrum(seq.index, seq.weights, M, "dft_spectrum", (3, 4, 2)):
         if j0 == 0:
             values = np.empty(M, dtype=complex)
         # conj flips to the e(+n alpha) convention
@@ -346,9 +370,8 @@ def dft_spectrum(seq: WeightedSequence, M: int | None = None) -> Spectrum:
 
 def transform_at(seq: WeightedSequence, alpha: float) -> complex:
     """Direct evaluation of the transform at one frequency (support only)."""
-    idx = support_index(seq.values)
-    ns = idx + 1
-    return complex(np.sum(seq.values[idx] * np.exp(2j * np.pi * alpha * ns)))
+    ns = seq.index + 1
+    return complex(np.sum(seq.weights * np.exp(2j * np.pi * alpha * ns)))
 
 
 def interval_transform_at(N: int, alpha: float) -> complex:
@@ -580,7 +603,7 @@ def _json_row(report, sigma: float | None, value: float) -> dict:
     return dict(N=report.N, M=report.M, w=w, k=report.k, b=report.b, sigma=sigma, value=value)
 
 
-# the arc exponents pseudorandom_gauge tries at its argmax, in order
+# the arc exponents pseudorandom_gauge tries, in order
 _SIGMA_CHAIN = (4.0, 3.0, 2.0, 1.5, 1.0)
 
 
@@ -597,7 +620,6 @@ class GaugeReport:
     b: int
     k: int
     sigma: float | None
-    arc: Arc | None
 
     def to_dict(self) -> dict:
         return _json_row(self, self.sigma, self.D)
@@ -615,17 +637,17 @@ def pseudorandom_gauge(
     argmax, the first index of the maximum, is therefore canonical:
     argmax_j <= M/2 and argmax_alpha lies in [0, 1/2].
 
-    The support is found by one scan (support_index) that also sizes the
-    path.  The product path reads the bins of kernel, a DirichletKernel of
-    the same N and M, or of its own when none is given, formed before the
-    product's tables; the result is the same bit for bit either way, and
-    so is the price, which counts the bins as half a grid.  A kernel of
-    another N or M is refused with ValueError.  The FFT path forms no
-    bins.
+    The support size S, the length of nu.index, sizes the path.  The
+    product path reads the bins of kernel, a DirichletKernel of the same N
+    and M, formed before the product's tables; given none, it forms each
+    product's bins alone (DirichletKernel.block) and holds no bins array.
+    The result is the same bit for bit either way, and so is the price,
+    which counts the bins as half a grid.  A kernel of another N or M is
+    refused with ValueError.  The FFT path forms no bins.
 
-    The argmax frequency is classified into major/minor arcs using the
-    first exponent in _SIGMA_CHAIN that yields a nondegenerate P < Q; the
-    exponent actually used is recorded in the report.
+    sigma records the first exponent in _SIGMA_CHAIN whose arc parameters
+    are nondegenerate (P < Q) for an arithmetic sequence (W > 1), the one
+    to classify the argmax with (arc_decompose); None otherwise.
     """
     N = nu.N
     if M is None:
@@ -639,30 +661,31 @@ def pseudorandom_gauge(
     # the padded sequence and X (two grids), or the kernel's bins (half a
     # grid) and five words a product's cell: the last product's X and |X|
     # held while the next product's X is formed
-    idx = _take_product(nu.values, M, "pseudorandom_gauge", (2, 5, 0.5))
-    if idx is None:
-        bins, blocks = None, [(0, _padded_rfft(nu.values, M, 1.0))]
+    if _take_product(len(nu.index), M, "pseudorandom_gauge", (2, 5, 0.5)):
+        if kernel is None:
+            bins_at = DirichletKernel(N, M).block
+        else:
+            bins = kernel.bins  # formed before the product's tables
+            bins_at = lambda j0, n: bins[j0 : j0 + n]
+        blocks = _half_grid_product(2 * nu.index + 1 - N, nu.weights, M)
     else:
-        bins = (kernel or DirichletKernel(N, M)).bins
-        blocks = _half_grid_product(2 * idx + 1 - N, nu.values[idx], M)
+        bins_at, blocks = None, [(0, _padded_rfft(nu.index, nu.weights, M, N))]
     peak, j = -1.0, 0
     for j0, X in blocks:
-        if bins is not None:
-            X.real -= bins[j0 : j0 + len(X)]
+        if bins_at is not None:
+            X.real -= bins_at(j0, len(X))
         mag = np.abs(X)
         k = int(mag.argmax())
         if mag[k] > peak:
             peak, j = float(mag[k]), j0 + k
     D = peak / N
-    arc = None
     sigma_used = None
     if nu.W > 1:
         for sigma in _SIGMA_CHAIN:
             try:
-                params = ArcParams.for_sequence(nu.W, N, nu.k, sigma=sigma)
+                ArcParams.for_sequence(nu.W, N, nu.k, sigma=sigma)
             except ValueError:
                 continue
-            arc = arc_decompose(params, j / M)
             sigma_used = sigma
             break
     return GaugeReport(
@@ -675,7 +698,6 @@ def pseudorandom_gauge(
         b=nu.b,
         k=nu.k,
         sigma=sigma_used,
-        arc=arc,
     )
 
 
@@ -724,7 +746,7 @@ def restriction_norm(
     total = 0.0
     # the padded sequence and X (two grids), or five words a product's
     # cell: X, |X| and its power, some held over from the last
-    for j0, X in _half_spectrum(seq.values, M, "restriction_norm", (2, 5, 0)):
+    for j0, X in _half_spectrum(seq.index, seq.weights, M, "restriction_norm", (2, 5, 0)):
         mag = np.abs(X) ** exponent
         total += 2.0 * mag.sum()
         if j0 == 0:

@@ -651,3 +651,33 @@ class TestSupportIndex:
         values[20] = -0.0
         seq = WeightedSequence(values=values, kind="custom", W=0, b=0, k=0)
         assert seq.support().tolist() == [1, 10, 50]
+
+
+class TestFromSupport:
+    """A sequence made from its support and weights: the index must rise
+    strictly within [0, N), and zero weights are dropped as the dense scan
+    drops them."""
+
+    @pytest.mark.parametrize(
+        "index, weights",
+        [([2, 1], [1.0, 1.0]), ([1, 1], [1.0, 1.0]), ([-1], [1.0]), ([10], [1.0]), ([1], [])],
+    )
+    def test_malformed_pairs_refused(self, index, weights):
+        with pytest.raises(ValueError, match="index"):
+            WeightedSequence.from_support(10, index, weights, "custom", 0, 0, 0)
+
+    def test_zero_weights_dropped(self):
+        seq = WeightedSequence.from_support(10, [1, 4, 7], [0.0, -0.0, 2.0], "custom", 0, 0, 0)
+        assert seq.support().tolist() == [8] and seq.weights.tolist() == [2.0]
+        assert WeightedSequence.spike(5, mass=0.0).support().tolist() == []
+
+    def test_value_at_reads_the_pair(self):
+        seq = WeightedSequence.from_support(10, [0, 4, 9], [1.5, 2.5, 3.5], "custom", 0, 0, 0)
+        assert [seq.value_at(n) for n in range(1, 11)] == seq.values.tolist()
+        assert seq.values.tolist() == [1.5, 0, 0, 0, 2.5, 0, 0, 0, 0, 3.5]
+
+    def test_values_priced(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(majorant, "require_bytes", lambda e, what: seen.append((what, e)))
+        WeightedSequence.spike(1000).values
+        assert seen == [("WeightedSequence.values", 8000)]

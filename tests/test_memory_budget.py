@@ -134,11 +134,12 @@ def sizes_count(monkeypatch):
 
 
 def sizes_transference(monkeypatch):
-    # stride-0 sequences: at s = 2 the window's top hi goes from 82,012,499
-    # to 82,012,500 = 2^2 3^8 5^5, so the grid, the least 5-smooth integer
-    # above hi, goes from 82,012,500 points to 82,944,000
+    # one-point sequences, since the price reads N alone: at s = 2 the
+    # window's top hi goes from 82,012,499 to 82,012,500 = 2^2 3^8 5^5, so
+    # the grid, the least 5-smooth integer above hi, goes from 82,012,500
+    # points to 82,944,000
     def gauge(N):
-        f = WeightedSequence(values=np.broadcast_to(0.5, N), kind="custom", W=0, b=0, k=0)
+        f = WeightedSequence.spike(N, 0.5)
         return lambda: transference_gauge([f, f])
 
     return gauge(1000), gauge(81_757_009), gauge(81_757_010)
@@ -281,11 +282,13 @@ def _small_calls(name):
     # points take products of spectral._CHUNK_CELLS cells; a dense sequence
     # keeps the FFT path's estimate under test too
     calls = [lambda nu=build_nu(W, 1, 2, N): path(nu) for N in (1 << 12, 1 << 14, 1 << 17)]
-    calls += [lambda seq=_sparse(3 << 13, 1, 0): path(seq), lambda: path(_dense(1 << 12))]
+    calls += [lambda seq=_sparse(3 << 13, 1, 0): path(seq), lambda seq=_dense(1 << 12): path(seq)]
     calls.append(lambda seq=_sparse(1 << 17, 64, 2): path(seq))
+    # 58 points on 2^18, where building E writes through a full ufunc buffer
+    calls.append(lambda seq=_sparse(1 << 15, 58, 4): path(seq))
     if name == "pseudorandom_gauge":
         # a lone gauge on 2^24 points forms its kernel's sine tables and
-        # drops them before its product's tables, which are priced alone
+        # each product's bins alone, never the half grid its price counts
         calls.append(lambda seq=_sparse(1 << 21, 64, 3): path(seq))
         # a family on 2^18 points, gauged in the order given with one
         # kernel, its bins formed by the first member and read by the rest,
@@ -333,6 +336,44 @@ def test_estimate_covers_peak(name, monkeypatch):
         assert max(estimate for _, estimate in seen) + OBJECT_BYTES >= peak
 
 
+@pytest.mark.parametrize("S, M", [(58, 1 << 18), (8, 1 << 15), (55, 1 << 22)])
+def test_product_price_covers_building_E(monkeypatch, S, M):
+    """Stepped to the end of building E, the product path's traced peak is
+    E and its phase table, plus the buffer numpy gives the strided write of
+    E's second half: the price less the products' tables, which do not
+    exist yet (48 bytes a cell of C rows, 16 a product a point)."""
+    rng = np.random.default_rng(S)
+    c = 2 * np.sort(rng.choice(M // 8, S, replace=False)) + 2
+    w = 1 + rng.random(S)
+    _, _, rows, C = spectral._half_grid_shape(S, M)
+    real = spectral._phase_table
+
+    def stepped():
+        # the second phase table starts the products' tables, after E
+        calls = []
+
+        def probe(*args):
+            calls.append(tracemalloc.get_traced_memory()[1])
+            if len(calls) == 2:
+                raise _Probe
+            return real(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_phase_table", probe)
+            with pytest.raises(_Probe):
+                next(spectral._half_grid_product(c, w, M))
+        return calls[-1]
+
+    stepped()
+    tracemalloc.start()
+    try:
+        peak = stepped()
+    finally:
+        tracemalloc.stop()
+    price = _product_bytes(S, M, 0) - 48 * S * C - 16 * S * -(-rows // C)
+    assert peak <= price + OBJECT_BYTES
+
+
 def _recorded_prices(monkeypatch, call):
     seen = []
     monkeypatch.setattr(spectral, "require_bytes", lambda estimate, what: seen.append(estimate))
@@ -341,10 +382,10 @@ def _recorded_prices(monkeypatch, call):
 
 
 def test_lone_and_held_gauges_price_alike(monkeypatch):
-    """A gauge prices the same whether it forms the Dirichlet kernel's bins
-    or reads them from a DirichletKernel: on the product path the bins'
-    half grid, whichever; an rfft member prices its two grids and no
-    bins."""
+    """A gauge prices the same whether it forms each product's Dirichlet
+    kernel bins alone or reads them from a DirichletKernel: on the product
+    path the bins' half grid, whichever; an rfft member prices its two
+    grids and no bins."""
     W, N, M = compute_W(3, 2), 1 << 14, 1 << 18
     nus = [build_nu(W, b, 2, N) for b in power_residues(W, 2).units.tolist()[:2]]
     members = [nus[0], _sparse(N, 64, 1), _dense(N), nus[1]]

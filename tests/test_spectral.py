@@ -348,9 +348,9 @@ class TestGauge:
     def test_argmax_is_classified(self):
         nu = build_nu(compute_W(2, 2), 1, 2, 4096)
         rep = pseudorandom_gauge(nu, 8 * 4096)
-        assert rep.arc is not None
         assert rep.sigma is not None  # degenerate exponents skipped, used one recorded
-        assert rep.arc.classification in ("major", "minor")
+        params = ArcParams.for_sequence(nu.W, nu.N, nu.k, sigma=rep.sigma)
+        assert arc_decompose(params, rep.argmax_alpha).classification in ("major", "minor")
 
     def test_json_row_keys(self):
         nu = build_nu(compute_W(2, 2), 1, 2, 512)
@@ -815,7 +815,7 @@ class TestSparseProduct:
 def _family_member(N, M, kind, S, seed):
     """A sparse sequence of min(S, the product path's bound) random points,
     a dense one (the rfft path), or nu at w = 2, k = 2 and the unit b
-    picked by seed (W > 1, so its argmax is classified)."""
+    picked by seed (W > 1, so the gauge records sigma)."""
     if kind == "nu":
         W = compute_W(2, 2)
         bs = power_residues(W, 2).units.tolist()
@@ -831,7 +831,7 @@ def _family_member(N, M, kind, S, seed):
 
 
 def _gauge_bits(rep):
-    return rep.D.hex(), rep.argmax_j, rep.argmax_alpha.hex(), rep.sigma, rep.arc
+    return rep.D.hex(), rep.argmax_j, rep.argmax_alpha.hex(), rep.sigma
 
 
 # at M = 2^18: six product members in three block shapes of two T, S = 64
@@ -1195,3 +1195,195 @@ class TestOneCompleteSum:
     def test_model_rejects_non_unit_b(self):
         with pytest.raises(ValueError, match=r"^b = 3 is not a unit k-th power residue mod 16$"):
             major_arc_model(2, 1, 0.0, compute_W(2, 2), 2, 3, 4096)
+
+
+class TestLoneKernel:
+    """A gauge given no DirichletKernel forms each product's bins alone
+    (DirichletKernel.block): rows in the shape of S = 1, read from an
+    offset where the product's T is the smaller, and no bins array."""
+
+    @pytest.mark.parametrize(
+        "N, M, S",
+        [
+            (1 << 19, 1 << 22, 55),
+            (1 << 15, 1 << 18, 16),
+            (1 << 17, 1 << 20, 30),
+            (1000, 1 << 15, 3),
+            ((1 << 19) + 3, (1 << 22) + 6, 40),
+            (1 << 14, 1 << 18, 64),
+        ],
+    )
+    def test_blocks_equal_the_bins_bit_for_bit(self, N, M, S):
+        half, T, _, C = _half_grid_shape(S, M)
+        lone = DirichletKernel(N, M)
+        blocks = [lone.block(j0, min(C * T, half - j0)) for j0 in range(0, half, C * T)]
+        assert "bins" not in vars(lone)
+        assert np.concatenate(blocks).tobytes() == DirichletKernel(N, M).bins.tobytes()
+
+    def test_some_blocks_start_inside_a_kernel_row(self):
+        """At S = 64 on 2^18 points a product's rows are a quarter of the
+        kernel's, and its 30 rows of 128 bins start every other block 256
+        bins into a kernel row."""
+        half, T, _, C = _half_grid_shape(64, 1 << 18)
+        T1 = _half_grid_shape(1, 1 << 18)[1]
+        assert 4 * T == T1 and any(j0 % T1 for j0 in range(0, half, C * T))
+
+    def test_lone_gauge_holds_no_bins(self):
+        nu = build_nu(compute_W(3, 2), 1, 2, 1 << 19)
+        M = 1 << 22
+        pseudorandom_gauge(nu, M)
+        tracemalloc.start()
+        try:
+            lone = pseudorandom_gauge(nu, M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (M // 2 + 1) / 2
+        held = pseudorandom_gauge(nu, M, DirichletKernel(nu.N, M))
+        assert _gauge_bits(lone) == _gauge_bits(held)
+
+
+def _dense_values(kind, N, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "zeros":
+        return np.zeros(N)
+    if kind == "indicator":
+        return np.ones(N)
+    if kind == "random":
+        return rng.random(N)
+    vals = np.zeros(N)
+    at = rng.choice(N, min(N, 1 + seed % 40), replace=False)
+    vals[at] = 0.5 + rng.random(len(at))
+    if kind == "negzero":
+        vals[rng.choice(N, N // 2, replace=False)] = -0.0
+    elif kind == "nan":
+        vals[at[0]] = np.nan
+    return vals
+
+
+class TestSupportStorage:
+    """A sequence holds its support and the weights there: dense weights
+    are converted once (support_index), and every spectral consumer reads
+    the pair."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["zeros", "negzero", "nan", "random", "indicator", "sparse"]),
+        N=st.integers(1, 3000),
+        grid=st.sampled_from([0, 1 << 15]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_dense_and_pair_agree_bit_for_bit(self, kind, N, grid, seed):
+        """On both paths: 1 << 15 points take the product for up to 22
+        support points, the default grid of 8 (a power of two >= N) the
+        rfft for any of these N."""
+        vals = _dense_values(kind, N, seed)
+        dense = WeightedSequence(values=vals, kind="custom", W=0, b=0, k=0)
+        idx = support_index(vals)
+        pair = WeightedSequence.from_support(N, idx, vals[idx], "custom", 0, 0, 0)
+        assert np.array_equal(dense.values, vals, equal_nan=True)
+        M = max(grid, 4 * N)
+
+        def bits(seq):
+            gauge = pseudorandom_gauge(seq, M)
+            norm = restriction_norm(seq, 6.5, M)
+            conv = transference_gauge([seq, seq])
+            return (
+                seq.values.tobytes(),
+                dft_spectrum(seq, M).values.tobytes(),
+                gauge.D.hex(),
+                gauge.argmax_j,
+                norm.norm.hex(),
+                transform_at(seq, 0.2137),
+                conv.values.tobytes(),
+            )
+
+        got = bits(dense)
+        assert repr(got) == repr(bits(pair))
+        if kind != "nan":
+            # the rfft path against the parent's dense zero padding
+            padded = np.zeros(M)
+            padded[1 : N + 1] = vals
+            want = np.fft.rfft(padded)
+            if not _use_product(len(idx), M):
+                half = np.conj(dft_spectrum(dense, M).values[: M // 2 + 1])
+                assert np.array_equal(half, want)
+
+    def test_builders_hold_no_dense_array(self):
+        W = compute_W(3, 2)
+        nu = build_nu(W, 1, 2, 1 << 15)
+        assert set(vars(nu)) == {"N", "index", "weights", "kind", "W", "b", "k", "subset"}
+        assert nu.index.dtype == np.int64 and len(nu.index) == len(nu.weights) < 100
+        assert np.array_equal(nu.index, support_index(nu.values))
+        assert nu.total() == math.fsum(nu.values)
+
+    def test_product_path_never_reads_values(self, monkeypatch):
+        """Gauges, norms, spectra, transforms and the convolution gauge of
+        builder outputs read index and weights, never the N-array."""
+        W, N = compute_W(3, 2), 1 << 14
+        nu = build_nu(W, 1, 2, N)
+        sub = gen_subset(SubsetSpec.bernoulli(0.97, 5), 5000)
+        f_list = [build_f(W, b, 2, N, sub) for b in (1, 1, 25, 49)]
+        reads = []
+        values = WeightedSequence.values
+
+        def counted(seq):
+            reads.append(seq.N)
+            return values.fget(seq)
+
+        monkeypatch.setattr(WeightedSequence, "values", property(counted))
+        M = 8 * N
+        assert _use_product(len(nu.index), M)
+        pseudorandom_gauge(nu)
+        pseudorandom_gauge(nu, M, DirichletKernel(N, M))
+        restriction_norm(nu, 6.5)
+        dft_spectrum(nu)
+        transform_at(nu, 0.25)
+        major_arc_residual(nu, 4, 1)
+        transference_gauge(f_list)
+        nu.total(), nu.mean(), nu.value_at(18), nu.support()
+        assert reads == []
+
+
+_BLAS_PROBE = """
+import hashlib
+from wglab.core_arith import compute_W
+from wglab.majorant import build_nu
+from wglab.spectral import dft_spectrum, pseudorandom_gauge, restriction_norm
+nu = build_nu(compute_W(3, 2), 1, 2, 1 << 17)
+M = 1 << 20
+g = pseudorandom_gauge(nu, M)
+r = restriction_norm(nu, 6.5, M)
+X = dft_spectrum(nu, M).values
+print(g.D.hex(), g.argmax_j, r.norm.hex(), hashlib.sha256(X.tobytes()).hexdigest())
+"""
+
+
+def test_grouped_products_do_not_depend_on_blas_threads():
+    """A gauge, a norm and a spectrum on 2^20 points, above _GROUPED_ABOVE
+    where the products may run on OpenBLAS threads, give the same bytes in
+    a process held to one thread and in one left to the default (the
+    thread variables removed)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    assert 1 << 20 > _GROUPED_ABOVE
+    src = str(Path(spectral.__file__).resolve().parent.parent)
+    base = {**os.environ, "PYTHONPATH": src}
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS"):
+        base.pop(var, None)
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", _BLAS_PROBE],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        ).stdout
+        for env in (base, {**base, "OPENBLAS_NUM_THREADS": "1"})
+    ]
+    assert outputs[0] and outputs[0] == outputs[1]
+
