@@ -367,6 +367,10 @@ class WeightedSequence:
 
     @classmethod
     def indicator(cls, N: int) -> "WeightedSequence":
+        """The interval 1..N, every weight 1: N int64 positions and N
+        float64 ones, and a one-byte mask a point while from_support checks
+        them, 17 N bytes priced first under WeightedSequence.indicator."""
+        require_bytes(17 * N, "WeightedSequence.indicator")
         return cls.from_support(N, np.arange(N), np.ones(N), "indicator", 0, 0, 0)
 
     @classmethod

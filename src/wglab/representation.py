@@ -17,7 +17,15 @@ import numpy as np
 from .bitsets import bits_from, line_power, window_flags
 from .core_arith import FactoredModulus, compute_Rk, require_bytes
 from .majorant import PrimeSubset, WeightedSequence, require_epsilon, write_csv
-from .spectral import _half_spectrum, _phase_table
+from .spectral import (
+    _CHUNK_CELLS,
+    _half_spectrum,
+    _lattice_buffers,
+    _phase_table,
+    _rfft_columns,
+    _support_columns,
+    _use_product,
+)
 
 __all__ = [
     "FFTPrecisionError",
@@ -278,18 +286,23 @@ def _smooth_above(n: int) -> int:
     return min(best, p5)
 
 
-def _raise(X: np.ndarray, mult: int) -> None:
-    """X **= mult in place, by square-and-multiply from the top bit of mult
-    on one copy of X: at mult = 41 on 729,001 bins, 8.8 ms against 14.6 ms
-    for X **= mult (minimum of 15 on a 2-core VM), the two within 3.6e-15
-    of the largest |X^41|."""
-    if mult == 1:
-        return
-    base = X.copy()
-    for bit in bin(mult)[3:]:
-        X *= X
+def _raise_into(dst: np.ndarray, X: np.ndarray, mult: int, first: bool) -> None:
+    """dst = X ** mult when first, else dst *= X ** mult, by the binary
+    powers of X from the lowest bit of mult, each squared in place in X, so
+    that no copy is made and X is overwritten: at mult = 41 on 729,001
+    bins, square-and-multiply took 8.8 ms against 14.6 ms for X **= mult
+    (minimum of 15 on a 2-core VM), the two within 3.6e-15 of the largest
+    |X^41|."""
+    bits = bin(mult)[:1:-1]
+    for i, bit in enumerate(bits):
         if bit == "1":
-            X *= base
+            if first:
+                dst[...] = X
+                first = False
+            else:
+                dst *= X
+        if i < len(bits) - 1:
+            X *= X
 
 
 # The window inverse (_window_inverse) against one irfft of the grid,
@@ -328,48 +341,66 @@ def _window_split(grid: int, width: int) -> int:
     return L1 if _COLUMN_SHARE * width <= grid // L1 else 0
 
 
-def _window_inverse(H: np.ndarray, grid: int, lo: int, hi: int, L1: int) -> np.ndarray:
+def _column_batch(grid: int, L1: int) -> int:
+    """The columns of one batch of the window inverse: as many columns of
+    grid / L1 bins as two products of spectral._CHUNK_CELLS cells hold, so
+    that on grids above spectral._GROUPED_ABOVE a product-path part forms
+    a batch in two whole products; at least one, at most the L1/2 + 1.
+    numpy's pocketfft ran the batched column ifft at 121-126 us a column of
+    16,200 bins from 4 columns on, where 1 to 3 columns took up to 350
+    (minimum of 7 on a 2-core VM)."""
+    return min(L1 // 2 + 1, max(1, 2 * _CHUNK_CELLS * L1 // grid))
+
+
+def _window_inverse(batches, grid: int, lo: int, hi: int, L1: int) -> np.ndarray:
     """np.fft.irfft(H, grid)[lo : hi + 1] by the four-step split grid = L1 L2
-    (Bailey 1990), both even, reading only the window.
+    (Bailey 1990), both even, reading only the window, from the columns
+    j1 = 0..L1/2 of the whole spectrum H: batches yields (a, B), B the
+    columns a, a + 1, ... as rows, column j1 the bins H(j1 + L1 j2) for
+    j2 < L2.  Each B is overwritten by its inverse transforms.
 
     With bins j = j1 + L1 j2, y(m) = (1/L1) sum over j1 of e(j1 m / grid)
     G(j1, m mod L2), G(j1, .) the inverse transform of length L2 of column
-    j1, the bins P(j1 + L1 j2).  Columns j1 and L1 - j1 give conjugate
-    terms, so the columns j1 = 0..L1/2 suffice, each counted twice but for
-    the self-conjugate 0 and L1/2.  Column j1 takes H[j1 + L1 j2] for j2 <
-    L2/2 and the conjugate mirror H[L1 - j1 + L1 (L2 - 1 - j2)] above; the
-    real part drops the imaginary parts of H[0] and H[grid/2], as the irfft
-    does.  The twiddles e(j1 m / grid) come from spectral._phase_table's
-    exact integer numerators.  The columns go in batches of about grid/8
-    cells with their window readout, so that each batch array weighs a
-    quarter of a float64 grid: the inverse added 0.5 grids to H's 1 in a
-    traced peak where the irfft added 1.
+    j1.  Columns j1 and L1 - j1 give conjugate terms, so the columns j1 =
+    0..L1/2 suffice, each counted twice but for the self-conjugate 0 and
+    L1/2; the real part drops the imaginary parts of H[0] and H[grid/2], as
+    the irfft does.  The twiddles e(j1 m / grid) come from
+    spectral._phase_table's exact integer numerators.  Each batch's window
+    readout is added as its columns arrive.
     """
     L2 = grid // L1
-    h2 = L2 // 2
-    head = H[: grid // 2].reshape(h2, L1)  # head[t, c] = H[c + L1 t]
-    tail = H[1 : grid // 2 + 1].reshape(h2, L1)  # tail[t, c] = H[1 + c + L1 t]
     width = hi - lo + 1
-    columns = L1 // 2 + 1
-    batch = min(columns, max(1, grid // 8 // (L2 + width)))
-    rows = np.arange(lo, hi + 1) % L2
+    run = min(width, L2 - lo % L2)
     out = np.zeros(width)
-    block = np.empty((batch, L2), dtype=complex)
-    for a in range(0, columns, batch):
-        b = min(a + batch, columns)
-        B = block[: b - a]
-        B[:, :h2] = head[:, a:b].T
-        # column j1's bin j2 = h2 + i is conj H[L1 - j1 + L1 (h2 - 1 - i)]
-        np.conjugate(tail[::-1, L1 - b : L1 - a][:, ::-1].T, out=B[:, h2:])
-        j1 = np.arange(a, b)
-        # e(j1 lo / grid), weighted 2 / L1, or 1 / L1 for columns 0 and L1/2
-        scale = _phase_table(-2 * j1, 2, lo, grid)[1]
-        scale *= np.where(j1 % (L1 // 2) == 0, 1.0, 2.0) / L1
-        terms = _phase_table(-2 * j1, width, 1, grid)  # e(j1 (m - lo) / grid)
-        terms *= scale
-        terms *= np.fft.ifft(B, axis=1).T[rows]
+    j1 = np.arange(L1 // 2 + 1)
+    # e(j1 lo / grid), weighted 2 / L1, or 1 / L1 for columns 0 and L1/2
+    scale = _phase_table(-2 * j1, 2, lo, grid)[1]
+    scale *= np.where(j1 % (L1 // 2) == 0, 1.0, 2.0) / L1
+    for a, B in batches:
+        G = np.fft.ifft(B, axis=1, out=B)
+        b = a + len(B)
+        terms = _phase_table(-2 * j1[a:b], width, 1, grid)  # e(j1 (m - lo) / grid)
+        terms *= scale[a:b]
+        # G at the window's m mod L2: at most two runs, the second from 0
+        terms[:run] *= G[:, lo % L2 : lo % L2 + run].T
+        terms[run:] *= G[:, : width - run].T
         out += terms.real.sum(axis=1)
     return out
+
+
+def _half_grid_power(parts, grid: int, what: str) -> np.ndarray | None:
+    """The product of the parts' half spectra on grid points
+    (spectral._half_spectrum), each raised to its multiplicity, formed
+    chunk by chunk into one half-grid array as the parts are drawn one at
+    a time; None when there is no part."""
+    prod = None
+    for n, (index, weights, mult) in enumerate(parts):
+        for j0, X in _half_spectrum(index, weights, grid, what):
+            if prod is None:  # after the first rfft has dropped its input
+                prod = np.empty(grid // 2 + 1, dtype=complex)
+            _raise_into(prod[j0 : j0 + len(X)], X, mult, not n)
+        X = None  # an rfft's chunk goes before the next part's is formed
+    return prod
 
 
 def _convolve(
@@ -383,37 +414,90 @@ def _convolve(
     top - lo, top the last position the product reaches: a grid above hi
     keeps the window and folds no negative position onto it, and one above
     top - lo sends every position that would wrap onto the window past top.
-    The peak, measured at 2.5 to 5.3 float64 grids, is priced at 6.5 grids,
-    plus the result_bytes the caller allocates afterwards, under the name
-    what before the first part is drawn from parts.
-    Multiplies the parts' half spectra (spectral._half_spectrum), each
-    block raised to its multiplicity in place (_raise), starting from the
-    first part's, then returns the convolution at lo..hi and the sum of the
-    product's |bins| over the grid length.  The window comes from the
-    window inverse when _window_split gives a split, else from one irfft of
-    the grid.
+    The price, 6.5 float64 grids plus the result_bytes the caller allocates
+    afterwards, passes require_bytes under the name what before the first
+    part is drawn from parts.  Returns the convolution at lo..hi and the
+    sum of the product's |bins| over the half grid j = 0..grid/2, divided
+    by the grid length.  Each part's spectrum is raised to its
+    multiplicity by its binary powers (_raise_into).
+
+    When _window_split splits the grid as L1 L2, the product is streamed
+    by the columns j1 = 0..L1/2 of the spectrum: a sparse part gives its
+    columns as lattices of bins j1 + L1 j2 straight from the sparse-
+    spectrum product (spectral._support_columns), in product buffers the
+    parts share; the dense parts' rffts are multiplied over the half grid
+    one at a time, and that product is read by columns as one part.  A
+    batch of columns (_column_batch) is the first part's block times the
+    others', and the window inverse reads each batch as it is formed, so
+    no array spans the half grid but the dense parts' product.  The
+    batch, the shared buffers and one column's |bins| are views of one
+    workspace, allocated once a call.  On the benchmark's chain at N =
+    2^16 (three sparse parts on 1,458,000 points) a call peaked at 5.5 MB
+    traced, where the half-grid product alone weighed 11.7 MB.  Otherwise
+    the parts' half spectra are multiplied into one half-grid product
+    (_half_grid_power), read by one irfft of the grid.
     """
     grid = _smooth_above(max(hi, top - lo))
-    half = grid // 2 + 1
     require_bytes(6.5 * 8 * grid + result_bytes, what)
-    prod = None
-    for index, weights, mult in parts:
-        first = prod is None
-        for j0, X in _half_spectrum(index, weights, grid, what):
-            _raise(X, mult)
-            if not first:
-                prod[j0 : j0 + len(X)] *= X
-            elif len(X) == half:  # the rfft's one chunk
-                prod = X
-            else:
-                if j0 == 0:
-                    prod = np.empty(half, dtype=complex)
-                prod[j0 : j0 + len(X)] = X
-    mass = np.sum(np.abs(prod)) / grid
     L1 = _window_split(grid, hi - lo + 1)
-    if L1:
-        return _window_inverse(prod, grid, lo, hi, L1), mass
-    return np.fft.irfft(prod, grid)[lo : hi + 1], mass
+    if not L1:
+        prod = _half_grid_power(parts, grid, what)
+        mass = np.sum(np.abs(prod)) / grid
+        return np.fft.irfft(prod, grid)[lo : hi + 1], mass
+    L2 = grid // L1
+    h2 = L2 // 2
+    columns = L1 // 2 + 1
+    batch = _column_batch(grid, L1)
+    sparse = []
+
+    def dense():
+        for part in parts:
+            if _use_product(len(part[0]), grid):
+                sparse.append(part)
+            else:
+                yield part
+
+    # the dense parts' rffts, multiplied over the half grid as the parts
+    # are drawn, so that one dense part's weights are held at a time, then
+    # read by columns as one part
+    dense_product = _half_grid_power(dense(), grid, what)
+    # one workspace: the batch, |bins| of one column, and the A and X that
+    # the sparse parts share, since each batch is formed part by part
+    shared = [_lattice_buffers(len(index), grid, L2, batch) for index, _, _ in sparse]
+    a_size, x_size = map(max, zip((0, 0), *shared))
+    space = np.empty(2 * batch * L2 + L2 + 2 * a_size + x_size)
+    block, mag, a_buf, x_buf = np.split(space, np.cumsum([2 * batch * L2, L2, 2 * a_size]))
+    block = block.view(complex).reshape(batch, L2)
+    work = {"A": a_buf.view(complex), "out": x_buf}
+    sources = [
+        (_support_columns(index, weights, grid, L1, batch, work), mult)
+        for index, weights, mult in sparse
+    ]
+    if dense_product is not None:
+        sources.insert(0, (_rfft_columns(dense_product, grid, L1, batch), 1))
+    mass = 0.0
+
+    def batches():
+        nonlocal mass
+        for a in range(0, columns, batch):
+            b = min(a + batch, columns)
+            B = block[: b - a]
+            for n, (chunks, mult) in enumerate(sources):
+                for j1, i0, X in chunks:
+                    rows, width = X.shape
+                    _raise_into(B[j1 - a : j1 - a + rows, i0 : i0 + width], X, mult, not n)
+                    if j1 + rows == b and i0 + width == L2:
+                        break
+            # the half grid's |bins|: column 0 up to j2 = L2/2, columns 1 to
+            # L1/2 - 1 whole (their mirrors are the columns above L1/2), and
+            # column L1/2 below j2 = L2/2
+            for j1, column in enumerate(B, a):
+                np.abs(column, out=mag)
+                stop = h2 + 1 if j1 == 0 else h2 if j1 == columns - 1 else L2
+                mass += mag[:stop].sum()
+            yield a, B
+
+    return _window_inverse(batches(), grid, lo, hi, L1), mass / grid
 
 
 def transference_gauge(f_list: list[WeightedSequence], epsilon: float = 0.1) -> ConvolutionProfile:

@@ -94,29 +94,48 @@ def _use_product(S: int, M: int) -> bool:
     return S >= 1 and M >= 1 << 15 and 64 * S * S <= min(M, 1 << 18)
 
 
-def _half_grid_shape(S: int, M: int) -> tuple[int, int, int, int]:
-    """Bins j = 0..M//2 as j = u T + t for S support points: the bin
-    count, T, the row count R and the rows C of one matrix product, the
-    one rule that sizes every BLAS call of the package.  On grids of up to
-    _GROUPED_ABOVE points a product holds at most min(_PRODUCT_BLOCK,
-    _SERIAL_MACS / 4S) cells, so that it, 4 S multiply-adds a cell, stays
-    on the calling thread; above, it holds _CHUNK_CELLS // T rows.  T is
-    the power of two at or above the bin count's square root, which keeps
-    R + T near its least: the S (R + T) complex products that form A and
-    E.  It no longer sets the cos/sin count, which the factored tables
-    (_phase_table) hold to the order of S sqrt(R + T); gauges at T / 8 to
-    T ran within host noise of each other.  T is halved until a serial
-    product holds 16 rows: products of one or two rows ran 2-4 times
-    slower per multiply-add.  The shape of S = 1 also sizes the Dirichlet
-    kernel's blocks (DirichletKernel), whatever the support of the gauge
-    that reads it."""
-    half = M // 2 + 1
+def _half_grid_shape(S: int, M: int, count: int | None = None) -> tuple[int, int, int, int]:
+    """Bins i = 0..count - 1 of a lattice, by default the half grid's
+    j = 0..M//2, as i = u T + t for S support points: the bin count, T, the
+    row count R and the rows C of one matrix product, the one rule that
+    sizes every BLAS call of the package.  On grids of up to _GROUPED_ABOVE
+    points a product holds at most min(_PRODUCT_BLOCK, _SERIAL_MACS / 4S)
+    cells, so that it, 4 S multiply-adds a cell, stays on the calling
+    thread; above, it holds _CHUNK_CELLS // T rows.  T is the power of two
+    at or above the bin count's square root, which keeps R + T near its
+    least: the S (R + T) complex products that form A and E.  It no longer
+    sets the cos/sin count, which the factored tables (_phase_table) hold
+    to the order of S sqrt(R + T); gauges at T / 8 to T ran within host
+    noise of each other.  T is halved until a serial product holds 16 rows:
+    products of one or two rows ran 2-4 times slower per multiply-add.  The
+    shape of S = 1 also sizes the Dirichlet kernel's blocks
+    (DirichletKernel), whatever the support of the gauge that reads it."""
+    bins = M // 2 + 1 if count is None else count
     block = min(_PRODUCT_BLOCK, _SERIAL_MACS // max(4 * S, 1))
-    T = 1 << ((half - 1).bit_length() + 1) // 2
+    T = 1 << ((bins - 1).bit_length() + 1) // 2
     while T > 1 and 16 * T > block:
         T //= 2
     cells = _CHUNK_CELLS if M > _GROUPED_ABOVE else block
-    return half, T, -(-half // T), max(1, cells // T)
+    return bins, T, -(-bins // T), max(1, cells // T)
+
+
+def _lattice_buffers(S: int, M: int, count: int, group: int) -> tuple[int, int]:
+    """The complex elements of A and the float64 words of X, the two
+    buffers that every product of _half_grid_product reuses, on lattices
+    of count bins in groups of group for S support points
+    (_lattice_layout)."""
+    T, _, _, per, span = _lattice_layout(S, M, count, group)
+    return per * span * S, per * span * 2 * T
+
+
+def _lattice_layout(S: int, M: int, count: int, group: int) -> tuple[int, int, int, int, int]:
+    """T, the rows R of a lattice of count bins and the C rows of one
+    product (_half_grid_shape), with the lattices per and the rows span of
+    one lattice that a product takes: C rows of one lattice when R > C,
+    else min(C // R, group) whole lattices."""
+    _, T, rows, C = _half_grid_shape(S, M, count)
+    per, span = (min(C // rows, group), rows) if rows <= C else (1, C)
+    return T, rows, C, per, span
 
 
 # elements of the buffer numpy 2.4 gives a strided ufunc operand: building
@@ -172,37 +191,86 @@ def _phase_table(c, count: int, step: int, M: int) -> np.ndarray:
     return (table[:rows, None] * table[rows:]).reshape(-1, len(c))[:count]
 
 
-def _half_grid_product(c: np.ndarray, w: np.ndarray, M: int):
-    """X(j) = sum_s w_s e(-c_s j / 2M) on the bins j = 0..M//2, in chunks.
+def _half_grid_product(
+    c: np.ndarray,
+    w: np.ndarray,
+    M: int,
+    offsets=range(1),
+    stride: int = 1,
+    count: int | None = None,
+    group: int | None = None,
+    work: dict | None = None,
+):
+    """X(j) = sum_s w_s e(-c_s j / 2M) on lattices of bins, in chunks: for
+    each offset o of the range offsets, the bins j = o + stride i, i <
+    count.  The default is the half grid j = 0..M//2: offset 0, stride 1,
+    count M//2 + 1.  The window inverse's columns are lattices of stride
+    L1 (representation._convolve).
 
-    With j = u T + t, X is the matrix product of A[u, s] = w_s e(-c_s u T /
-    2M) and E[s, t] = e(-c_s t / 2M).  One real product forms the bins of
-    the C rows u = u0 + r that _half_grid_shape gives it, so its rows of A
-    are w times the product's phase at r = 0 times the within-product
-    phases at r, which every product shares; all three tables come from
-    _phase_table.  A is viewed as real, Re and Im of each point side by
-    side, times the 2S x 2T matrix whose columns 2t and 2t + 1 give Re X
-    and Im X, so the result reads as complex X with no copy.  Yields (j0,
-    X) with X the bins j0, j0 + 1, ... of one product, flattened and cut
-    at M//2.
+    With i = u T + t, X is the matrix product of A[u, s] = w_s e(-c_s (o +
+    stride u T) / 2M) and E[s, t] = e(-c_s stride t / 2M).  One real
+    product forms at most the C rows that _half_grid_shape gives it: C
+    rows of one lattice when a lattice has R > C rows, else C // R whole
+    lattices, none from two groups (runs of group lattices from the first;
+    one run by default).  Its row u = u0 + r of A is the lattice's weighted
+    phase w e(-c o / 2M) times the product's phase at r = 0 times the
+    within-product phase at r, all three from _phase_table; the half
+    grid's offset phase, 1, is not formed.  A is viewed as real, Re and Im
+    of each point side by side, times the 2S x 2T matrix whose columns 2t
+    and 2t + 1 give Re X and Im X, so the result reads as complex X with no
+    copy.
+
+    Yields (o, i0, X): X holds the bins i0, i0 + 1, ... of the lattices at
+    offsets o, o + 1, ..., one row a lattice, cut at count; on the half
+    grid X has one row.  A and X are formed in two buffers allocated once
+    per call, or kept in work, a dict that calls drawn in turn may share
+    and that each call grows to its size.  So a yielded X is valid only
+    until the next chunk is drawn, from this call or from any call sharing
+    its work.
     """
     S = len(c)
-    half, T, rows, C = _half_grid_shape(S, M)
+    count = M // 2 + 1 if count is None else count
+    group = group or len(offsets)
+    T, rows, C, per, span = _lattice_layout(S, M, count, group)
     # rows 2s and 2s + 1 of E take Re A_s and Im A_s: (a + ib) e = a e + b (i e)
-    phases = _phase_table(c, T, 1, M)
+    phases = _phase_table(c, T, stride, M)
     E = np.empty((S, 2, T), dtype=complex)
     E[:, 0] = phases.T
     # from the (T, S) table itself: numpy then buffers only the strided out
     np.multiply(phases, 1j, out=E[:, 1].T)
     E = E.reshape(2 * S, T).view(float)
     del phases
-    first = _phase_table(c, -(-rows // C), C * T, M)
-    first *= w
-    within = _phase_table(c, C, T, M)
-    for i, u0 in enumerate(range(0, rows, C)):
-        A = (first[i] * within)[: rows - u0]
-        j0 = u0 * T
-        yield j0, (A.view(float) @ E).view(complex).ravel()[: half - j0]
+    lattice = np.reshape(w, (1, S))
+    if offsets != range(1):
+        lattice = _phase_table(c, len(offsets), offsets.step, M)
+        if offsets.start:
+            lattice *= _phase_table(c, 2, offsets.start, M)[1]
+        lattice *= w
+    # lead[k, p]: the weighted phase of lattice k's product p at its row 0
+    lead = _phase_table(c, -(-rows // C), C * T * stride, M)[None] * lattice[:, None]
+    # the half grid's table keeps C rows, as it did when it had no other use
+    within = _phase_table(c, C if offsets == range(1) else span, T * stride, M)
+    work = {} if work is None else work
+    sizes = _lattice_buffers(S, M, count, group)
+    for name, size, dtype in zip(("A", "out"), sizes, (complex, float)):
+        if name not in work or work[name].size < size:
+            work[name] = np.empty(size, dtype=dtype)
+    # by (m, r): A as (m, r, S) and as real (m r, 2S), X as real and complex
+    views = {}
+    for g0 in range(0, len(offsets), group):
+        for k0 in range(g0, min(g0 + group, len(offsets)), per):
+            m = min(per, g0 + group - k0, len(offsets) - k0)
+            for p, u0 in enumerate(range(0, rows, span)):
+                r = min(span, rows - u0)
+                if (m, r) not in views:
+                    A = work["A"][: m * r * S]
+                    X = work["out"][: m * r * 2 * T].reshape(m * r, 2 * T)
+                    A_real = A.view(float).reshape(m * r, 2 * S)
+                    views[m, r] = A.reshape(m, r, S), A_real, X, X.view(complex).reshape(m, r * T)
+                A, A_real, X_real, X = views[m, r]
+                np.multiply(lead[k0 : k0 + m, p, None], within[:r], out=A)
+                np.matmul(A_real, E, out=X_real)
+                yield offsets[k0], u0 * T, X[:, : count - u0 * T]
 
 
 def _take_product(S: int, M: int, what: str, price) -> bool:
@@ -214,18 +282,18 @@ def _take_product(S: int, M: int, what: str, price) -> bool:
 
     Refuses the product path on M with 2 M^2 >= 2^63, where its exact
     int64 phase numerators could overflow.  price = (fft_grids,
-    block_words, grids) then passes require_bytes, under the name what and
+    block_words, extra) then passes require_bytes, under the name what and
     before the path allocates, fft_grids float64 grids of length M on the
     FFT path, or on the product path _product_bytes with block_words
-    arrays of one product's bins, plus grids grids of length M.
+    arrays of one product's bins, plus extra bytes.
     """
     product = _use_product(S, M)
     if product and 2 * M * M >= 1 << 63:
         raise LimitExceededError(f"{what} on M = {M} needs 2M^2 < 2^63 for exact phases")
     if price is not None:
-        fft_grids, block_words, grids = price
+        fft_grids, block_words, extra = price
         if product:
-            require_bytes(_product_bytes(S, M, block_words) + 8.0 * grids * M, what)
+            require_bytes(_product_bytes(S, M, block_words) + extra, what)
         else:
             require_bytes(8.0 * fft_grids * M, what)
     return product
@@ -237,12 +305,45 @@ def _half_spectrum(index: np.ndarray, weights: np.ndarray, M: int, what: str, pr
     conj X(j), as (j0, X) chunks of consecutive bins: many chunks of the
     matrix product over the support (_half_grid_product), or one chunk of
     the rfft, as _take_product rules after it has refused or priced the
-    call.
+    call.  A product chunk is valid only until the next is drawn.
     """
     if _take_product(len(index), M, what, price):
-        yield from _half_grid_product(2 * index + 2, weights, M)
+        for _, j0, rows in _half_grid_product(2 * index + 2, weights, M):
+            yield j0, rows[0]
     else:
         yield 0, _padded_rfft(index, weights, M)
+
+
+def _support_columns(index: np.ndarray, weights: np.ndarray, M: int, L1: int, group: int, work):
+    """The spectrum of _half_spectrum by the columns j1 = 0..L1/2 of the
+    split M = L1 L2, L1 and L2 even, for a support that takes the product
+    path: column j1 holds the bins j1 + L1 j2 for j2 < L2, the lattice of
+    offset j1 and stride L1 of the sparse-spectrum product
+    (_half_grid_product), formed in runs of group columns in the buffers
+    of work.  Yields (j1, i0, X), X the bins i0, i0 + 1, ... of the columns
+    j1, j1 + 1, ... as rows, valid only until the next chunk is drawn."""
+    lattices = range(L1 // 2 + 1), L1, M // L1, group, work
+    return _half_grid_product(2 * index + 2, weights, M, *lattices)
+
+
+def _rfft_columns(H: np.ndarray, M: int, L1: int, group: int):
+    """The columns j1 = 0..L1/2 of the split M = L1 L2 from the half
+    spectrum H, group at a time, as (j1, 0, X) with X the columns j1, j1 +
+    1, ... as rows in one buffer rewritten for each group: column j1 takes
+    H[j1 + L1 j2] for j2 < L2/2 and the conjugate mirror H[L1 - j1 + L1
+    (L2 - 1 - j2)] above."""
+    h2 = M // L1 // 2
+    head = H[: M // 2].reshape(h2, L1)  # head[t, c] = H[c + L1 t]
+    tail = H[1 : M // 2 + 1].reshape(h2, L1)  # tail[t, c] = H[1 + c + L1 t]
+    columns = L1 // 2 + 1
+    block = np.empty((min(group, columns), 2 * h2), dtype=complex)
+    for a in range(0, columns, group):
+        b = min(a + group, columns)
+        X = block[: b - a]
+        X[:, :h2] = head[:, a:b].T
+        # column j1's bin j2 = h2 + i is conj H[L1 - j1 + L1 (h2 - 1 - i)]
+        np.conjugate(tail[::-1, L1 - b : L1 - a][:, ::-1].T, out=X[:, h2:])
+        yield a, 0, X
 
 
 def _dirichlet_sines(N: int, M: int, rows: int, T: int):
@@ -256,20 +357,33 @@ def _dirichlet_sines(N: int, M: int, rows: int, T: int):
     return u_ri, t_ri[[1, 0]], t_ri[[3, 2]]
 
 
-def _dirichlet_block(N: int, T: int, sines, j0: int, n: int) -> np.ndarray:
+def _dirichlet_block(N: int, T: int, sines, j0: int, n: int, work: np.ndarray) -> np.ndarray:
     """The Dirichlet kernel sin(pi N j / M) / sin(pi j / M), exactly N at
     j = 0, on the bins j0..j0 + n - 1: two rank-two products of the tables
     of _dirichlet_sines over the rows of T that hold the block, and one
-    division, read from offset j0 % T of the first row."""
+    division, read from offset j0 % T of the first row.  The products are
+    formed in work, a float64 array of shape (2, rows, T) with rows enough
+    for the block; the result is a view of it."""
     u_ri, num_t, den_t = sines
     u = slice(j0 // T, -(-(j0 + n) // T))
     cut = slice(j0 % T, j0 % T + n)
-    top = (u_ri[u, :2] @ num_t).ravel()[cut]
-    bottom = (u_ri[u, 2:] @ den_t).ravel()[cut]
+    top, bottom = work[:, : u.stop - u.start]
+    top = np.matmul(u_ri[u, :2], num_t, out=top).ravel()[cut]
+    bottom = np.matmul(u_ri[u, 2:], den_t, out=bottom).ravel()[cut]
     if j0 == 0:
         top[0], bottom[0] = N, 1.0
     top /= bottom
     return top
+
+
+def _lone_kernel_bytes(M: int) -> float:
+    """The bytes a kernel that forms no bins adds to a gauge on M points
+    beside its blocks: the u-table of the sines in the rows of S = 1, four
+    float64 a row, the t-tables as _dirichlet_sines forms them, twelve
+    float64 a column of T, and the extra row of T that a block's work
+    array holds."""
+    _, T, rows, _ = _half_grid_shape(1, M)
+    return 32.0 * rows + 112.0 * T
 
 
 class DirichletKernel:
@@ -296,6 +410,7 @@ class DirichletKernel:
 
     def __init__(self, N: int, M: int):
         self.N, self.M = N, M
+        self._work = None
 
     @cached_property
     def _sines(self):
@@ -304,9 +419,14 @@ class DirichletKernel:
 
     def block(self, j0: int, n: int) -> np.ndarray:
         """The bins j0..j0 + n - 1, formed alone from the sine tables
-        (_dirichlet_block) and held by no one: the same bits as bins."""
+        (_dirichlet_block) in one work array that the first block sizes and
+        later blocks of at most its length reuse: the same bits as bins,
+        valid until the next block."""
         T, sines = self._sines
-        return _dirichlet_block(self.N, T, sines, j0, n)
+        rows = -(-n // T) + 1
+        if self._work is None or len(self._work[0]) < rows:
+            self._work = np.empty((2, rows, T))
+        return _dirichlet_block(self.N, T, sines, j0, n, self._work)
 
     @cached_property
     def bins(self) -> np.ndarray:
@@ -315,7 +435,9 @@ class DirichletKernel:
         for j0 in range(0, half, C * T):
             n = min(C * T, half - j0)
             bins[j0 : j0 + n] = self.block(j0, n)
-        del self._sines  # before a gauge forms its product's tables
+        # before a gauge forms its product's tables
+        del self._sines
+        self._work = None
         bins.flags.writeable = False  # read by every gauge given the kernel
         return bins
 
@@ -358,7 +480,7 @@ def dft_spectrum(seq: WeightedSequence, M: int | None = None) -> Spectrum:
         raise ValueError(f"grid M = {M} must be >= 2N = {2 * N}")
     # the grid comes at the first chunk, after _half_spectrum has priced it
     # with X (three grids) or with two products' X
-    for j0, X in _half_spectrum(seq.index, seq.weights, M, "dft_spectrum", (3, 4, 2)):
+    for j0, X in _half_spectrum(seq.index, seq.weights, M, "dft_spectrum", (3, 4, 16.0 * M)):
         if j0 == 0:
             values = np.empty(M, dtype=complex)
         # conj flips to the e(+n alpha) convention
@@ -641,8 +763,9 @@ def pseudorandom_gauge(
     product path reads the bins of kernel, a DirichletKernel of the same N
     and M, formed before the product's tables; given none, it forms each
     product's bins alone (DirichletKernel.block) and holds no bins array.
-    The result is the same bit for bit either way, and so is the price,
-    which counts the bins as half a grid.  A kernel of another N or M is
+    The result is the same bit for bit either way.  The price counts what
+    each forms: with a kernel its bins, half a grid; without, the sine
+    tables of S = 1 (_lone_kernel_bytes).  A kernel of another N or M is
     refused with ValueError.  The FFT path forms no bins.
 
     sigma records the first exponent in _SIGMA_CHAIN whose arc parameters
@@ -658,23 +781,36 @@ def pseudorandom_gauge(
         raise ValueError(
             f"a kernel of N = {kernel.N} on M = {kernel.M} cannot gauge N = {N} on M = {M}"
         )
-    # the padded sequence and X (two grids), or the kernel's bins (half a
-    # grid) and five words a product's cell: the last product's X and |X|
-    # held while the next product's X is formed
-    if _take_product(len(nu.index), M, "pseudorandom_gauge", (2, 5, 0.5)):
+    # the padded sequence and X (two grids); on the product path a held
+    # kernel's bins (half a grid) and five words a product's cell, or a
+    # lone kernel's sine tables and four words a cell: X and the block the
+    # kernel forms, which then takes |X|
+    price = (2, 4, _lone_kernel_bytes(M)) if kernel is None else (2, 5, 4.0 * M)
+    if _take_product(len(nu.index), M, "pseudorandom_gauge", price):
         if kernel is None:
             bins_at = DirichletKernel(N, M).block
         else:
-            bins = kernel.bins  # formed before the product's tables
-            bins_at = lambda j0, n: bins[j0 : j0 + n]
+            held = kernel.bins  # formed before the product's tables
+            bins_at = lambda j0, n: held[j0 : j0 + n]
         blocks = _half_grid_product(2 * nu.index + 1 - N, nu.weights, M)
     else:
-        bins_at, blocks = None, [(0, _padded_rfft(nu.index, nu.weights, M, N))]
+        bins_at, blocks = None, [(0, 0, _padded_rfft(nu.index, nu.weights, M, N)[None])]
     peak, j = -1.0, 0
-    for j0, X in blocks:
-        if bins_at is not None:
-            X.real -= bins_at(j0, len(X))
-        mag = np.abs(X)
+    buffer = None  # |X| beside a held kernel: one buffer the first, longest, chunk sizes
+    for _, j0, rows in blocks:
+        X = rows[0]
+        if bins_at is None:
+            mag = np.abs(X)  # the rfft's one chunk
+        else:
+            bins = bins_at(j0, len(X))
+            X.real -= bins
+            if kernel is None:
+                # a lone kernel's block, whose buffer is free until the next block
+                mag = np.abs(X, out=bins)
+            else:
+                if buffer is None:
+                    buffer = np.empty(len(X))
+                mag = np.abs(X, out=buffer[: len(X)])
         k = int(mag.argmax())
         if mag[k] > peak:
             peak, j = float(mag[k]), j0 + k
@@ -746,8 +882,12 @@ def restriction_norm(
     total = 0.0
     # the padded sequence and X (two grids), or five words a product's
     # cell: X, |X| and its power, some held over from the last
+    buf = None  # |X|^exponent, one buffer the first, longest, chunk sizes
     for j0, X in _half_spectrum(seq.index, seq.weights, M, "restriction_norm", (2, 5, 0)):
-        mag = np.abs(X) ** exponent
+        if buf is None:
+            buf = np.empty(len(X))
+        mag = np.abs(X, out=buf[: len(X)])
+        mag **= exponent
         total += 2.0 * mag.sum()
         if j0 == 0:
             total -= mag[0]

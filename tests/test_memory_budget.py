@@ -24,6 +24,8 @@ from wglab.majorant import SubsetSpec, WeightedSequence, build_nu, gen_subset
 from wglab.representation import count_representations, coverage_probe, transference_gauge
 from wglab.local_structure import power_residues
 from wglab.spectral import (
+    _half_grid_shape,
+    _lone_kernel_bytes,
     _product_bytes,
     _use_product,
     DirichletKernel,
@@ -145,6 +147,13 @@ def sizes_transference(monkeypatch):
     return gauge(1000), gauge(81_757_009), gauge(81_757_010)
 
 
+def sizes_indicator(monkeypatch):
+    # N int64 positions, N float64 ones and from_support's N-byte check
+    # mask: 17 N bytes pass the budget at N = 252,645,136
+    over = MEMORY_BUDGET // 17 + 1
+    return tuple((lambda N=N: WeightedSequence.indicator(N)) for N in (1000, over - 1, over))
+
+
 def sizes_count_bitset(monkeypatch):
     # six masks of hi + 1 bits and 9 bytes a position: the estimate passes
     # the budget at hi = 440,509,463
@@ -176,6 +185,7 @@ SIZES = {
     "dft_spectrum": sizes_dft_spectrum,
     "count_representations(method='fft')": sizes_count,
     "transference_gauge": sizes_transference,
+    "WeightedSequence.indicator": sizes_indicator,
     "count_representations(method='bitset')": sizes_count_bitset,
     "coverage_probe": sizes_coverage,
 }
@@ -258,6 +268,8 @@ def _small_calls(name):
             lambda: coverage_probe(sub, 4, 5, (0, 1 << 20)),
             lambda: coverage_probe(sub, 2, 5, ((1 << 20) - 100, 1 << 20)),
         ]
+    if name == "WeightedSequence.indicator":
+        return [lambda N=N: WeightedSequence.indicator(N) for N in (1 << 16, 1 << 20)]
     if name == "transference_gauge":
         rng = np.random.default_rng(0)
         calls = []
@@ -267,9 +279,16 @@ def _small_calls(name):
                 for _ in range(distinct)
             ]
             calls.append(lambda f_list=(base * s)[:s]: transference_gauge(f_list))
-        # three sparse parts: each half spectrum comes from the product path
+        # three sparse parts on 729,000 points, a split grid: the streamed
+        # route's lattices; then a dense and a sparse part on 364,500
+        # points, whose rfft is read by columns beside the lattices
         base = [_sparse(1 << 15, 20, seed) for seed in range(3)]
-        return calls + [lambda f_list=(base * 44)[:44]: transference_gauge(f_list)]
+        mixed = [WeightedSequence(values=rng.random(1 << 14), kind="custom", W=0, b=0, k=0)]
+        mixed.append(_sparse(1 << 14, 20, 5))
+        return calls + [
+            lambda f_list=(base * 44)[:44]: transference_gauge(f_list),
+            lambda f_list=mixed * 22: transference_gauge(f_list),
+        ]
     W = compute_W(3, 2)
     path = {
         "pseudorandom_gauge": pseudorandom_gauge,
@@ -381,15 +400,15 @@ def _recorded_prices(monkeypatch, call):
     return seen
 
 
-def test_lone_and_held_gauges_price_alike(monkeypatch):
-    """A gauge prices the same whether it forms each product's Dirichlet
-    kernel bins alone or reads them from a DirichletKernel: on the product
-    path the bins' half grid, whichever; an rfft member prices its two
-    grids and no bins."""
+def test_lone_and_held_gauges_price_what_they_form(monkeypatch):
+    """On the product path a gauge given a DirichletKernel prices the
+    kernel's bins, half a grid, and five words a product cell; a gauge
+    given none prices the sine tables of S = 1 and four words a cell, far
+    less.  An rfft member prices its two grids either way."""
     W, N, M = compute_W(3, 2), 1 << 14, 1 << 18
     nus = [build_nu(W, b, 2, N) for b in power_residues(W, 2).units.tolist()[:2]]
     members = [nus[0], _sparse(N, 64, 1), _dense(N), nus[1]]
-    sizes = [int(np.count_nonzero(seq.values)) for seq in members]
+    sizes = [len(seq.index) for seq in members]
     paths = [_use_product(S, M) for S in sizes]
     assert paths == [True, True, False, True]
     lone = [
@@ -402,15 +421,22 @@ def test_lone_and_held_gauges_price_alike(monkeypatch):
         for seq in members:
             pseudorandom_gauge(seq, M, held)
 
-    assert _recorded_prices(monkeypatch, family) == [price for price, in lone]
-    for (price,), S, product in zip(lone, sizes, paths):
-        assert price == (_product_bytes(S, M, 5) + 4.0 * M if product else 16.0 * M)
+    held = _recorded_prices(monkeypatch, family)
+    _, T, rows, _ = _half_grid_shape(1, M)
+    sines = 32.0 * rows + 112.0 * T
+    for (price,), held_price, S, product in zip(lone, held, sizes, paths):
+        if product:
+            assert price == _product_bytes(S, M, 4) + sines
+            assert held_price == _product_bytes(S, M, 5) + 4.0 * M
+            assert price < held_price / 2
+        else:
+            assert price == held_price == 16.0 * M
 
 
 def test_lone_product_gauge_within_its_product_price():
     W, N = compute_W(3, 2), 1 << 14
     nu = build_nu(W, 1, 2, N)
-    S, M = int(np.count_nonzero(nu.values)), 8 * N
+    S, M = len(nu.index), 8 * N
     pseudorandom_gauge(nu)
     tracemalloc.start()
     try:
@@ -418,8 +444,8 @@ def test_lone_product_gauge_within_its_product_price():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # five words a block cell and the kernel's bins, half a grid
-    assert peak <= _product_bytes(S, M, 5) + 4.0 * M + OBJECT_BYTES
+    # four words a block cell and the sine tables of S = 1
+    assert peak <= _product_bytes(S, M, 4) + _lone_kernel_bytes(M) + OBJECT_BYTES
 
 
 def test_report_holds_one_dense_sequence(tmp_path):

@@ -792,7 +792,10 @@ class TestSparseProduct:
         for i, u0 in enumerate(range(0, rows, step)):
             A = (blocks[i : i + 1, None] * within).reshape(-1, S)[: rows - u0]
             want.append((u0 * T, (A.view(float) @ E).view(complex).ravel()[: half - u0 * T]))
-        got = list(spectral._half_grid_product(c, w, M))
+        # a chunk is valid until the next is drawn: each is copied
+        got = [(o, j0, X.copy()) for o, j0, (X,) in spectral._half_grid_product(c, w, M)]
+        assert {o for o, _, _ in got} == {0}
+        got = [(j0, X) for _, j0, X in got]
         assert [j0 for j0, _ in got] == [j0 for j0, _ in want]
         for (_, X), (_, Y) in zip(got, want):
             assert X.tobytes() == Y.tobytes()
@@ -984,8 +987,9 @@ def _gauge_in_product_shape(nu, M):
     _, T, rows, _ = _half_grid_shape(len(idx), M)
     sines = spectral._dirichlet_sines(N, M, rows, T)
     peak, j = -1.0, 0
-    for j0, X in spectral._half_grid_product(2 * idx + 1 - N, nu.values[idx], M):
-        X.real -= spectral._dirichlet_block(N, T, sines, j0, len(X))
+    for _, j0, (X,) in spectral._half_grid_product(2 * idx + 1 - N, nu.values[idx], M):
+        work = np.empty((2, -(-len(X) // T) + 1, T))
+        X.real -= spectral._dirichlet_block(N, T, sines, j0, len(X), work)
         mag = np.abs(X)
         k = int(mag.argmax())
         if mag[k] > peak:
@@ -1216,7 +1220,8 @@ class TestLoneKernel:
     def test_blocks_equal_the_bins_bit_for_bit(self, N, M, S):
         half, T, _, C = _half_grid_shape(S, M)
         lone = DirichletKernel(N, M)
-        blocks = [lone.block(j0, min(C * T, half - j0)) for j0 in range(0, half, C * T)]
+        # a block is valid until the next: each is copied
+        blocks = [lone.block(j0, min(C * T, half - j0)).copy() for j0 in range(0, half, C * T)]
         assert "bins" not in vars(lone)
         assert np.concatenate(blocks).tobytes() == DirichletKernel(N, M).bins.tobytes()
 
@@ -1387,3 +1392,56 @@ def test_grouped_products_do_not_depend_on_blas_threads():
     ]
     assert outputs[0] and outputs[0] == outputs[1]
 
+
+_KERNEL_PROBE = """
+import ctypes, glob, os, sys
+import numpy as np
+from wglab.core_arith import compute_W
+from wglab.majorant import build_nu
+from wglab.spectral import dft_spectrum, pseudorandom_gauge
+libs = glob.glob(os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs", "*openblas*"))
+corename = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_corename64_", None) if libs else None
+if corename is None:
+    print("")
+    sys.exit()
+corename.restype = ctypes.c_char_p
+nu = build_nu(compute_W(3, 2), 1, 2, 1 << 17)
+M = 1 << 20
+np.save(sys.argv[1], dft_spectrum(nu, M).values)
+print(corename().decode(), pseudorandom_gauge(nu, M).argmax_j)
+"""
+
+
+def test_spectrum_within_ulps_on_another_blas_kernel(tmp_path):
+    """Byte-identity holds for one BLAS kernel only: under
+    OPENBLAS_CORETYPE=Prescott (SSE3, no FMA) the product path's bins of
+    nu's spectrum at N = 2^17 on 2^20 points move, but by at most 4 ulps
+    of max|X|, and the gauge's argmax stays.  Skipped where the bundled
+    OpenBLAS cannot report its core or does not take the one asked for."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(spectral.__file__).resolve().parent.parent)
+    base = {**os.environ, "PYTHONPATH": src}
+    base.pop("OPENBLAS_CORETYPE", None)
+    runs = []
+    for name, env in (("default", base), ("prescott", {**base, "OPENBLAS_CORETYPE": "Prescott"})):
+        path = tmp_path / f"{name}.npy"
+        out = subprocess.run(
+            [sys.executable, "-c", _KERNEL_PROBE, str(path)],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        ).stdout.split()
+        if not out:
+            pytest.skip("the bundled OpenBLAS does not report its core")
+        runs.append((out[0], int(out[1]), np.load(path)))
+    (core, argmax, X), (other, other_argmax, Y) = runs
+    if other == core:
+        pytest.skip(f"OPENBLAS_CORETYPE=Prescott left the core at {core}")
+    assert other_argmax == argmax
+    assert np.abs(Y - X).max() <= 4 * np.finfo(float).eps * np.abs(X).max()
