@@ -19,11 +19,14 @@ from .core_arith import FactoredModulus, compute_Rk, require_bytes
 from .majorant import PrimeSubset, WeightedSequence, require_epsilon, write_csv
 from .spectral import (
     _CHUNK_CELLS,
+    _e_table_bytes,
+    _half_grid_shape,
     _half_spectrum,
     _lattice_buffers,
     _phase_table,
     _rfft_columns,
     _support_columns,
+    _take_product,
     _use_product,
 )
 
@@ -130,7 +133,7 @@ def count_representations(
         # the window is the whole grid, the least 5-smooth integer above
         # top, so the kernel takes its one irfft and every count is checked
         grid = _smooth_above(top)
-        conv, _ = _convolve(indicator(), top, 0, grid - 1, what, 8 * (hi + 1))
+        conv, _ = _convolve(indicator(), [len(powers)], top, 0, grid - 1, what, 8 * (hi + 1))
         if conv.max() >= FFT_EXACT_LIMIT:
             raise FFTPrecisionError(
                 f"count magnitude {conv.max():.3g} >= 2^52; "
@@ -403,23 +406,66 @@ def _half_grid_power(parts, grid: int, what: str) -> np.ndarray | None:
     return prod
 
 
+def _workspace(supports, grid: int, L1: int) -> tuple[int, int, int]:
+    """The streamed route's one workspace for parts of the given support
+    sizes: the columns of a batch (_column_batch), and the complex elements
+    of A and the float64 words of X that the sparse parts share
+    (spectral._lattice_buffers)."""
+    batch = _column_batch(grid, L1)
+    sparse = [S for S in supports if _use_product(S, grid)]
+    shared = [_lattice_buffers(S, grid, grid // L1, batch) for S in sparse]
+    a_size, x_size = map(max, zip((0, 0), *shared))
+    return batch, a_size, x_size
+
+
+def _streamed_bytes(supports, grid: int, L1: int, width: int) -> float:
+    """The streamed route's peak for parts of the given support sizes on
+    grid = L1 L2 points and a window of width points: the one workspace
+    (the batch, one column's |bins| and the sparse parts' shared A and X),
+    each sparse part's phase tables (E with its phase table and the ufunc
+    buffer of its strided write, each lattice's weighted phase and the
+    products' first-row phases, the within-product phases), the dense
+    parts' half-grid product with one part's padded rfft (4 grids, traced
+    at 2.97-3.97 grids with the rest) when a part is dense, and the window
+    inverse's readout: its e(j1 m / grid) terms for one batch, held while
+    _phase_table forms the next batch's twice over, the window's sum and
+    result, and its per-column scale."""
+    L2 = grid // L1
+    columns = L1 // 2 + 1
+    batch, a_size, x_size = _workspace(supports, grid, L1)
+    total = 8.0 * (2 * batch * L2 + L2 + 2 * a_size + x_size)
+    sparse = [S for S in supports if _use_product(S, grid)]
+    for S in sparse:
+        _, T, rows, C = _half_grid_shape(S, grid, L2)
+        total += _e_table_bytes(S, T) + 16.0 * S * columns * (-(-rows // C) + 1)
+        total += 16.0 * S * min(rows, C)
+    if len(sparse) < len(supports):
+        total += 4 * 8.0 * grid
+    return total + 16.0 * width * (3 * batch + 1) + 48.0 * columns
+
+
 def _convolve(
-    parts, top: int, lo: int, hi: int, what: str, result_bytes: int = 0
+    parts, supports, top: int, lo: int, hi: int, what: str, result_bytes: int = 0
 ) -> tuple[np.ndarray, float]:
     """The one convolution kernel: the product of parts, each (index,
     weights, multiplicity) with weights[s] at position n = index[s] + 1, on
-    the window [lo, hi].
+    the window [lo, hi].  supports holds the parts' support sizes, the
+    lengths of their index, in the order parts yields them.
 
     The cyclic grid is the least 2^a 3^b 5^c strictly above both hi and
     top - lo, top the last position the product reaches: a grid above hi
     keeps the window and folds no negative position onto it, and one above
     top - lo sends every position that would wrap onto the window past top.
-    The price, 6.5 float64 grids plus the result_bytes the caller allocates
-    afterwards, passes require_bytes under the name what before the first
-    part is drawn from parts.  Returns the convolution at lo..hi and the
-    sum of the product's |bins| over the half grid j = 0..grid/2, divided
-    by the grid length.  Each part's spectrum is raised to its
-    multiplicity by its binary powers (_raise_into).
+    The price, plus the result_bytes the caller allocates afterwards,
+    passes require_bytes under the name what before the first part is
+    drawn from parts: 6.5 float64 grids on the one-irfft route, and on the
+    streamed route what that route allocates (_streamed_bytes).  Sparse
+    parts on the streamed route are refused on grids where the product
+    path's exact phases could overflow (spectral._take_product).  Returns
+    the convolution at lo..hi and the sum of the product's |bins| over the
+    half grid j = 0..grid/2, divided by the grid length.  Each part's
+    spectrum is raised to its multiplicity by its binary powers
+    (_raise_into).
 
     When _window_split splits the grid as L1 L2, the product is streamed
     by the columns j1 = 0..L1/2 of the spectrum: a sparse part gives its
@@ -438,8 +484,9 @@ def _convolve(
     (_half_grid_power), read by one irfft of the grid.
     """
     grid = _smooth_above(max(hi, top - lo))
-    require_bytes(6.5 * 8 * grid + result_bytes, what)
     L1 = _window_split(grid, hi - lo + 1)
+    price = _streamed_bytes(supports, grid, L1, hi - lo + 1) if L1 else 6.5 * 8 * grid
+    require_bytes(price + result_bytes, what)
     if not L1:
         prod = _half_grid_power(parts, grid, what)
         mass = np.sum(np.abs(prod)) / grid
@@ -447,12 +494,12 @@ def _convolve(
     L2 = grid // L1
     h2 = L2 // 2
     columns = L1 // 2 + 1
-    batch = _column_batch(grid, L1)
+    batch, a_size, x_size = _workspace(supports, grid, L1)
     sparse = []
 
     def dense():
         for part in parts:
-            if _use_product(len(part[0]), grid):
+            if _take_product(len(part[0]), grid, what, None):
                 sparse.append(part)
             else:
                 yield part
@@ -463,8 +510,6 @@ def _convolve(
     dense_product = _half_grid_power(dense(), grid, what)
     # one workspace: the batch, |bins| of one column, and the A and X that
     # the sparse parts share, since each batch is formed part by part
-    shared = [_lattice_buffers(len(index), grid, L2, batch) for index, _, _ in sparse]
-    a_size, x_size = map(max, zip((0, 0), *shared))
     space = np.empty(2 * batch * L2 + L2 + 2 * a_size + x_size)
     block, mag, a_buf, x_buf = np.split(space, np.cumsum([2 * batch * L2, L2, 2 * a_size]))
     block = block.view(complex).reshape(batch, L2)
@@ -538,25 +583,24 @@ def transference_gauge(f_list: list[WeightedSequence], epsilon: float = 0.1) -> 
     def same(g, f) -> bool:
         return np.array_equal(g[0], f.index) and np.array_equal(g[1], f.weights)
 
-    def parts():
-        # group equal sequences, in first-occurrence order, so repeated
-        # factors cost one half spectrum each; equal sequences come in
-        # runs, so each is compared first with the group the one before
-        # joined (equality is transitive: at most one group matches)
-        groups: list[list] = []
-        last = None
-        for f in f_list:
-            if last is None or not same(last, f):
-                prev = last
-                last = next((g for g in groups if g is not prev and same(g, f)), None)
-                if last is None:
-                    last = [f.index, f.weights, 0]
-                    groups.append(last)
-            last[2] += 1
-        for index, weights, mult in groups:
-            yield index, weights / N, mult
-
-    conv, mass = _convolve(parts(), s * N, lo, hi, "transference_gauge")
+    # group equal sequences, in first-occurrence order, so repeated factors
+    # cost one half spectrum each; equal sequences come in runs, so each is
+    # compared first with the group the one before joined (equality is
+    # transitive: at most one group matches)
+    groups: list[list] = []
+    last = None
+    for f in f_list:
+        if last is None or not same(last, f):
+            prev = last
+            last = next((g for g in groups if g is not prev and same(g, f)), None)
+            if last is None:
+                last = [f.index, f.weights, 0]
+                groups.append(last)
+        last[2] += 1
+    # scaled as drawn, so that one dense group's copy is held at a time
+    parts = ((index, weights / N, mult) for index, weights, mult in groups)
+    supports = [len(index) for index, _, _ in groups]
+    conv, mass = _convolve(parts, supports, s * N, lo, hi, "transference_gauge")
     window_vals = conv * N  # convolution / N^(s-1)
     mass_bound = float(mass * N)
     noise_floor = 1e-12 * max(mass_bound, 1.0)

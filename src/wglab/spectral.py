@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -143,14 +144,19 @@ def _lattice_layout(S: int, M: int, count: int, group: int) -> tuple[int, int, i
 _UFUNC_BUFFER = 8192
 
 
+def _e_table_bytes(S: int, T: int) -> float:
+    """E of S points and T columns with its complex phase table, 48 bytes a
+    cell, and the ufunc buffer of its strided write."""
+    return 48.0 * S * T + 16.0 * min(S * T, _UFUNC_BUFFER)
+
+
 def _product_bytes(S: int, M: int, block_words: int) -> float:
-    """Peak of the product path: E with its complex phase table (48 bytes a
-    cell) and the ufunc buffer of its strided write, the within-product
-    phases with their table and one product's A (48 a cell), the
-    w-weighted phase of each product's first row, then block_words float64
-    arrays the size of one product's bins."""
+    """Peak of the product path: E with its phase table (_e_table_bytes),
+    the within-product phases with their table and one product's A (48
+    bytes a cell), the w-weighted phase of each product's first row, then
+    block_words float64 arrays the size of one product's bins."""
     _, T, rows, C = _half_grid_shape(S, M)
-    E = 48.0 * S * T + 16.0 * min(S * T, _UFUNC_BUFFER)
+    E = _e_table_bytes(S, T)
     return E + 48.0 * S * C + 16.0 * S * -(-rows // C) + 8.0 * block_words * C * T
 
 
@@ -191,7 +197,20 @@ def _phase_table(c, count: int, step: int, M: int) -> np.ndarray:
     return (table[:rows, None] * table[rows:]).reshape(-1, len(c))[:count]
 
 
-def _half_grid_product(
+class _ProductTables(NamedTuple):
+    """The phase tables of one sparse-spectrum product (_product_tables)
+    and the lattices they cover."""
+
+    E: np.ndarray
+    lead: np.ndarray
+    within: np.ndarray
+    M: int
+    offsets: range
+    count: int
+    group: int
+
+
+def _product_tables(
     c: np.ndarray,
     w: np.ndarray,
     M: int,
@@ -199,39 +218,31 @@ def _half_grid_product(
     stride: int = 1,
     count: int | None = None,
     group: int | None = None,
-    work: dict | None = None,
-):
-    """X(j) = sum_s w_s e(-c_s j / 2M) on lattices of bins, in chunks: for
-    each offset o of the range offsets, the bins j = o + stride i, i <
-    count.  The default is the half grid j = 0..M//2: offset 0, stride 1,
-    count M//2 + 1.  The window inverse's columns are lattices of stride
-    L1 (representation._convolve).
+) -> _ProductTables:
+    """The double-precision tables of X(j) = sum_s w_s e(-c_s j / 2M) on
+    lattices of bins, which _half_grid_product multiplies: for each offset
+    o of the range offsets, the bins j = o + stride i, i < count.  The
+    default is the half grid j = 0..M//2: offset 0, stride 1, count M//2 +
+    1.  The window inverse's columns are lattices of stride L1
+    (representation._convolve).
 
     With i = u T + t, X is the matrix product of A[u, s] = w_s e(-c_s (o +
     stride u T) / 2M) and E[s, t] = e(-c_s stride t / 2M).  One real
     product forms at most the C rows that _half_grid_shape gives it: C
     rows of one lattice when a lattice has R > C rows, else C // R whole
     lattices, none from two groups (runs of group lattices from the first;
-    one run by default).  Its row u = u0 + r of A is the lattice's weighted
-    phase w e(-c o / 2M) times the product's phase at r = 0 times the
-    within-product phase at r, all three from _phase_table; the half
-    grid's offset phase, 1, is not formed.  A is viewed as real, Re and Im
-    of each point side by side, times the 2S x 2T matrix whose columns 2t
-    and 2t + 1 give Re X and Im X, so the result reads as complex X with no
-    copy.
-
-    Yields (o, i0, X): X holds the bins i0, i0 + 1, ... of the lattices at
-    offsets o, o + 1, ..., one row a lattice, cut at count; on the half
-    grid X has one row.  A and X are formed in two buffers allocated once
-    per call, or kept in work, a dict that calls drawn in turn may share
-    and that each call grows to its size.  So a yielded X is valid only
-    until the next chunk is drawn, from this call or from any call sharing
-    its work.
+    one run by default).  Its row u = u0 + r of A is lead, the lattice's
+    weighted phase w e(-c o / 2M) times the product's phase at r = 0,
+    times within, the within-product phase at r, all from _phase_table;
+    the half grid's offset phase, 1, is not formed.  A is viewed as real,
+    Re and Im of each point side by side, times E, the 2S x 2T matrix
+    whose columns 2t and 2t + 1 give Re X and Im X, so the result reads as
+    complex X with no copy.
     """
     S = len(c)
     count = M // 2 + 1 if count is None else count
     group = group or len(offsets)
-    T, rows, C, per, span = _lattice_layout(S, M, count, group)
+    T, rows, C, _, span = _lattice_layout(S, M, count, group)
     # rows 2s and 2s + 1 of E take Re A_s and Im A_s: (a + ib) e = a e + b (i e)
     phases = _phase_table(c, T, stride, M)
     E = np.empty((S, 2, T), dtype=complex)
@@ -250,23 +261,56 @@ def _half_grid_product(
     lead = _phase_table(c, -(-rows // C), C * T * stride, M)[None] * lattice[:, None]
     # the half grid's table keeps C rows, as it did when it had no other use
     within = _phase_table(c, C if offsets == range(1) else span, T * stride, M)
+    return _ProductTables(E, lead, within, M, offsets, count, group)
+
+
+def _half_grid_product(tables: _ProductTables, work: dict | None = None, dtype=float, which=None):
+    """The matrix products of _product_tables' tables, in chunks, in dtype:
+    float64, or np.float32 for the gauge's screen, whose A, E and X are
+    the double tables and products rounded to single precision.  which
+    holds the numbers of the products to form, counted from 0 in the order
+    formed; None forms them all.
+
+    Each bin is off by a few ulps of the error scale sum_s |w_s|, the
+    largest |X| can reach, not of |X| itself: each of Re X and Im X is a
+    dot product of 2S terms of total size at most sum_s |w_s|, so a bin
+    where |X| cancels far below that sum keeps the absolute error of the
+    sum, not a relative one (TestProductErrorScale in the tests).
+
+    Yields (o, i0, X): X holds the bins i0, i0 + 1, ... of the lattices at
+    offsets o, o + 1, ..., one row a lattice, cut at count; on the half
+    grid X has one row.  A and X are formed in two buffers allocated once
+    per call, or kept in work, a dict that calls drawn in turn may share
+    and that each call grows to its size.  So a yielded X is valid only
+    until the next chunk is drawn, from this call or from any call sharing
+    its work.
+    """
+    E, lead, within, M, offsets, count, group = tables
+    S = len(E) // 2
+    T, rows, _, per, span = _lattice_layout(S, M, count, group)
+    E = E.astype(dtype, copy=False)
     work = {} if work is None else work
     sizes = _lattice_buffers(S, M, count, group)
-    for name, size, dtype in zip(("A", "out"), sizes, (complex, float)):
-        if name not in work or work[name].size < size:
-            work[name] = np.empty(size, dtype=dtype)
+    for name, size, kind in zip(("A", "out"), sizes, (np.result_type(dtype, 1j), E.dtype)):
+        if name not in work or work[name].size < size or work[name].dtype != kind:
+            work[name] = np.empty(size, dtype=kind)
+    which = None if which is None else set(which)
     # by (m, r): A as (m, r, S) and as real (m r, 2S), X as real and complex
     views = {}
+    n = -1
     for g0 in range(0, len(offsets), group):
         for k0 in range(g0, min(g0 + group, len(offsets)), per):
             m = min(per, g0 + group - k0, len(offsets) - k0)
             for p, u0 in enumerate(range(0, rows, span)):
+                n += 1
+                if which is not None and n not in which:
+                    continue
                 r = min(span, rows - u0)
                 if (m, r) not in views:
                     A = work["A"][: m * r * S]
                     X = work["out"][: m * r * 2 * T].reshape(m * r, 2 * T)
-                    A_real = A.view(float).reshape(m * r, 2 * S)
-                    views[m, r] = A.reshape(m, r, S), A_real, X, X.view(complex).reshape(m, r * T)
+                    A_real = A.view(X.dtype).reshape(m * r, 2 * S)
+                    views[m, r] = A.reshape(m, r, S), A_real, X, X.view(A.dtype).reshape(m, r * T)
                 A, A_real, X_real, X = views[m, r]
                 np.multiply(lead[k0 : k0 + m, p, None], within[:r], out=A)
                 np.matmul(A_real, E, out=X_real)
@@ -308,7 +352,7 @@ def _half_spectrum(index: np.ndarray, weights: np.ndarray, M: int, what: str, pr
     call.  A product chunk is valid only until the next is drawn.
     """
     if _take_product(len(index), M, what, price):
-        for _, j0, rows in _half_grid_product(2 * index + 2, weights, M):
+        for _, j0, rows in _half_grid_product(_product_tables(2 * index + 2, weights, M)):
             yield j0, rows[0]
     else:
         yield 0, _padded_rfft(index, weights, M)
@@ -322,8 +366,8 @@ def _support_columns(index: np.ndarray, weights: np.ndarray, M: int, L1: int, gr
     (_half_grid_product), formed in runs of group columns in the buffers
     of work.  Yields (j1, i0, X), X the bins i0, i0 + 1, ... of the columns
     j1, j1 + 1, ... as rows, valid only until the next chunk is drawn."""
-    lattices = range(L1 // 2 + 1), L1, M // L1, group, work
-    return _half_grid_product(2 * index + 2, weights, M, *lattices)
+    lattices = range(L1 // 2 + 1), L1, M // L1, group
+    yield from _half_grid_product(_product_tables(2 * index + 2, weights, M, *lattices), work)
 
 
 def _rfft_columns(H: np.ndarray, M: int, L1: int, group: int):
@@ -405,12 +449,15 @@ class DirichletKernel:
     Formed in the rows of another S's shape, the bins would differ by at
     most 5.7 ulps of N over M = 2^15..2^22 and S = 1..64: too little to
     move a report row or the benchmark's gauges (TestKernelInProductShape
-    in the tests).
+    in the tests).  A gauge's single-precision screen reads the bins
+    rounded to float32: a held kernel keeps them beside its bins
+    (single_bins, 4 (M//2 + 1) bytes), a lone one rounds each block
+    (single_block).
     """
 
     def __init__(self, N: int, M: int):
         self.N, self.M = N, M
-        self._work = None
+        self._work = self._single = None
 
     @cached_property
     def _sines(self):
@@ -428,6 +475,17 @@ class DirichletKernel:
             self._work = np.empty((2, rows, T))
         return _dirichlet_block(self.N, T, sines, j0, n, self._work)
 
+    def single_block(self, j0: int, n: int) -> np.ndarray:
+        """block(j0, n) rounded to single precision, in one float32 array
+        that the first block sizes and later blocks reuse: valid until the
+        next single block.  Rounded, never formed in single: near j = 0,
+        sin(pi j / M) has no relative accuracy left in float32."""
+        if self._single is None or len(self._single) < n:
+            self._single = np.empty(n, dtype=np.float32)
+        out = self._single[:n]
+        out[...] = self.block(j0, n)
+        return out
+
     @cached_property
     def bins(self) -> np.ndarray:
         half, T, _, C = _half_grid_shape(1, self.M)
@@ -440,6 +498,15 @@ class DirichletKernel:
         self._work = None
         bins.flags.writeable = False  # read by every gauge given the kernel
         return bins
+
+    @cached_property
+    def single_bins(self) -> np.ndarray:
+        """bins rounded to single precision (single_block), 4 (M//2 + 1)
+        bytes held beside them, which every screen of a gauge given the
+        kernel reads."""
+        single = self.bins.astype(np.float32)
+        single.flags.writeable = False
+        return single
 
 
 @dataclass
@@ -747,6 +814,71 @@ class GaugeReport:
         return _json_row(self, self.sigma, self.D)
 
 
+# the unit roundoff of single precision, and the largest error scale
+# sum |w| + N that the gauge screens in it: half of float32's largest value
+_SINGLE_UNIT = 2.0**-24
+_SINGLE_SCALE = 2.0**127
+
+
+def _screen_bytes(S: int, M: int) -> float:
+    """The single-precision arrays of a gauge's screen on the product path:
+    E (16 bytes a point of T), one product's A (8 a cell of C rows) and X
+    with one float32 block of |X - bins| (12 a bin)."""
+    _, T, _, C = _half_grid_shape(S, M)
+    return 16.0 * S * T + 8.0 * S * C + 12.0 * C * T
+
+
+def _screen_bound(S: int, scale: float) -> float:
+    """B = (4 S + 16) u (sum |w| + N), u = 2^-24: at every bin, the single-
+    precision |X - bins| of the screen is within B of the double one.
+
+    In the gamma_n framework (Higham, Accuracy and Stability of Numerical
+    Algorithms, 3.1), with the double tables and bins as the reference:
+    each of Re X and Im X is a dot product of 2S terms whose sizes sum to
+    at most sum |w| (|Re a Re e| + |Im a Im e| <= |a| |e| = |w_s|), so the
+    single product is within gamma_2S sum |w| of it, and rounding A and E
+    to single adds gamma_2 sum |w|; as a complex number X is off by at
+    most sqrt(2) (2S + 2) u sum |w|.  Rounding the bins to single costs u N,
+    the subtraction u (sum |w| + N) and the hypot 2 u (sum |w| + N), since
+    |X - bins| <= sum |w| + N.  Together (2.83 S + 5.83) u (sum |w| + N) to
+    first order; the double path's own error (the same in units of 2^-53)
+    and any underflow of a product term (2^-150 each, while N >= 1) fit in
+    the margin up to (4 S + 16)."""
+    return (4 * S + 16) * _SINGLE_UNIT * scale
+
+
+def _screen_band(peaks, bound: float):
+    """The numbers of the products whose screened maximum lies within 2
+    bound of the largest, or None, every product, when some maximum is not
+    finite.  With every screened bin within bound of the double one, a
+    product holding a double maximizer is screened at least at the double
+    maximum less bound, and no product above it plus bound."""
+    peaks = np.asarray(peaks)
+    if not np.isfinite(peaks).all():
+        return None
+    return np.flatnonzero(peaks >= peaks.max() - 2 * bound)
+
+
+def _chunk_peaks(chunks, bins_at, into_bins: bool):
+    """For each chunk (o, j0, X) of a half-grid product, the largest |X -
+    bins| as a float and its first bin, bins = bins_at(j0, len(X)) of X's
+    precision.  |X - bins| is formed in the bins when into_bins (a lone
+    kernel's block, free until the next) or else in one buffer that the
+    first, longest, chunk sizes."""
+    buffer = None
+    for _, j0, (X,) in chunks:
+        bins = bins_at(j0, len(X))
+        X.real -= bins
+        if into_bins:
+            mag = np.abs(X, out=bins)
+        else:
+            if buffer is None:
+                buffer = np.empty(len(X), dtype=bins.dtype)
+            mag = np.abs(X, out=buffer[: len(X)])
+        k = int(mag.argmax())
+        yield float(mag[k]), j0 + k
+
+
 def pseudorandom_gauge(
     nu: WeightedSequence, M: int | None = None, kernel: DirichletKernel | None = None
 ) -> GaugeReport:
@@ -764,9 +896,21 @@ def pseudorandom_gauge(
     and M, formed before the product's tables; given none, it forms each
     product's bins alone (DirichletKernel.block) and holds no bins array.
     The result is the same bit for bit either way.  The price counts what
-    each forms: with a kernel its bins, half a grid; without, the sine
-    tables of S = 1 (_lone_kernel_bytes).  A kernel of another N or M is
-    refused with ValueError.  The FFT path forms no bins.
+    each forms: with a kernel its bins and their single-precision copy,
+    three quarters of a grid; without, the sine tables of S = 1
+    (_lone_kernel_bytes).  A kernel of another N or M is refused with
+    ValueError.  The FFT path forms no bins.
+
+    The product path screens first: it forms every product and its |X -
+    bins| in single precision (_half_grid_product, the bins rounded from
+    double) and keeps each product's maximum, then forms again in double
+    only the products whose maximum lies within 2B of the largest
+    (_screen_band, B from _screen_bound), and reads D and the argmax from
+    those.  Every product that holds a double maximizer is among them, and
+    each is the same product of the same rows, so D and the argmax are
+    those of the double scan of every product, bit for bit.  When sum |w|
+    + N leaves float32 no headroom (_SINGLE_SCALE), or a screened maximum
+    is not finite, every product is formed in double.
 
     sigma records the first exponent in _SIGMA_CHAIN whose arc parameters
     are nondegenerate (P < Q) for an arithmetic sequence (W > 1), the one
@@ -781,39 +925,40 @@ def pseudorandom_gauge(
         raise ValueError(
             f"a kernel of N = {kernel.N} on M = {kernel.M} cannot gauge N = {N} on M = {M}"
         )
+    S = len(nu.index)
     # the padded sequence and X (two grids); on the product path a held
-    # kernel's bins (half a grid) and five words a product's cell, or a
-    # lone kernel's sine tables and four words a cell: X and the block the
-    # kernel forms, which then takes |X|
-    price = (2, 4, _lone_kernel_bytes(M)) if kernel is None else (2, 5, 4.0 * M)
-    if _take_product(len(nu.index), M, "pseudorandom_gauge", price):
-        if kernel is None:
-            bins_at = DirichletKernel(N, M).block
+    # kernel's bins and their single-precision copy (three quarters of a
+    # grid) and five words a product's cell, or a lone kernel's sine tables
+    # and four words a cell: X and the block the kernel forms, which then
+    # takes |X|; and the screen's single-precision tables and products
+    screen = _screen_bytes(S, M)
+    price = (2, 4, _lone_kernel_bytes(M) + screen) if kernel is None else (2, 5, 6.0 * M + screen)
+    if _take_product(S, M, "pseudorandom_gauge", price):
+        lone = kernel is None
+        if lone:
+            kernel = DirichletKernel(N, M)
+            bins_at, single_at = kernel.block, kernel.single_block
         else:
-            held = kernel.bins  # formed before the product's tables
+            # formed before the product's tables
+            held, held_single = kernel.bins, kernel.single_bins
             bins_at = lambda j0, n: held[j0 : j0 + n]
-        blocks = _half_grid_product(2 * nu.index + 1 - N, nu.weights, M)
+            single_at = lambda j0, n: held_single[j0 : j0 + n]
+        tables = _product_tables(2 * nu.index + 1 - N, nu.weights, M)
+        scale = float(np.abs(nu.weights).sum()) + N
+        which = None
+        if scale < _SINGLE_SCALE:
+            chunks = _half_grid_product(tables, dtype=np.float32)
+            peaks = [top for top, _ in _chunk_peaks(chunks, single_at, lone)]
+            which = _screen_band(peaks, _screen_bound(S, scale))
+        found = _chunk_peaks(_half_grid_product(tables, which=which), bins_at, lone)
     else:
-        bins_at, blocks = None, [(0, 0, _padded_rfft(nu.index, nu.weights, M, N)[None])]
-    peak, j = -1.0, 0
-    buffer = None  # |X| beside a held kernel: one buffer the first, longest, chunk sizes
-    for _, j0, rows in blocks:
-        X = rows[0]
-        if bins_at is None:
-            mag = np.abs(X)  # the rfft's one chunk
-        else:
-            bins = bins_at(j0, len(X))
-            X.real -= bins
-            if kernel is None:
-                # a lone kernel's block, whose buffer is free until the next block
-                mag = np.abs(X, out=bins)
-            else:
-                if buffer is None:
-                    buffer = np.empty(len(X))
-                mag = np.abs(X, out=buffer[: len(X)])
+        mag = np.abs(_padded_rfft(nu.index, nu.weights, M, N))
         k = int(mag.argmax())
-        if mag[k] > peak:
-            peak, j = float(mag[k]), j0 + k
+        found = [(float(mag[k]), k)]
+    peak, j = -1.0, 0
+    for top, at in found:
+        if top > peak:
+            peak, j = top, at
     D = peak / N
     sigma_used = None
     if nu.W > 1:

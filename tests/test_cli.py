@@ -461,7 +461,8 @@ class TestMemoryBudget:
 
     def test_transfer(self, capsys):
         # the window around 44 * 2^22 / 2 ends at 92,563,046, under a
-        # 93,312,000-point grid
+        # 93,312,000-point grid; its 289,260 points are wider than a third
+        # of a column, so the one-irfft route's 6.5 grids are the price
         argv = "transfer --w 3 --s 44 --n 4194304".split()
         assert run_cli(capsys, *argv) == (
             2,

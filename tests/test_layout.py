@@ -10,7 +10,10 @@ sequence's support only through majorant.support_index; matrix products,
 the package's BLAS calls, are made only in spectral._half_grid_product and
 spectral._dirichlet_block, so one rule sizes them; each FFT has one call
 site: np.fft.rfft in spectral._padded_rfft, np.fft.irfft in
-representation._convolve and np.fft.ifft in representation._window_inverse.
+representation._convolve and np.fft.ifft in representation._window_inverse;
+single-precision dtypes are named only in spectral, whose gauge screens
+its products in them and reports only double-precision values, so no
+single-precision value reaches an output path.
 """
 
 import ast
@@ -194,3 +197,25 @@ def test_one_call_site_per_fft():
         ("rfft", "spectral", "_padded_rfft"),
     ]
     assert [name for name, tree in MODULES.items() if "numpy.fft" in _imported(tree)] == []
+
+
+_SINGLE_NAMES = {"float32", "complex64", "single", "csingle", "half", "float16"}
+_SINGLE_CODES = {"f2", "f4", "c8"}
+
+
+def _names_single(node) -> bool:
+    """A single- or half-precision numpy dtype: np.float32, np.complex64,
+    np.single and the like as an attribute or an imported name, or a dtype
+    string such as "f4", "<c8" or "float32"."""
+    if isinstance(node, ast.Attribute):
+        return node.attr in _SINGLE_NAMES
+    if isinstance(node, ast.alias):
+        return node.name in _SINGLE_NAMES
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value in _SINGLE_NAMES or node.value.lstrip("<>=|") in _SINGLE_CODES
+    return False
+
+
+def test_single_precision_only_in_spectral():
+    named = {name for name, tree in MODULES.items() if any(map(_names_single, ast.walk(tree)))}
+    assert sorted(named) == ["spectral"]

@@ -27,6 +27,7 @@ from wglab.spectral import (
     _half_grid_shape,
     _lone_kernel_bytes,
     _product_bytes,
+    _screen_bytes,
     _use_product,
     DirichletKernel,
     dft_spectrum,
@@ -139,7 +140,8 @@ def sizes_transference(monkeypatch):
     # one-point sequences, since the price reads N alone: at s = 2 the
     # window's top hi goes from 82,012,499 to 82,012,500 = 2^2 3^8 5^5, so
     # the grid, the least 5-smooth integer above hi, goes from 82,012,500
-    # points to 82,944,000
+    # points to 82,944,000.  The window, 256,289 points, is wider than a
+    # third of a column, so the one-irfft route's 6.5 grids are the price
     def gauge(N):
         f = WeightedSequence.spike(N, 0.5)
         return lambda: transference_gauge([f, f])
@@ -285,9 +287,14 @@ def _small_calls(name):
         base = [_sparse(1 << 15, 20, seed) for seed in range(3)]
         mixed = [WeightedSequence(values=rng.random(1 << 14), kind="custom", W=0, b=0, k=0)]
         mixed.append(_sparse(1 << 14, 20, 5))
+        # the streamed route's price at the benchmark's shapes: three sparse
+        # parts on 729,000 and 1,458,000 points; a dense part alone
+        chain = [_sparse(1 << 16, 14, seed) for seed in range(3)]
         return calls + [
             lambda f_list=(base * 44)[:44]: transference_gauge(f_list),
+            lambda f_list=(chain * 44)[:44]: transference_gauge(f_list),
             lambda f_list=mixed * 22: transference_gauge(f_list),
+            lambda f_list=mixed[:1] * 44: transference_gauge(f_list),
         ]
     W = compute_W(3, 2)
     path = {
@@ -380,7 +387,7 @@ def test_product_price_covers_building_E(monkeypatch, S, M):
         with monkeypatch.context() as m:
             m.setattr(spectral, "_phase_table", probe)
             with pytest.raises(_Probe):
-                next(spectral._half_grid_product(c, w, M))
+                spectral._product_tables(c, w, M)
         return calls[-1]
 
     stepped()
@@ -402,9 +409,11 @@ def _recorded_prices(monkeypatch, call):
 
 def test_lone_and_held_gauges_price_what_they_form(monkeypatch):
     """On the product path a gauge given a DirichletKernel prices the
-    kernel's bins, half a grid, and five words a product cell; a gauge
-    given none prices the sine tables of S = 1 and four words a cell, far
-    less.  An rfft member prices its two grids either way."""
+    kernel's bins and their single-precision copy, three quarters of a
+    grid, and five words a product cell; a gauge given none prices the
+    sine tables of S = 1 and four words a cell, far less.  Both add the
+    screen's single-precision E, A, X and block.  An rfft member prices
+    its two grids either way."""
     W, N, M = compute_W(3, 2), 1 << 14, 1 << 18
     nus = [build_nu(W, b, 2, N) for b in power_residues(W, 2).units.tolist()[:2]]
     members = [nus[0], _sparse(N, 64, 1), _dense(N), nus[1]]
@@ -426,8 +435,10 @@ def test_lone_and_held_gauges_price_what_they_form(monkeypatch):
     sines = 32.0 * rows + 112.0 * T
     for (price,), held_price, S, product in zip(lone, held, sizes, paths):
         if product:
-            assert price == _product_bytes(S, M, 4) + sines
-            assert held_price == _product_bytes(S, M, 5) + 4.0 * M
+            _, T, _, C = _half_grid_shape(S, M)
+            screen = 16.0 * S * T + 8.0 * S * C + 12.0 * C * T
+            assert price == _product_bytes(S, M, 4) + sines + screen
+            assert held_price == _product_bytes(S, M, 5) + 6.0 * M + screen
             assert price < held_price / 2
         else:
             assert price == held_price == 16.0 * M
@@ -444,8 +455,9 @@ def test_lone_product_gauge_within_its_product_price():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # four words a block cell and the sine tables of S = 1
-    assert peak <= _product_bytes(S, M, 4) + _lone_kernel_bytes(M) + OBJECT_BYTES
+    # four words a block cell, the sine tables of S = 1 and the screen
+    price = _product_bytes(S, M, 4) + _lone_kernel_bytes(M) + _screen_bytes(S, M)
+    assert peak <= price + OBJECT_BYTES
 
 
 def test_report_holds_one_dense_sequence(tmp_path):
@@ -465,3 +477,42 @@ def test_report_holds_one_dense_sequence(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 54 * N * 8
+
+
+def _streamed_chain(N, s=44):
+    """Three distinct sparse parts of 14 points, s in all, as the
+    transference benchmark's chain has them at N = 2^15 and 2^16."""
+    parts = [_sparse(N, 14, seed) for seed in range(3)]
+    return (parts * s)[:s]
+
+
+@pytest.mark.parametrize("N, grid", [(1 << 15, 729_000), (1 << 16, 1_458_000)])
+def test_streamed_route_prices_what_it_allocates(monkeypatch, N, grid):
+    """On a split grid transference_gauge prices the streamed route's
+    workspace, tables and window, under one grid for sparse parts; the
+    one-irfft route keeps its 6.5 grids."""
+    f_list = _streamed_chain(N)
+    assert representation._window_split(grid, 2260 * N >> 15)
+    streamed = probed_estimate(monkeypatch, lambda: transference_gauge(f_list))
+    assert streamed < 8 * grid
+    with monkeypatch.context() as m:
+        m.setattr(representation, "_window_split", lambda grid, width: 0)
+        whole = probed_estimate(monkeypatch, lambda: transference_gauge(f_list))
+    assert whole == 6.5 * 8 * grid
+
+
+def test_streamed_route_refuses_overflowing_phases():
+    """A window of 672 points on 2,149,908,480 points takes the
+    streamed route, priced at a few MB; its sparse parts' exact int64
+    phases could overflow there, so it is refused before allocating."""
+    f = WeightedSequence.spike(1 << 31, 0.5)
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(LimitExceededError, match="2M\\^2 < 2\\^63"):
+            transference_gauge([f, f], epsilon=1e-5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 5
+    assert peak < 1 << 20

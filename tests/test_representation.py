@@ -814,12 +814,13 @@ class TestWindowInverse:
         assert [_use_product(len(index), grid) for index, _, _ in parts] == [
             kind == "sparse" for kind, _ in kinds
         ]
+        supports = [len(index) for index, _, _ in parts]
         # the least 5-smooth integer above top - lo is the grid itself
         top = lo + grid - 1
-        got, mass = _convolve(iter(parts), top, lo, hi, "streamed")
+        got, mass = _convolve(iter(parts), supports, top, lo, hi, "streamed")
         with pytest.MonkeyPatch.context() as m:
             m.setattr(representation, "_window_split", lambda grid, width: 0)
-            want, want_mass = _convolve(iter(parts), top, lo, hi, "full")
+            want, want_mass = _convolve(iter(parts), supports, top, lo, hi, "full")
         assert got.shape == want.shape == (width,)
         assert math.isclose(mass, want_mass, rel_tol=1e-12)
         spectra = []

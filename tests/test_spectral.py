@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import json
 import math
 import random
@@ -793,7 +794,8 @@ class TestSparseProduct:
             A = (blocks[i : i + 1, None] * within).reshape(-1, S)[: rows - u0]
             want.append((u0 * T, (A.view(float) @ E).view(complex).ravel()[: half - u0 * T]))
         # a chunk is valid until the next is drawn: each is copied
-        got = [(o, j0, X.copy()) for o, j0, (X,) in spectral._half_grid_product(c, w, M)]
+        chunks = spectral._half_grid_product(spectral._product_tables(c, w, M))
+        got = [(o, j0, X.copy()) for o, j0, (X,) in chunks]
         assert {o for o, _, _ in got} == {0}
         got = [(j0, X) for _, j0, X in got]
         assert [j0 for j0, _ in got] == [j0 for j0, _ in want]
@@ -987,7 +989,9 @@ def _gauge_in_product_shape(nu, M):
     _, T, rows, _ = _half_grid_shape(len(idx), M)
     sines = spectral._dirichlet_sines(N, M, rows, T)
     peak, j = -1.0, 0
-    for _, j0, (X,) in spectral._half_grid_product(2 * idx + 1 - N, nu.values[idx], M):
+    for _, j0, (X,) in spectral._half_grid_product(
+        spectral._product_tables(2 * idx + 1 - N, nu.values[idx], M)
+    ):
         work = np.empty((2, -(-len(X) // T) + 1, T))
         X.real -= spectral._dirichlet_block(N, T, sines, j0, len(X), work)
         mag = np.abs(X)
@@ -1445,3 +1449,195 @@ def test_spectrum_within_ulps_on_another_blas_kernel(tmp_path):
         pytest.skip(f"OPENBLAS_CORETYPE=Prescott left the core at {core}")
     assert other_argmax == argmax
     assert np.abs(Y - X).max() <= 4 * np.finfo(float).eps * np.abs(X).max()
+
+
+def _product_bins(c, w, M, dtype=float):
+    """Every product-path bin of _half_grid_product in dtype, as one array."""
+    chunks = spectral._half_grid_product(spectral._product_tables(c, w, M), dtype=dtype)
+    return np.concatenate([X.copy() for _, _, (X,) in chunks])
+
+
+# grids on both sides of _GROUPED_ABOVE, even and odd
+_SCREEN_GRIDS = st.one_of(
+    st.integers(1 << 15, _GROUPED_ABOVE),
+    st.integers(_GROUPED_ABOVE + 1, 1 << 21),
+    st.sampled_from([_GROUPED_ABOVE, _GROUPED_ABOVE + 1, 1 << 21, (1 << 21) - 1]),
+)
+
+
+def _screened_member(S, M, seed, scale, N=None):
+    """min(S, the product path's bound) random points among N (M // 8 by
+    default), weights 0.1..10 times scale."""
+    N = N or M // 8
+    S = min(S, max(s for s in range(1, 65) if _use_product(s, M)), N)
+    rng = np.random.default_rng(seed)
+    vals = np.zeros(N)
+    vals[rng.choice(N, S, replace=False)] = (0.1 + 10 * rng.random(S)) * scale
+    return WeightedSequence(values=vals, kind="custom", W=0, b=0, k=0)
+
+
+class TestProductErrorScale:
+    """The product path's bins are off by ulps of sum |w|, not of |X|."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(S=st.integers(1, 64), M=_SCREEN_GRIDS, seed=st.integers(0, 2**32 - 1))
+    @example(S=55, M=1 << 21, seed=0)
+    def test_bins_within_ulps_of_the_weight_sum(self, S, M, seed):
+        """Against np.fft.rfft, weights from 1e-6 to 1e6: within 4 (2S +
+        log2 M) ulps of sum |w|, the product's dot products of 2S terms of
+        total size sum |w| and the rfft's log2 M stages.  The worst of 150
+        random draws was 1.63 (2S + log2 M) ulps."""
+        S = min(S, max(s for s in range(1, 65) if _use_product(s, M)))
+        rng = np.random.default_rng(seed)
+        index = np.sort(rng.choice(M // 2, S, replace=False))
+        w = 10.0 ** rng.uniform(-6, 6, S)
+        padded = np.zeros(M)
+        padded[index + 1] = w
+        err = np.abs(_product_bins(2 * index + 2, w, M) - np.fft.rfft(padded)).max()
+        assert err <= 4 * (2 * S + math.log2(M)) * 2.0**-53 * w.sum()
+
+
+def _unscreened_gauge(seq, M, held):
+    """D and argmax_j of pseudorandom_gauge's product path before the
+    screen: every product in double precision, less a held kernel's bins
+    or a lone kernel's blocks."""
+    N = seq.N
+    kernel = DirichletKernel(N, M)
+    bins_at = (lambda j0, n: kernel.bins[j0 : j0 + n]) if held else kernel.block
+    tables = spectral._product_tables(2 * seq.index + 1 - N, seq.weights, M)
+    peak, j = -1.0, 0
+    for _, j0, (X,) in spectral._half_grid_product(tables):
+        X.real -= bins_at(j0, len(X))
+        mag = np.abs(X)
+        k = int(mag.argmax())
+        if mag[k] > peak:
+            peak, j = float(mag[k]), j0 + k
+    return peak / N, j
+
+
+class TestScreen:
+    """pseudorandom_gauge screens every product in single precision and
+    confirms in double those within 2B of the largest screened maximum."""
+
+    def assert_screen_keeps_the_bits(self, seq, M, held):
+        kernel = DirichletKernel(seq.N, M) if held else None
+        rep = pseudorandom_gauge(seq, M, kernel)
+        D, j = _unscreened_gauge(seq, M, held)
+        assert (rep.D.hex(), rep.argmax_j) == (D.hex(), j)
+        old = dataclasses.replace(rep, D=D, argmax_j=j, argmax_alpha=j / M)
+        assert _json_line(rep.to_dict()) == _json_line(old.to_dict())
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        S=st.integers(1, 64),
+        M=_SCREEN_GRIDS,
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1.0, 1.0, 1e30, 1e-30, 1e38]),
+        held=st.booleans(),
+    )
+    # last products of one row, above and below _GROUPED_ABOVE
+    @example(S=64, M=_GROUPED_ABOVE + 1, seed=1, scale=1.0, held=False)
+    @example(S=1, M=1 << 15, seed=2, scale=1.0, held=True)
+    @example(S=55, M=1 << 21, seed=3, scale=1e-30, held=False)
+    @example(S=20, M=(1 << 18) + 1, seed=4, scale=1e30, held=True)
+    # sum |w| past float32's range: every product is confirmed
+    @example(S=30, M=1 << 20, seed=5, scale=1e38, held=True)
+    def test_screened_gauge_equals_the_double_scan(self, S, M, seed, scale, held):
+        self.assert_screen_keeps_the_bits(_screened_member(S, M, seed, scale), M, held)
+
+    @pytest.mark.parametrize("held", [True, False])
+    def test_maximum_in_two_products(self, held):
+        """nu = 1 on the even n <= 64: |X - bins| reaches N/2 = 32 exactly
+        at j = 0 and j = M/2, the first and the last of 18 products; the
+        first is the argmax."""
+        N, M = 64, 1 << 18
+        vals = np.zeros(N)
+        vals[1::2] = 1.0
+        seq = WeightedSequence(values=vals, kind="custom", W=0, b=0, k=0)
+        kernel = DirichletKernel(N, M)
+        tables = spectral._product_tables(2 * seq.index + 1 - N, seq.weights, M)
+        peaks = [
+            float(np.abs(X - kernel.bins[j0 : j0 + len(X)]).max())
+            for _, j0, (X,) in spectral._half_grid_product(tables)
+        ]
+        assert len(peaks) == 18 and peaks[0] == peaks[-1] == max(peaks) == 32.0
+        assert peaks.count(32.0) == 2
+        self.assert_screen_keeps_the_bits(seq, M, held)
+        assert pseudorandom_gauge(seq, M).argmax_j == 0
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("weights", [[1.0, float("nan")], [1.0, float("inf")], [1e39, 1.0]])
+    def test_non_finite_screens_confirm_every_product(self, monkeypatch, weights):
+        """A NaN, an infinite weight or a sum |w| past float32's range:
+        every product in double, as before the screen."""
+        N, M = 256, 1 << 16
+        vals = np.zeros(N)
+        vals[[3, 200]] = weights
+        seq = WeightedSequence(values=vals, kind="custom", W=0, b=0, k=0)
+        formed = _count_products(monkeypatch)
+        rep = pseudorandom_gauge(seq, M)
+        _, _, rows, C = _half_grid_shape(2, M)
+        assert formed.count(np.complex128) == -(-rows // C) == 3
+        D, j = _unscreened_gauge(seq, M, False)
+        assert (rep.D.hex(), rep.argmax_j) == (D.hex(), j)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        S=st.integers(1, 64),
+        M=_SCREEN_GRIDS,
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1.0, 1e-6, 1e6]),
+    )
+    def test_single_bins_within_the_bound(self, S, M, seed, scale):
+        """At every bin the screen's single-precision |X - bins| is within
+        B (_screen_bound) of the double one; the worst of 300 random draws
+        came to 0.235 B, at S = 1."""
+        N = int(np.random.default_rng(seed).integers(1, M // 2 + 1))
+        seq = _screened_member(S, M, seed, scale, N)
+        c, w = 2 * seq.index + 1 - N, seq.weights
+        kernel = DirichletKernel(N, M)
+        m64 = np.abs(_product_bins(c, w, M) - kernel.bins)
+        m32 = np.abs(_product_bins(c, w, M, np.float32) - kernel.single_bins)
+        bound = spectral._screen_bound(len(w), float(np.abs(w).sum()) + N)
+        assert np.abs(m32 - m64).max() <= bound
+
+    def test_screen_bins_are_the_double_bins_rounded(self):
+        """A held kernel's single bins and a lone kernel's single blocks are
+        the double bins rounded to float32, never formed in single."""
+        N, M, S = 1 << 14, 1 << 18, 16
+        half, T, _, C = _half_grid_shape(S, M)
+        kernel = DirichletKernel(N, M)
+        assert kernel.single_bins.tobytes() == kernel.bins.astype(np.float32).tobytes()
+        lone = DirichletKernel(N, M)
+        starts = range(0, half, C * T)
+        blocks = [lone.single_block(j0, min(C * T, half - j0)).copy() for j0 in starts]
+        assert np.concatenate(blocks).tobytes() == kernel.single_bins.tobytes()
+
+    def test_band_keeps_its_edge(self):
+        bound = 0.125
+        peaks = [3.0, 3.0 - 2 * bound, 2.5, 3.0 - 2 * bound - 2.0**-50]
+        assert spectral._screen_band(peaks, bound).tolist() == [0, 1]
+        assert spectral._screen_band([1.0, float("nan")], bound) is None
+
+    def test_nu_confirms_one_product(self, monkeypatch):
+        """nu at w = 3, k = 2, b = 1, N = 2^17 on 2^20 points: of its 9
+        products, one is formed again in double precision."""
+        nu = build_nu(compute_W(3, 2), 1, 2, 1 << 17)
+        formed = _count_products(monkeypatch)
+        pseudorandom_gauge(nu, 1 << 20)
+        assert formed.count(np.complex64) > 1
+        assert formed.count(np.complex128) == 1
+
+
+def _count_products(monkeypatch) -> list:
+    """The dtype of each chunk _half_grid_product yields from now on."""
+    formed = []
+    real = spectral._half_grid_product
+
+    def counted(*args, **kwargs):
+        for chunk in real(*args, **kwargs):
+            formed.append(chunk[2].dtype.type)
+            yield chunk
+
+    monkeypatch.setattr(spectral, "_half_grid_product", counted)
+    return formed
